@@ -53,8 +53,9 @@ def fit_ar(series: np.ndarray, max_order: int, criterion: str = "aicc") -> ARMod
     With ``criterion="aicc"`` the order p in 0..max_order minimising
     AICc = T log(RSS/T) + 2 (p + 2) T / (T - p - 3) is selected, all
     candidates fit on the common sample starting at max_order; ties go to
-    the smaller order.  With ``criterion="fixed"`` the order is exactly
-    ``max_order``.
+    the smaller order.  Orders with T - p - 3 <= 0 have no AICc and are
+    not fitted (p = 0 always is), so short series select among the rest.
+    With ``criterion="fixed"`` the order is exactly ``max_order``.
 
     Raises:
         ValueError: series shorter than max_order + 3, or a singular
@@ -72,9 +73,12 @@ def fit_ar(series: np.ndarray, max_order: int, criterion: str = "aicc") -> ARMod
             f"series of length {y.size} too short for max_order={max_order}"
         )
 
-    orders = [max_order] if criterion == "fixed" else range(max_order + 1)
     t0 = max_order  # common sample so AICc values are comparable
     T_eff = y.size - t0
+    if criterion == "fixed":
+        orders = [max_order]
+    else:  # p = 0 plus every order whose AICc is defined
+        orders = [p for p in range(max_order + 1) if p == 0 or T_eff - p - 3 > 0]
 
     best: tuple[float, int, np.ndarray, float] | None = None
     for p in orders:

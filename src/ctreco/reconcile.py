@@ -22,7 +22,6 @@ clamp-negatives-then-aggregate heuristic for non-negative data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +30,7 @@ from ctreco.covariance import (
     STRUCTURED_KINDS,
     CovarianceMatrix,
     CovarianceSpec,
+    _h1_matrix,
     sample_covariance,
     shrinkage_intensity,
 )
@@ -100,14 +100,13 @@ def _checked_cho_factor(A: np.ndarray, what: str, kind: str):
         raise NumericalError(f"{what} failed to factor: {exc}") from exc
 
 
-@lru_cache(maxsize=128)
 def build_projection(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
     """Optimal projection map for a given covariance.
 
-    Cached on the (immutable) argument objects, so repeated calls with
-    the same structure and covariance reuse the computed matrix.
+    Each call computes a new map; callers that apply one covariance more
+    than once keep the returned map.
     """
     C = structure.constraints
     Om = _solve_weights(omega)
@@ -118,7 +117,6 @@ def build_projection(
     return ReconciliationMap(structure=structure, omega=omega, M=M)
 
 
-@lru_cache(maxsize=128)
 def build_projection_structural(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
@@ -166,7 +164,7 @@ def _cross_sectional_weights(
         return np.diag(cs.summation @ np.ones(cs.n_bottom))
     if residuals is None:
         raise ValueError(f"inner covariance {kind!r} requires residuals")
-    X = _order_h1(residuals, 1)
+    X = _h1_matrix(residuals, 1)
     if kind == "wlsv":  # per-series variance scaling
         return np.diag(np.mean(X**2, axis=0))
     if kind == "shr":
@@ -174,13 +172,6 @@ def _cross_sectional_weights(
         cov = sample_covariance(X)
         return lam * np.diag(np.diag(cov)) + (1 - lam) * cov
     raise ValueError(f"unsupported inner cross-sectional covariance {kind!r}")
-
-
-def _order_h1(residuals: ResidualSet, k: int) -> np.ndarray:
-    if residuals.kind == "one_step":
-        return residuals.order_matrix(k)
-    st = residuals.structure
-    return np.stack([residuals.block(i, k)[:, 0] for i in range(st.n)], axis=1)
 
 
 def _temporal_variances(

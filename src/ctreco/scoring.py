@@ -1,11 +1,20 @@
 """Probabilistic scores and method comparison.
 
-CRPS is computed from sample draws with the exact empirical formula
-(evaluated via sorting in O(L log L)); the energy score uses the
-consecutive-pair estimator for its second term, with an all-pairs
-variant behind a flag for sensitivity checks.  Relative accuracy indices
-are geometric means of score ratios against a benchmark method, with the
-overall exponents 1/(n (k* + m)) and 1/(k* + m).
+CRPS is computed from sample draws with the exact empirical formula,
+its pairwise term evaluated through the order statistics.  The energy
+score uses the consecutive-pair estimator for its second term, with an
+all-pairs variant behind a flag for sensitivity checks.
+
+``score_draws`` scores a whole ``(L, dim)`` draw block column-wise: one
+sort of the block gives the CRPS of every cell, ``np.add.reduceat``
+averages the cells of each (series, order) block, and both energy-score
+terms of every order come from a product of squared differences with
+the cell-to-order indicator.  A call holds a few ``L x dim``
+temporaries and makes no per-cell Python calls.
+
+Relative accuracy indices are geometric means of score ratios against a
+benchmark method, with the overall exponents 1/(n (k* + m)) and
+1/(k* + m).
 
 Method comparison uses the Friedman rank test (average ranks on ties,
 with the usual tie correction) and the Nemenyi critical distance from
@@ -33,21 +42,29 @@ __all__ = [
 ]
 
 
+def _crps_columns(D: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Empirical CRPS of every column of the (L, d) draws ``D``.
+
+    ``diff`` is ``D`` minus the observation row.  Per column this is
+    mean |x_l - z| - (1 / 2L^2) sum_{l,j} |x_l - x_j|, with the pairwise
+    term taken from the order statistics:
+    sum_{l<j} (x_(j) - x_(l)) = sum_i (2i + 1 - L) x_(i), zero-based i.
+    """
+    L = D.shape[0]
+    w = 2.0 * np.arange(L) + 1.0 - L
+    return np.mean(np.abs(diff), axis=0) - (w @ np.sort(D, axis=0)) / (L * L)
+
+
 def crps(draws: np.ndarray, z: float) -> float:
     """Empirical CRPS of univariate sample draws against an observation.
 
-    mean |x_l - z| - (1 / 2L^2) sum_{l,j} |x_l - x_j|; the pairwise term
-    is evaluated through the order statistics.
+    mean |x_l - z| - (1 / 2L^2) sum_{l,j} |x_l - x_j|; the one-column case
+    of the kernel ``score_draws`` uses.
     """
-    x = np.asarray(draws, dtype=float).reshape(-1)
-    L = x.size
-    if L < 1:
+    x = np.asarray(draws, dtype=float).reshape(-1, 1)
+    if x.shape[0] < 1:
         raise ValueError("need at least one draw")
-    term1 = np.mean(np.abs(x - z))
-    xs = np.sort(x)
-    # sum_{l<j} (x_(j) - x_(l)) = sum_i (2i + 1 - L) x_(i), zero-based i
-    pair_sum = 2.0 * np.sum((2.0 * np.arange(L) + 1.0 - L) * xs)
-    return float(term1 - pair_sum / (2.0 * L * L))
+    return float(_crps_columns(x, x - z)[0])
 
 
 def energy_score(
@@ -124,28 +141,36 @@ def score_draws(
 
     CRPS is computed per cell and averaged over the horizon positions of
     each (series, order) block; the energy score of order k is taken on
-    the full n * M_k dimensional block of that order.
+    the full n * M_k dimensional block of that order, its second term on
+    consecutive draws in the given row order.
     """
     st = structure
     D = np.asarray(draws, dtype=float)
     z = np.asarray(observation, dtype=float)
     if D.ndim != 2 or D.shape[1] != st.dim or z.shape != (st.dim,):
         raise ValueError("draws must be (L, dim) and observation (dim,)")
+    L = D.shape[0]
+    if L < 2:
+        raise ValueError("need at least two draws")
     orders = st.te.factors
-    crps_mat = np.empty((st.n, len(orders)))
-    es_vec = np.empty(len(orders))
-    for kk, k in enumerate(orders):
-        cols = [
-            st.index_of(i, k, j)
-            for i in range(st.n)
-            for j in range(st.te.periods_at(k))
-        ]
-        es_vec[kk] = energy_score(D[:, cols], z[cols])
-        for i in range(st.n):
-            sl = st.block_slice(i, k)
-            vals = [crps(D[:, c], z[c]) for c in range(sl.start, sl.stop)]
-            crps_mat[i, kk] = np.mean(vals)
-    return ScoreRaw(label=label, orders=orders, crps=crps_mat, es=es_vec)
+    periods = np.array([st.te.periods_at(k) for k in orders])
+    offsets = np.array([st.te.offset_of(k) for k in orders])
+
+    diff = D - z
+    cell_crps = _crps_columns(D, diff)
+    # (series, order) blocks tile the stacked vector in layout order
+    starts = (np.arange(st.n)[:, None] * st.te.dim + offsets).reshape(-1)
+    crps_mat = np.add.reduceat(cell_crps, starts).reshape(st.n, len(orders))
+    crps_mat /= periods
+
+    cell_order = np.tile(np.repeat(np.arange(len(orders)), periods), st.n)
+    ind = (cell_order[:, None] == np.arange(len(orders))).astype(float)
+    np.square(diff, out=diff)
+    term1 = np.mean(np.sqrt(diff @ ind), axis=0)
+    gaps = np.subtract(D[1:], D[:-1], out=diff[1:])
+    np.square(gaps, out=gaps)
+    term2 = np.sum(np.sqrt(gaps @ ind), axis=0) / (2.0 * (L - 1))
+    return ScoreRaw(label=label, orders=orders, crps=crps_mat, es=term1 - term2)
 
 
 def relative_indices(scores: ScoreRaw, benchmark: ScoreRaw) -> ScoreReport:

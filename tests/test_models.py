@@ -47,6 +47,16 @@ class TestFitAr:
         with pytest.raises(ValueError):
             fit_ar(np.ones(5), max_order=3)
 
+    @pytest.mark.parametrize("length", [8, 9, 10])
+    def test_short_series_selects_among_defined_orders(self, length):
+        # orders with T_eff - p - 3 <= 0 have no AICc and are not fitted
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            model = fit_ar(rng.normal(size=length), max_order=5)
+            assert model.order <= max(0, length - 5 - 4)
+        with pytest.raises(ValueError, match="singular"):
+            fit_ar(rng.normal(size=length), max_order=5, criterion="fixed")
+
     def test_constant_series_is_singular(self):
         with pytest.raises(ValueError, match="singular"):
             fit_ar(np.ones(50), max_order=2, criterion="fixed")

@@ -1,5 +1,8 @@
 """Tests for projection maps, composites and the non-negativity heuristic."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -113,10 +116,15 @@ class TestBuildProjection:
         out = reconcile_point(rec, draws)
         np.testing.assert_allclose(out[3], rec.M @ draws[3], atol=1e-12)
 
-    def test_cache_returns_same_object(self):
+    def test_repeat_calls_agree_and_maps_are_freed(self):
         st = fig1()
         om = build_omega(CovarianceSpec("ols"), st)
-        assert build_projection(st, om) is build_projection(st, om)
+        first = build_projection(st, om)
+        np.testing.assert_array_equal(first.M, build_projection(st, om).M)
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None  # nothing keeps a map once its caller drops it
 
     def test_singular_omega_raises_with_kind(self):
         st = fig1()

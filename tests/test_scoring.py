@@ -25,6 +25,35 @@ def crps_loop(draws, z):
     return t1 - t2
 
 
+def crps_sorted(draws, z):
+    """Scalar CRPS through the order statistics, one column at a time."""
+    x = np.asarray(draws, dtype=float).reshape(-1)
+    L = x.size
+    term1 = np.mean(np.abs(x - z))
+    pair_sum = 2.0 * np.sum((2.0 * np.arange(L) + 1.0 - L) * np.sort(x))
+    return float(term1 - pair_sum / (2.0 * L * L))
+
+
+def score_draws_per_cell(structure, draws, z):
+    """Per-cell oracle of ``score_draws``: one scalar CRPS per cell and one
+    energy score per order, with the columns gathered through ``index_of``."""
+    orders = structure.te.factors
+    crps_mat = np.empty((structure.n, len(orders)))
+    es_vec = np.empty(len(orders))
+    for kk, k in enumerate(orders):
+        cols = [
+            structure.index_of(i, k, j)
+            for i in range(structure.n)
+            for j in range(structure.te.periods_at(k))
+        ]
+        es_vec[kk] = energy_score(draws[:, cols], z[cols])
+        for i in range(structure.n):
+            sl = structure.block_slice(i, k)
+            vals = [crps_sorted(draws[:, c], z[c]) for c in range(sl.start, sl.stop)]
+            crps_mat[i, kk] = np.mean(vals)
+    return crps_mat, es_vec
+
+
 def es_loop(draws, z, consecutive=True):
     X = np.asarray(draws, float)
     L = X.shape[0]
@@ -151,6 +180,103 @@ class TestScoreDraws:
         raw = score_draws(st_, draws, z)
         cols = [st_.index_of(i, 1, j) for i in range(3) for j in range(2)]
         assert raw.es[1] == pytest.approx(energy_score(draws[:, cols], z[cols]))
+
+
+@st.composite
+def scoring_cases(draw):
+    """A random 0/1 hierarchy, a seasonal period, a draw count and the
+    shape of the draws: ties (values on an integer grid) and constant
+    columns."""
+    n_upper = draw(st.integers(1, 4))
+    n_bottom = draw(st.integers(2, 6))
+    agg = draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=n_bottom, max_size=n_bottom),
+            min_size=n_upper,
+            max_size=n_upper,
+        )
+    )
+    m = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    L = draw(st.sampled_from([2, 3, 17, 200]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ties, constant = draw(st.booleans()), draw(st.booleans())
+    return np.array(agg, dtype=float), m, L, seed, ties, constant
+
+
+def assert_matches_oracle(structure, draws, z):
+    raw = score_draws(structure, draws, z)
+    crps_mat, es_vec = score_draws_per_cell(structure, draws, z)
+    # rtol is the gate; the atol floor only covers cells whose score is
+    # exactly zero in exact arithmetic (every draw equal to the observation)
+    np.testing.assert_allclose(raw.crps, crps_mat, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(raw.es, es_vec, rtol=1e-12, atol=1e-14)
+
+
+class TestScoreDrawsKernel:
+    """The column-wise kernel against the per-cell oracle."""
+
+    @given(scoring_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_cell_oracle(self, case):
+        agg, m, L, seed, ties, constant = case
+        st_ = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
+        rng = np.random.default_rng(seed)
+        loc, scale = rng.uniform(-5.0, 5.0), rng.uniform(0.5, 5.0)
+        draws = loc + scale * rng.normal(size=(L, st_.dim))
+        z = loc + scale * rng.normal(size=st_.dim)
+        if ties:
+            draws, z = np.round(draws), np.round(z)
+        if constant:
+            cols = rng.random(st_.dim) < 0.5
+            draws[:, cols] = draws[0, cols]
+            # about half of them also equal the observation: CRPS 0
+            hit = rng.random(int(cols.sum())) < 0.5
+            z[cols] = np.where(hit, draws[0, cols], z[cols])
+        assert_matches_oracle(st_, draws, z)
+
+    @pytest.mark.parametrize(
+        "n_upper, n_bottom, m",
+        [(1, 2, 2), (33, 62, 4), (30, 40, 12)],
+        ids=["study", "gdp", "monthly"],
+    )
+    def test_benchmark_shapes(self, n_upper, n_bottom, m):
+        rng = np.random.default_rng(n_bottom)
+        agg = (rng.random((n_upper, n_bottom)) < 0.3).astype(float)
+        agg[0] = 1.0
+        st_ = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
+        draws = 30.0 + rng.normal(size=(500, st_.dim)) * rng.uniform(0.5, 3.0, st_.dim)
+        z = 30.0 + rng.normal(size=st_.dim)
+        assert_matches_oracle(st_, draws, z)
+
+    def test_crps_is_the_one_column_case(self):
+        # at m = 1 every (series, order) block is a single cell
+        st_ = build_cross_temporal(
+            build_cross_sectional(np.array([[1.0, 1.0, 1.0]])), build_temporal(1)
+        )
+        rng = np.random.default_rng(6)
+        draws = rng.normal(size=(50, st_.dim))
+        z = rng.normal(size=st_.dim)
+        raw = score_draws(st_, draws, z)
+        for c in range(st_.dim):
+            assert crps(draws[:, c], z[c]) == pytest.approx(raw.crps[c, 0], rel=1e-12)
+            assert crps(draws[:, c], z[c]) == pytest.approx(
+                crps_sorted(draws[:, c], z[c]), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("L", [0, 1])
+    def test_needs_two_draws(self, L):
+        st_ = TestScoreDraws().make_structure()
+        with pytest.raises(ValueError, match="two draws"):
+            score_draws(st_, np.zeros((L, st_.dim)), np.zeros(st_.dim))
+
+    @pytest.mark.parametrize(
+        "draw_shape, obs_shape",
+        [((5, 8), (9,)), ((5, 9), (8,)), ((9,), (9,)), ((5, 9), (1, 9))],
+    )
+    def test_shape_mismatch(self, draw_shape, obs_shape):
+        st_ = TestScoreDraws().make_structure()
+        with pytest.raises(ValueError, match="draws must be"):
+            score_draws(st_, np.zeros(draw_shape), np.zeros(obs_shape))
 
 
 class TestRelativeIndices:
