@@ -19,6 +19,7 @@ import numpy as np
 
 from ctreco import __version__
 from ctreco.covariance import CovarianceSpec, build_omega
+from ctreco.evaluate import base_forecasts
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.io import (
     atomic_write_text,
@@ -28,7 +29,6 @@ from ctreco.io import (
     read_stacked_csv,
     write_stacked_csv,
 )
-from ctreco.models import forecast
 from ctreco.pipeline import (
     PipelineConfig,
     build_manifest,
@@ -46,10 +46,9 @@ from ctreco.residuals import (
     aggregate_levels,
     assemble_multistep,
     assemble_onestep,
-    assemble_overlapping,
     fit_level_models,
 )
-from ctreco.scoring import ScoreRaw, relative_indices
+from ctreco.scoring import relative_indices
 from ctreco.simulation import (
     DEFAULT_METHODS,
     DEFAULT_SAMPLERS,
@@ -135,12 +134,6 @@ def _cmd_reconcile(args) -> int:
     return 0
 
 
-def _fit_dataset(dataset, max_order, criterion):
-    data = aggregate_levels(dataset.structure, dataset.values)
-    models = fit_level_models(data, max_order=max_order, criterion=criterion)
-    return data, models
-
-
 def _cmd_sample(args) -> int:
     dataset = ingest(args.data, args.hierarchy)
     for line in dataset.coherence_report:
@@ -148,34 +141,25 @@ def _cmd_sample(args) -> int:
     structure, names = dataset.structure, dataset.names
     criterion = "fixed" if args.fixed_order is not None else "aicc"
     max_order = args.fixed_order if args.fixed_order is not None else args.max_order
-    data, models = _fit_dataset(dataset, max_order, criterion)
+    data = aggregate_levels(structure, dataset.values)
+    models = fit_level_models(data, max_order=max_order, criterion=criterion)
 
+    assemble = assemble_onestep if args.method == "ctjb" else assemble_multistep
+    residuals = assemble(structure, models, data)
+    if args.export_residuals:
+        from ctreco.io import write_residuals_csv
+
+        write_residuals_csv(_out(args, "residuals.csv"), residuals, names)
     if args.method == "ctjb":
-        one_step = assemble_onestep(structure, models, data)
-        if args.export_residuals:
-            from ctreco.io import write_residuals_csv
-
-            write_residuals_csv(_out(args, "residuals.csv"), one_step, names)
         sample = ctjb_sample(
-            structure, models, data, one_step, args.L, seed=args.seed
+            structure, models, data, residuals, args.L, seed=args.seed
         )
     else:
-        multi = assemble_multistep(structure, models, data)
-        if args.export_residuals:
-            from ctreco.io import write_residuals_csv
-
-            write_residuals_csv(_out(args, "residuals.csv"), multi, names)
         lam_by_cov = {"sam": None, "shr": None, "g": 0.0, "h": 0.0, "b": 0.0,
                       "hb": 0.0}
         spec = CovarianceSpec(args.cov, lam=lam_by_cov[args.cov])
-        sigma = build_omega(spec, structure, multi)
-        xhat = np.empty(structure.dim)
-        for i in range(structure.n):
-            for k in structure.te.factors:
-                Mk = structure.te.periods_at(k)
-                xhat[structure.block_slice(i, k)] = forecast(
-                    models[(i, k)], data[(i, k)], Mk
-                )
+        sigma = build_omega(spec, structure, residuals)
+        xhat = base_forecasts(structure, models, data)
         sample = sample_gaussian(
             GaussianForecast(xhat, sigma), structure, args.L, seed=args.seed
         )
@@ -209,7 +193,6 @@ def _cmd_score(args) -> int:
     bench = raws[args.benchmark]
     reports = {label: relative_indices(raw, bench) for label, raw in raws.items()}
 
-    orders = structure.te.factors
     if args.format == "json":
         payload = {
             label: {
@@ -226,24 +209,27 @@ def _cmd_score(args) -> int:
         path = _out(args, "scores.json")
         atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2))
     else:
-        header = ["label", "benchmark"]
-        header += [f"avg_rel_crps_k{k}" for k in orders]
-        header += ["avg_rel_crps_all"]
-        header += [f"rel_es_k{k}" for k in orders]
-        header += ["avg_rel_es_all"]
-        lines = [",".join(header)]
-        for label in sorted(reports):
-            rep = reports[label]
-            row = [label, rep.benchmark_id]
-            row += [_fmt(rep.avg_rel_crps[k]) for k in orders]
-            row += [_fmt(rep.avg_rel_crps_overall)]
-            row += [_fmt(rep.rel_es[k]) for k in orders]
-            row += [_fmt(rep.avg_rel_es_overall)]
-            lines.append(",".join(row))
         path = _out(args, "scores.csv")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        _write_reports(path, reports, structure.te.factors)
     print(path)
     return 0
+
+
+def _write_reports(path, reports: dict, orders) -> None:
+    """One CSV row of relative indices per label, labels sorted."""
+    header = ["label", "benchmark"]
+    header += [f"avg_rel_crps_k{k}" for k in orders] + ["avg_rel_crps_all"]
+    header += [f"rel_es_k{k}" for k in orders] + ["avg_rel_es_all"]
+    lines = [",".join(header)]
+    for label in sorted(reports):
+        rep = reports[label]
+        row = [label, rep.benchmark_id]
+        row += [_fmt(rep.avg_rel_crps[k]) for k in orders]
+        row += [_fmt(rep.avg_rel_crps_overall)]
+        row += [_fmt(rep.rel_es[k]) for k in orders]
+        row += [_fmt(rep.avg_rel_es_overall)]
+        lines.append(",".join(row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _grid_from_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -283,22 +269,14 @@ def _cmd_simulate(args) -> int:
     result = run_study(config, methods=methods, samplers=samplers,
                        nonneg=args.nonneg)
 
-    paths = []
-    path = _out(args, "frobenius.csv")
-    _write_table(path, result.frobenius, result.methods, result.samplers)
-    paths.append(path)
-    levels = [("all", result.avg_rel_crps["all"])] + [
-        (k, result.avg_rel_crps[k]) for k in result.orders
-    ]
-    path = _out(args, "avg_rel_crps.csv")
-    _write_table(path, None, result.methods, result.samplers, level_col=levels)
-    paths.append(path)
-    levels = [("all", result.rel_es["all"])] + [
-        (k, result.rel_es[k]) for k in result.orders
-    ]
-    path = _out(args, "rel_es.csv")
-    _write_table(path, None, result.methods, result.samplers, level_col=levels)
-    paths.append(path)
+    paths = [_out(args, "frobenius.csv")]
+    _write_table(paths[0], result.frobenius, result.methods, result.samplers)
+    for name, tables in (("avg_rel_crps.csv", result.avg_rel_crps),
+                         ("rel_es.csv", result.rel_es)):
+        levels = [("all", tables["all"])] + [(k, tables[k]) for k in result.orders]
+        paths.append(_out(args, name))
+        _write_table(paths[-1], None, result.methods, result.samplers,
+                     level_col=levels)
 
     manifest = build_manifest(
         config, args.seed, [args.grid] if args.grid else [],
@@ -335,21 +313,8 @@ def _cmd_pipeline(args) -> int:
     )
     result = run_pipeline(dataset, cfg)
 
-    orders = result.orders
-    header = ["label", "benchmark"]
-    header += [f"avg_rel_crps_k{k}" for k in orders] + ["avg_rel_crps_all"]
-    header += [f"rel_es_k{k}" for k in orders] + ["avg_rel_es_all"]
-    lines = [",".join(header)]
-    for label in sorted(result.reports):
-        rep = result.reports[label]
-        row = [label, rep.benchmark_id]
-        row += [_fmt(rep.avg_rel_crps[k]) for k in orders]
-        row += [_fmt(rep.avg_rel_crps_overall)]
-        row += [_fmt(rep.rel_es[k]) for k in orders]
-        row += [_fmt(rep.avg_rel_es_overall)]
-        lines.append(",".join(row))
     report_path = _out(args, "pipeline_report.csv")
-    atomic_write_text(report_path, "\n".join(lines) + "\n")
+    _write_reports(report_path, result.reports, result.orders)
     printed = [report_path]
 
     n_cells = len(cfg.methods) * len(cfg.samplers)

@@ -29,6 +29,7 @@ __all__ = [
     "shrinkage_intensity",
     "sample_covariance",
     "build_omega",
+    "wlsv_diagonal",
     "parameter_count",
     "FULL_KINDS",
     "STRUCTURED_KINDS",
@@ -180,6 +181,23 @@ def _h1_matrix(residuals: ResidualSet, k: int) -> np.ndarray:
     )
 
 
+def wlsv_diagonal(residuals: ResidualSet) -> np.ndarray:
+    """Diagonal of the ``wlsv`` covariance in the stacked layout.
+
+    Every cell of a (series, order) block gets the mean squared one-step
+    residual of that block: all of its columns for one-step residuals,
+    the h = 1 column for multi-step ones.
+    """
+    st = residuals.structure
+    diag = np.empty(st.dim)
+    for i in range(st.n):
+        for k in st.te.factors:
+            block = residuals.block(i, k)
+            vals = block.reshape(-1) if residuals.kind == "one_step" else block[:, 0]
+            diag[st.block_slice(i, k)] = np.mean(vals**2)
+    return diag
+
+
 def build_omega(
     spec: CovarianceSpec,
     structure: CrossTemporalStructure,
@@ -207,17 +225,7 @@ def build_omega(
 
     if kind == "wlsv":
         _require_kind(spec, residuals, ("one_step",) + multi)
-        diag = np.empty(dim)
-        for i in range(st.n):
-            for k in st.te.factors:
-                block = residuals.block(i, k)
-                vals = (
-                    block.reshape(-1)
-                    if residuals.kind == "one_step"
-                    else block[:, 0]
-                )
-                diag[st.block_slice(i, k)] = np.mean(vals**2)
-        return CovarianceMatrix(np.diag(diag), spec)
+        return CovarianceMatrix(np.diag(wlsv_diagonal(residuals)), spec)
 
     if kind == "bdshr":
         _require_kind(spec, residuals, ("one_step",) + multi)

@@ -119,24 +119,28 @@ def simulate_path(
 ) -> np.ndarray:
     """Iterate the AR recursion h steps, injecting the given shocks.
 
+    ``shocks`` is one path's ``(h,)`` vector or an ``(L, h)`` block with
+    one path per row; the result has the shape of ``shocks``.
     Deterministic given the shocks; with zero shocks this is the point
     forecast.  ``history`` must hold at least ``order`` values.
     """
     y = np.asarray(history, dtype=float)
     e = np.asarray(shocks, dtype=float)
-    if e.shape != (h,):
-        raise ValueError(f"shocks must have length {h}")
+    if e.ndim not in (1, 2) or e.shape[-1] != h:
+        raise ValueError(f"shocks must have shape ({h},) or (L, {h})")
     p = model.order
     if y.size < p:
         raise ValueError(f"history of length {y.size} < order {p}")
-    buf = np.concatenate([y[y.size - p :], np.empty(h)])
+    E = np.atleast_2d(e)
+    buf = np.empty((E.shape[0], p + h))
+    buf[:, :p] = y[y.size - p :]
     phi = model.coefficients
     for step in range(h):
-        val = model.intercept + e[step]
+        val = model.intercept + E[:, step]
         for lag in range(1, p + 1):
-            val += phi[lag - 1] * buf[p + step - lag]
-        buf[p + step] = val
-    return buf[p:]
+            val = val + phi[lag - 1] * buf[:, p + step - lag]
+        buf[:, p + step] = val
+    return buf[:, p:] if e.ndim == 2 else buf[0, p:]
 
 
 def fitted_multistep(model: ARModel, series: np.ndarray, h: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Expanding-window forecasting experiment on user data.
 
-For every forecast origin, models are fit per (series, order) on the
-training window, base forecast samples are drawn, reconciled per method,
-and scored against the held-out next period.  Origins advance by a fixed
-number of highest-frequency steps; the aggregation windows of every
-temporal order are anchored to end at the origin, so each origin always
-forecasts exactly one whole most-aggregated period ahead.
+For every forecast origin, ``evaluate.evaluate_origin`` -- the kernel
+the Monte Carlo study uses too -- fits models per (series, order) on the
+training window, draws base forecast samples, reconciles them per method
+and scores them against the held-out next period.  Origins advance by a
+fixed number of highest-frequency steps; the aggregation windows of
+every temporal order are anchored to end at the origin, so each origin
+always forecasts exactly one whole most-aggregated period ahead.
 
 Scores are averaged over origins before entering the relative indices.
 Origins are independent given per-origin seed substreams, so parallel
@@ -24,32 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from ctreco import __version__
-from ctreco.covariance import CovarianceSpec, build_omega
+from ctreco.evaluate import check_grid, evaluate_origin, relative_reports
 from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import stack_window
 from ctreco.io import Dataset
-from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
-from ctreco.models import forecast
-from ctreco.reconcile import build_projection, set_negative_to_zero
-from ctreco.residuals import (
-    aggregate_levels,
-    assemble_multistep,
-    assemble_onestep,
-    assemble_overlapping,
-    fit_level_models,
-)
-from ctreco.scoring import ScoreRaw, relative_indices, score_draws
-from ctreco.simulation import _GAUSS_KINDS, _METHOD_OMEGAS, _reconcile_draws
 
 __all__ = ["PipelineConfig", "PipelineResult", "RunManifest", "run_pipeline",
            "origin_indices"]
-
-_PIPELINE_METHODS = (
-    "base",
-    "ct-bu",
-    "ct-shrcs-bute",
-    "ct-wlsvte-bucs",
-) + tuple(_METHOD_OMEGAS)
 
 
 @dataclass(frozen=True)
@@ -70,12 +52,7 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for mth in self.methods:
-            if mth not in _PIPELINE_METHODS:
-                raise ValidationError(f"unknown method {mth!r}")
-        for smp in self.samplers:
-            if smp != "ctjb" and smp not in _GAUSS_KINDS:
-                raise ValidationError(f"unknown sampler {smp!r}")
+        check_grid(self.methods, self.samplers, self.benchmark)
         if self.residuals not in ("multi_step", "overlapping_multi_step"):
             raise ValidationError(
                 f"residuals must be multi_step or overlapping_multi_step, "
@@ -83,11 +60,6 @@ class PipelineConfig:
             )
         if self.L < 2 or self.first_window < 2 or self.origin_step < 1:
             raise ValidationError("L, first_window and origin_step too small")
-        labels = [f"{m}@{s}" for m in self.methods for s in self.samplers]
-        if self.benchmark not in labels:
-            raise ValidationError(
-                f"benchmark {self.benchmark!r} not in the grid {labels}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +71,7 @@ class PipelineResult:
     raw_crps: np.ndarray = field(repr=False)  # (methods, samplers, n, p)
     raw_es: np.ndarray = field(repr=False)
     reports: dict = field(repr=False)  # label -> ScoreReport
-    # per-origin mean CRPS over series: (origins, methods, samplers, p)
+    # CRPS of every origin: (origins, methods, samplers, n, p)
     origin_crps: np.ndarray = field(repr=False, default=None)
 
     def rank_comparison(self, alpha: float = 0.05) -> dict:
@@ -178,68 +150,25 @@ def origin_indices(n_obs: int, m: int, first_window: int, step: int) -> list[int
 
 
 def _score_origin(args):
+    """One origin of ``run_pipeline``, in the form a process pool maps."""
     (dataset_values, structure, cfg, t0, origin_idx) = args
     m = structure.te.m
-    trim = t0 % m
-    train = dataset_values[:, trim:t0]
-    truth = dataset_values[:, t0 : t0 + m]
-    z = stack_window(structure, truth)
-
-    data = aggregate_levels(structure, train)
-    models = fit_level_models(
-        data, max_order=cfg.max_order, criterion=cfg.criterion
-    )
-    one_step = assemble_onestep(structure, models, data)
-    if cfg.residuals == "overlapping_multi_step":
-        multi = assemble_overlapping(structure, models, train)
-    else:
-        multi = assemble_multistep(structure, models, data)
-
-    xhat = np.empty(structure.dim)
-    for i in range(structure.n):
-        for k in structure.te.factors:
-            Mk = structure.te.periods_at(k)
-            xhat[structure.block_slice(i, k)] = forecast(
-                models[(i, k)], data[(i, k)], Mk
-            )
-
-    maps = {}
-    for mth in cfg.methods:
-        if mth in _METHOD_OMEGAS:
-            kind, which = _METHOD_OMEGAS[mth]
-            rs = {"one_step": one_step, "multi": multi, None: None}[which]
-            omega = build_omega(CovarianceSpec(kind), structure, rs)
-            maps[mth] = build_projection(structure, omega)
-
-    n, p = structure.n, len(structure.te.factors)
-    crps_out = np.empty((len(cfg.methods), len(cfg.samplers), n, p))
-    es_out = np.empty((len(cfg.methods), len(cfg.samplers), p))
     # per-origin substream, independent of scheduling order
     origin_seq = np.random.SeedSequence(cfg.seed, spawn_key=(origin_idx,))
-    sampler_seeds = origin_seq.spawn(len(cfg.samplers))
-    for s_idx, smp in enumerate(cfg.samplers):
-        if smp == "ctjb":
-            sample = ctjb_sample(
-                structure, models, data, one_step, cfg.L,
-                seed=sampler_seeds[s_idx],
-            )
-        else:
-            spec = CovarianceSpec(_GAUSS_KINDS[smp], lam=0.0)
-            sigma = build_omega(spec, structure, multi)
-            sample = sample_gaussian(
-                GaussianForecast(xhat, sigma), structure, cfg.L,
-                seed=sampler_seeds[s_idx],
-            )
-        for m_idx, mth in enumerate(cfg.methods):
-            draws = _reconcile_draws(
-                mth, sample.draws, structure, one_step, multi, maps
-            )
-            if cfg.nonneg and mth != "base":
-                draws = set_negative_to_zero(structure, draws)
-            raw = score_draws(structure, draws, z)
-            crps_out[m_idx, s_idx] = raw.crps
-            es_out[m_idx, s_idx] = raw.es
-    return crps_out, es_out
+    crps, es, _ = evaluate_origin(
+        structure,
+        dataset_values[:, t0 % m : t0],
+        stack_window(structure, dataset_values[:, t0 : t0 + m]),
+        cfg.methods,
+        cfg.samplers,
+        cfg.L,
+        origin_seq.spawn(len(cfg.samplers)),
+        max_order=cfg.max_order,
+        criterion=cfg.criterion,
+        residuals=cfg.residuals,
+        nonneg=cfg.nonneg,
+    )
+    return crps, es
 
 
 def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
@@ -260,28 +189,6 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     origin_crps = np.stack([crps_o for crps_o, _ in results])
     crps_avg = origin_crps.mean(axis=0)
     es_avg = np.stack([es_o for _, es_o in results]).mean(axis=0)
-
-    bench_method, bench_sampler = cfg.benchmark.split("@")
-    bench = ScoreRaw(
-        label=cfg.benchmark,
-        orders=structure.te.factors,
-        crps=crps_avg[
-            cfg.methods.index(bench_method), cfg.samplers.index(bench_sampler)
-        ],
-        es=es_avg[
-            cfg.methods.index(bench_method), cfg.samplers.index(bench_sampler)
-        ],
-    )
-    reports = {}
-    for m_idx, mth in enumerate(cfg.methods):
-        for s_idx, smp in enumerate(cfg.samplers):
-            raw = ScoreRaw(
-                label=f"{mth}@{smp}",
-                orders=structure.te.factors,
-                crps=crps_avg[m_idx, s_idx],
-                es=es_avg[m_idx, s_idx],
-            )
-            reports[raw.label] = relative_indices(raw, bench)
     return PipelineResult(
         methods=cfg.methods,
         samplers=cfg.samplers,
@@ -289,7 +196,10 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         origins=tuple(origins),
         raw_crps=crps_avg,
         raw_es=es_avg,
-        reports=reports,
+        reports=relative_reports(
+            cfg.methods, cfg.samplers, structure.te.factors, crps_avg, es_avg,
+            cfg.benchmark,
+        ),
         origin_crps=origin_crps,
     )
 

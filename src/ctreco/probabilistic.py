@@ -25,7 +25,7 @@ import numpy as np
 
 from ctreco.covariance import CovarianceMatrix
 from ctreco.hierarchy import CrossTemporalStructure
-from ctreco.models import ARModel
+from ctreco.models import ARModel, simulate_path
 from ctreco.reconcile import ReconciliationMap, reconcile_point
 from ctreco.residuals import ResidualSet
 
@@ -144,26 +144,6 @@ def sample_gaussian(
     )
 
 
-def _paths_from_shocks(
-    model: ARModel, history: np.ndarray, shocks: np.ndarray
-) -> np.ndarray:
-    """simulate_path vectorised over rows of shocks."""
-    L, h = shocks.shape
-    p = model.order
-    hist = np.asarray(history, dtype=float)
-    if hist.size < p:
-        raise ValueError("history shorter than the model order")
-    buf = np.empty((L, p + h))
-    if p:
-        buf[:, :p] = hist[hist.size - p :]
-    for step in range(h):
-        val = model.intercept + shocks[:, step]
-        for lag in range(1, p + 1):
-            val = val + model.coefficients[lag - 1] * buf[:, p + step - lag]
-        buf[:, p + step] = val
-    return buf[:, p:]
-
-
 def ctjb_sample(
     structure: CrossTemporalStructure,
     models: dict[tuple[int, int], ARModel],
@@ -196,10 +176,9 @@ def ctjb_sample(
     for i in range(st.n):
         for k in st.te.factors:
             block = residuals.block(i, k)  # (N, M_k)
-            paths = _paths_from_shocks(
-                models[(i, k)], histories[(i, k)], block[taus]
+            draws[:, st.block_slice(i, k)] = simulate_path(
+                models[(i, k)], histories[(i, k)], block.shape[1], block[taus]
             )
-            draws[:, st.block_slice(i, k)] = paths
     return ForecastSample(
         structure=st, draws=draws, coherent=False, provenance="ctjb"
     )

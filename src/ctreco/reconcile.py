@@ -31,8 +31,8 @@ from ctreco.covariance import (
     CovarianceMatrix,
     CovarianceSpec,
     _h1_matrix,
-    sample_covariance,
-    shrinkage_intensity,
+    _shrunk,
+    wlsv_diagonal,
 )
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import CrossTemporalStructure
@@ -168,25 +168,8 @@ def _cross_sectional_weights(
     if kind == "wlsv":  # per-series variance scaling
         return np.diag(np.mean(X**2, axis=0))
     if kind == "shr":
-        lam = spec.lam if spec.lam is not None else shrinkage_intensity(X)
-        cov = sample_covariance(X)
-        return lam * np.diag(np.diag(cov)) + (1 - lam) * cov
+        return _shrunk(X, spec.lam)[0]
     raise ValueError(f"unsupported inner cross-sectional covariance {kind!r}")
-
-
-def _temporal_variances(
-    residuals: ResidualSet, series: int
-) -> np.ndarray:
-    st = residuals.structure
-    diag = np.empty(st.te.dim)
-    off = 0
-    for k in st.te.factors:
-        Mk = st.te.periods_at(k)
-        block = residuals.block(series, k)
-        vals = block.reshape(-1) if residuals.kind == "one_step" else block[:, 0]
-        diag[off : off + Mk] = np.mean(vals**2)
-        off += Mk
-    return diag
 
 
 def partly_bottom_up(
@@ -237,20 +220,20 @@ def partly_bottom_up(
         C_te = st.te.constraints
         Xmat = X.reshape(-1, n, st.te.dim)
         b_hf = np.empty((X.shape[0], n - n_a, m))
+        if inner_spec.kind == "ols":
+            diags = np.ones((n, st.te.dim))
+        elif inner_spec.kind == "struc":
+            diags = np.tile(st.te.summation @ np.ones(m), (n, 1))
+        elif inner_spec.kind == "wlsv":
+            if residuals is None:
+                raise ValueError("inner wlsv requires residuals")
+            diags = wlsv_diagonal(residuals).reshape(n, st.te.dim)
+        else:
+            raise ValueError(
+                f"unsupported inner temporal covariance {inner_spec.kind!r}"
+            )
         for bi, i in enumerate(range(n_a, n)):
-            if inner_spec.kind == "ols":
-                diag = np.ones(st.te.dim)
-            elif inner_spec.kind == "struc":
-                diag = st.te.summation @ np.ones(m)
-            elif inner_spec.kind == "wlsv":
-                if residuals is None:
-                    raise ValueError("inner wlsv requires residuals")
-                diag = _temporal_variances(residuals, i)
-            else:
-                raise ValueError(
-                    f"unsupported inner temporal covariance {inner_spec.kind!r}"
-                )
-            COm = C_te * diag  # C @ diag(d)
+            COm = C_te * diags[i]  # C @ diag(d)
             cho = _checked_cho_factor(COm @ C_te.T, "C Omega C'", inner_spec.kind)
             M_te = np.eye(st.te.dim) - COm.T @ scipy.linalg.cho_solve(cho, C_te)
             rec = Xmat[:, i, :] @ M_te.T

@@ -7,6 +7,10 @@ known, the one-period-ahead forecast error covariance of the stacked
 vector has a closed form, against which the sample covariances of base
 and reconciled draws can be compared (Frobenius gap), alongside
 CRPS/energy-score accuracy relative to the bootstrap base forecasts.
+
+Each replicate is one origin of ``evaluate.evaluate_origin``, the kernel
+the expanding-window pipeline uses too; this module adds the process,
+its closed-form covariance, the per-replicate seeds and the averaging.
 """
 
 from __future__ import annotations
@@ -15,7 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
+from ctreco.covariance import CovarianceMatrix, CovarianceSpec
+from ctreco.evaluate import (
+    METHODS,
+    SAMPLERS,
+    check_grid,
+    evaluate_origin,
+    relative_reports,
+)
 from ctreco.hierarchy import (
     CrossTemporalStructure,
     build_cross_sectional,
@@ -23,21 +34,6 @@ from ctreco.hierarchy import (
     build_temporal,
     stack_window,
 )
-from ctreco.models import forecast
-from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
-from ctreco.reconcile import (
-    bottom_up,
-    build_projection,
-    partly_bottom_up,
-    set_negative_to_zero,
-)
-from ctreco.residuals import (
-    aggregate_levels,
-    assemble_multistep,
-    assemble_onestep,
-    fit_level_models,
-)
-from ctreco.scoring import ScoreRaw, frobenius_gap, relative_indices, score_draws
 
 __all__ = [
     "SimulationConfig",
@@ -50,21 +46,10 @@ __all__ = [
     "DEFAULT_SAMPLERS",
 ]
 
-DEFAULT_METHODS = (
-    "base",
-    "ct-bu",
-    "ct-shrcs-bute",
-    "ct-wlsvte-bucs",
-    "oct-wlsv",
-    "oct-bdshr",
-    "octh-shr",
-    "octh-bshr",
-    "octh-hshr",
-    "octh-hbshr",
-)
-DEFAULT_SAMPLERS = ("ctjb", "gauss-g", "gauss-b", "gauss-h", "gauss-hb")
-
-_GAUSS_KINDS = {"gauss-g": "sam", "gauss-b": "b", "gauss-h": "h", "gauss-hb": "hb"}
+# the study's grid: every method but the two projections that use no
+# residuals, by every sampler
+DEFAULT_METHODS = tuple(m for m in METHODS if m not in ("oct-ols", "oct-struc"))
+DEFAULT_SAMPLERS = SAMPLERS
 
 
 @dataclass(frozen=True)
@@ -172,43 +157,6 @@ class StudyResult:
     raw_es: np.ndarray = field(repr=False)  # (methods, samplers, p)
 
 
-def _reconcile_draws(
-    method: str,
-    draws: np.ndarray,
-    st: CrossTemporalStructure,
-    one_step,
-    multi,
-    maps: dict,
-) -> np.ndarray:
-    if method == "base":
-        return draws
-    if method == "ct-bu":
-        return bottom_up(st, draws[:, st.bottom_hf_indices()])
-    if method == "ct-shrcs-bute":
-        return partly_bottom_up(
-            st, "cs_then_te_bu", draws, CovarianceSpec("shr"), one_step
-        )
-    if method == "ct-wlsvte-bucs":
-        return partly_bottom_up(
-            st, "te_then_cs_bu", draws, CovarianceSpec("wlsv"), one_step
-        )
-    if method in maps:
-        return draws @ maps[method].M.T
-    raise ValueError(f"unknown reconciliation method {method!r}")
-
-
-_METHOD_OMEGAS = {
-    "oct-ols": ("ols", None),
-    "oct-struc": ("struc", None),
-    "oct-wlsv": ("wlsv", "one_step"),
-    "oct-bdshr": ("bdshr", "one_step"),
-    "octh-shr": ("shr", "multi"),
-    "octh-bshr": ("b", "multi"),
-    "octh-hshr": ("h", "multi"),
-    "octh-hbshr": ("hb", "multi"),
-}
-
-
 def run_study(
     config: SimulationConfig,
     methods: tuple[str, ...] = DEFAULT_METHODS,
@@ -217,23 +165,18 @@ def run_study(
 ) -> StudyResult:
     """Full sampling-by-reconciliation grid, averaged over replicates.
 
-    Per replicate: simulate, fit one AR model per (series, order) by
-    AICc, draw L base samples per sampler, reconcile per method, score
-    against the held-out period, and measure the Frobenius gap between
-    each cell's draw covariance and the closed-form truth.  Relative
-    indices use the bootstrap base forecasts as benchmark.
-    """
-    for mth in methods:
-        if mth not in ("base", "ct-bu", "ct-shrcs-bute", "ct-wlsvte-bucs") and (
-            mth not in _METHOD_OMEGAS
-        ):
-            raise ValueError(f"unknown method {mth!r}")
-    for smp in samplers:
-        if smp != "ctjb" and smp not in _GAUSS_KINDS:
-            raise ValueError(f"unknown sampler {smp!r}")
-    if "base" not in methods or "ctjb" not in samplers:
-        raise ValueError("the benchmark cell (base, ctjb) must be in the grid")
+    Per replicate: simulate, then ``evaluate.evaluate_origin`` fits one
+    AR model per (series, order) by AICc, draws L base samples per
+    sampler, reconciles per method, scores against the held-out period,
+    and measures the Frobenius gap between each cell's draw covariance
+    and the closed-form truth.  Relative indices use the bootstrap base
+    forecasts as benchmark.
 
+    Raises:
+        ValidationError: an unknown method or sampler, or a grid without
+            the (base, ctjb) cell.
+    """
+    check_grid(methods, samplers)
     st = study_structure()
     omega_true = true_covariance(config)
     n, p = st.n, len(st.te.factors)
@@ -244,10 +187,7 @@ def run_study(
     frob_sum = np.zeros((n_m, n_s))
 
     root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.replicates)
-
-    for rep in range(config.replicates):
-        ss = children[rep]
+    for ss in root.spawn(config.replicates):
         sim_seed, sigma_seed, *sampler_seeds = ss.spawn(2 + n_s)
         cfg = config
         if config.redraw_sigmas:
@@ -258,86 +198,34 @@ def run_study(
                 sigma_c=float(srng.uniform(0.5, 2.0)),
             )
         hf = simulate_dgp(cfg, seed=sim_seed, extra_periods=1)
-        train, truth_hf = hf[:, :-2], hf[:, -2:]
-        z = stack_window(st, truth_hf)
-
-        data = aggregate_levels(st, train)
-        models = fit_level_models(data, max_order=config.max_order)
-        one_step = assemble_onestep(st, models, data)
-        multi = assemble_multistep(st, models, data)
-
-        xhat = np.empty(st.dim)
-        for i in range(st.n):
-            for k in st.te.factors:
-                Mk = st.te.periods_at(k)
-                xhat[st.block_slice(i, k)] = forecast(
-                    models[(i, k)], data[(i, k)], Mk
-                )
-
-        maps = {}
-        for mth in methods:
-            if mth in _METHOD_OMEGAS:
-                kind, which = _METHOD_OMEGAS[mth]
-                rs = {"one_step": one_step, "multi": multi, None: None}[which]
-                omega = build_omega(CovarianceSpec(kind), st, rs)
-                maps[mth] = build_projection(st, omega)
-
-        for s_idx, smp in enumerate(samplers):
-            if smp == "ctjb":
-                sample = ctjb_sample(
-                    st, models, data, one_step, config.L, seed=sampler_seeds[s_idx]
-                )
-            else:
-                spec = CovarianceSpec(_GAUSS_KINDS[smp], lam=0.0)
-                sigma = build_omega(spec, st, multi)
-                sample = sample_gaussian(
-                    GaussianForecast(xhat, sigma), st, config.L,
-                    seed=sampler_seeds[s_idx],
-                )
-            for m_idx, mth in enumerate(methods):
-                draws = _reconcile_draws(mth, sample.draws, st, one_step, multi, maps)
-                if nonneg and mth != "base":
-                    draws = set_negative_to_zero(st, draws)
-                raw = score_draws(st, draws, z)
-                crps_sum[m_idx, s_idx] += raw.crps
-                es_sum[m_idx, s_idx] += raw.es
-                emp_cov = np.cov(draws.T, bias=True)
-                frob_sum[m_idx, s_idx] += frobenius_gap(emp_cov, omega_true)
+        crps, es, frob = evaluate_origin(
+            st, hf[:, :-2], stack_window(st, hf[:, -2:]), methods, samplers,
+            config.L, sampler_seeds, max_order=config.max_order,
+            criterion="aicc", residuals="multi_step", nonneg=nonneg,
+            omega_true=omega_true,
+        )
+        crps_sum += crps
+        es_sum += es
+        frob_sum += frob
 
     crps_avg = crps_sum / config.replicates
     es_avg = es_sum / config.replicates
-    frob_avg = frob_sum / config.replicates
+    reports = relative_reports(methods, samplers, st.te.factors, crps_avg, es_avg)
 
-    bench = ScoreRaw(
-        label="base@ctjb",
-        orders=st.te.factors,
-        crps=crps_avg[methods.index("base"), samplers.index("ctjb")],
-        es=es_avg[methods.index("base"), samplers.index("ctjb")],
-    )
-    crps_tables: dict = {k: np.empty((n_m, n_s)) for k in st.te.factors}
-    crps_tables["all"] = np.empty((n_m, n_s))
-    es_tables: dict = {k: np.empty((n_m, n_s)) for k in st.te.factors}
-    es_tables["all"] = np.empty((n_m, n_s))
-    for m_idx in range(n_m):
-        for s_idx in range(n_s):
-            raw = ScoreRaw(
-                label=f"{methods[m_idx]}@{samplers[s_idx]}",
-                orders=st.te.factors,
-                crps=crps_avg[m_idx, s_idx],
-                es=es_avg[m_idx, s_idx],
-            )
-            rep = relative_indices(raw, bench)
-            for k in st.te.factors:
-                crps_tables[k][m_idx, s_idx] = rep.avg_rel_crps[k]
-                es_tables[k][m_idx, s_idx] = rep.rel_es[k]
-            crps_tables["all"][m_idx, s_idx] = rep.avg_rel_crps_overall
-            es_tables["all"][m_idx, s_idx] = rep.avg_rel_es_overall
+    def table(index):
+        return np.array(
+            [[index(reports[f"{m}@{s}"]) for s in samplers] for m in methods]
+        )
 
+    crps_tables = {k: table(lambda r: r.avg_rel_crps[k]) for k in st.te.factors}
+    crps_tables["all"] = table(lambda r: r.avg_rel_crps_overall)
+    es_tables = {k: table(lambda r: r.rel_es[k]) for k in st.te.factors}
+    es_tables["all"] = table(lambda r: r.avg_rel_es_overall)
     return StudyResult(
         methods=tuple(methods),
         samplers=tuple(samplers),
         orders=st.te.factors,
-        frobenius=frob_avg,
+        frobenius=frob_sum / config.replicates,
         avg_rel_crps=crps_tables,
         rel_es=es_tables,
         raw_crps=crps_avg,

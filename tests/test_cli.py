@@ -268,6 +268,17 @@ class TestSimulate:
         assert manifest["config"]["replicates"] == 2
 
 
+    def test_unknown_grid_method_exits_2(self, toy_files, capsys):
+        grid = toy_files["tmp"] / "grid.json"
+        grid.write_text(json.dumps({"methods": ["base", "magic"]}))
+        rc = run(
+            ["--output-dir", toy_files["tmp"] / "sim", "simulate",
+             "--replicates", 1, "--years", 40, "--L", 20, "--grid", grid]
+        )
+        assert rc == 2
+        assert "unknown method 'magic'" in capsys.readouterr().err
+
+
 class TestPipelineCommand:
     def test_report_and_manifest(self, toy_files):
         out = toy_files["tmp"] / "pipe"

@@ -181,11 +181,18 @@ class TestSimulatePath:
         np.testing.assert_allclose(
             simulate_path(model, history, 6, shocks), realised, atol=1e-12
         )
+        # an (L, h) block gives one path per row, each the single-path one
+        block = np.vstack([shocks, rng.normal(size=(4, 6))])
+        paths = simulate_path(model, history, 6, block)
+        assert paths.shape == (5, 6)
+        for row, e in zip(paths, block):
+            np.testing.assert_array_equal(row, simulate_path(model, history, 6, e))
 
     def test_shock_length_mismatch(self):
         model = ARModel(0, np.array([]), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            simulate_path(model, np.array([]), 3, np.zeros(2))
+        for shape in [(2,), (4, 2), (1, 2, 3)]:
+            with pytest.raises(ValueError):
+                simulate_path(model, np.array([]), 3, np.zeros(shape))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ctreco.evaluate import METHODS, SAMPLERS
 from ctreco.exceptions import ValidationError
 from ctreco.io import ingest
 from ctreco.pipeline import (
@@ -41,6 +42,15 @@ class TestPipelineConfig:
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             PipelineConfig(methods=("base", "nope"))
+
+    def test_accepts_exactly_the_registry(self):
+        cfg = PipelineConfig(methods=METHODS, samplers=SAMPLERS)
+        assert (cfg.methods, cfg.samplers) == (METHODS, SAMPLERS)
+        for name in ("oct", "ct-cs-bu-te", "ct-te-bu-cs", "shr", "gauss-sam"):
+            with pytest.raises(ValidationError, match=f"unknown method '{name}'"):
+                PipelineConfig(methods=("base", name))
+            with pytest.raises(ValidationError, match=f"unknown sampler '{name}'"):
+                PipelineConfig(samplers=("ctjb", name))
 
     def test_benchmark_must_be_in_grid(self):
         with pytest.raises(ValidationError, match="benchmark"):

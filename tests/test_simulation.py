@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ctreco.evaluate import METHODS, SAMPLERS
+from ctreco.exceptions import ValidationError
 from ctreco.simulation import (
     SimulationConfig,
     run_study,
@@ -147,6 +149,32 @@ class TestRunStudy:
         cfg = SimulationConfig(replicates=2, years=40, L=20)
         with pytest.raises(ValueError, match="unknown method"):
             run_study(cfg, methods=("base", "magic"), samplers=("ctjb",))
+
+    @pytest.mark.parametrize(
+        "methods, samplers, match",
+        [
+            (("base", "magic"), ("ctjb",), "unknown method 'magic'"),
+            (("base",), ("ctjb", "gauss-x"), "unknown sampler 'gauss-x'"),
+            (("ct-bu",), ("ctjb",), "benchmark"),
+            (("base",), ("gauss-g",), "benchmark"),
+        ],
+    )
+    def test_invalid_grid_is_a_validation_error(self, methods, samplers, match):
+        cfg = SimulationConfig(replicates=1, years=40, L=20)
+        with pytest.raises(ValidationError, match=match):
+            run_study(cfg, methods=methods, samplers=samplers)
+
+    def test_accepts_exactly_the_registry(self):
+        cfg = SimulationConfig(replicates=1, years=40, L=20, max_order=2)
+        res = run_study(cfg, methods=METHODS, samplers=SAMPLERS)
+        assert res.frobenius.shape == (len(METHODS), len(SAMPLERS))
+        assert np.all(np.isfinite(res.avg_rel_crps["all"]))
+        # reconcile-command and covariance names are not study methods
+        for name in ("oct", "ct-cs-bu-te", "ct-te-bu-cs", "shr", "gauss-sam"):
+            with pytest.raises(ValidationError):
+                run_study(cfg, methods=("base", name), samplers=("ctjb",))
+            with pytest.raises(ValidationError):
+                run_study(cfg, methods=("base",), samplers=("ctjb", name))
 
     def test_reproducible_given_seed(self):
         cfg = SimulationConfig(replicates=2, years=50, L=25, seed=9, max_order=2)
