@@ -121,12 +121,8 @@ def _cmd_reconcile(args) -> int:
     if args.export_omega and args.method == "oct":
         from ctreco.io import covariance_to_json, write_covariance_csv
 
-        omega_for_export = build_omega(
-            CovarianceSpec(args.omega, lam=lam), structure, residuals
-        )
-        write_covariance_csv(_out(args, "omega.csv"), omega_for_export)
-        atomic_write_text(_out(args, "omega.json"),
-                          covariance_to_json(omega_for_export))
+        write_covariance_csv(_out(args, "omega.csv"), rec.omega)
+        atomic_write_text(_out(args, "omega.json"), covariance_to_json(rec.omega))
 
     path = _out(args, "reconciled.csv")
     write_stacked_csv(path, structure, names, out)

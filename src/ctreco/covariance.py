@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from ctreco.hierarchy import CrossTemporalStructure
 from ctreco.residuals import ResidualSet
@@ -29,7 +30,6 @@ __all__ = [
     "shrinkage_intensity",
     "sample_covariance",
     "build_omega",
-    "wlsv_diagonal",
     "parameter_count",
     "FULL_KINDS",
     "STRUCTURED_KINDS",
@@ -68,6 +68,15 @@ class CovarianceSpec:
 class CovarianceMatrix:
     """A built covariance with its provenance.
 
+    ``values`` must be finite, symmetric to 1e-10 of its largest entry
+    (it is stored as its symmetric part) and positive semi-definite up to
+    a relative 1e-8: lambda_min >= -1e-8 * lambda_max.  The check is one
+    Cholesky factorisation of V + tau I with tau = 0.5e-8 * max(diag V);
+    since max(diag V) <= lambda_max, its success already implies the rule.
+    Only when it fails are the eigenvalues computed, and the rule decides
+    on them, so the two steps accept and reject exactly what the
+    eigenvalue rule alone would.
+
     ``factor`` and ``core`` are set for the structured kinds, with
     ``values = factor @ core @ factor.T``; samplers use them to draw in
     the reduced space.
@@ -83,22 +92,48 @@ class CovarianceMatrix:
         V = np.asarray(self.values, dtype=float)
         if V.ndim != 2 or V.shape[0] != V.shape[1]:
             raise ValueError("covariance must be square")
-        sym_gap = np.max(np.abs(V - V.T))
-        if sym_gap > 1e-10 * max(1.0, np.max(np.abs(V))):
-            raise ValueError(f"covariance not symmetric (gap {sym_gap:.2e})")
-        V = 0.5 * (V + V.T)
-        eig = np.linalg.eigvalsh(V)
-        if eig[0] < -1e-8 * max(eig[-1], 1e-30):
+        buf = np.abs(V, order="C")  # one buffer for every elementwise step
+        scale = np.max(buf)
+        if not np.isfinite(scale):
+            bad = np.argwhere(~np.isfinite(V))
+            shown = ", ".join(f"({i}, {j}) = {V[i, j]}" for i, j in bad[:5])
+            more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
             raise ValueError(
-                f"covariance has negative eigenvalue {eig[0]:.3e} "
-                f"(rank {int(np.sum(eig > 1e-12 * eig[-1]))})"
+                f"covariance has {len(bad)} non-finite entries: {shown}{more}"
             )
+        np.abs(np.subtract(V, V.T, out=buf), out=buf)
+        sym_gap = np.max(buf)
+        if sym_gap > 1e-10 * max(1.0, scale):
+            raise ValueError(f"covariance not symmetric (gap {sym_gap:.2e})")
+        V = np.multiply(0.5, np.add(V, V.T, out=buf), out=buf)
+        if not _factors_with_margin(V):
+            eig = np.linalg.eigvalsh(V)
+            if eig[0] < -1e-8 * max(eig[-1], 1e-30):
+                raise ValueError(
+                    f"covariance has negative eigenvalue {eig[0]:.3e} "
+                    f"(rank {int(np.sum(eig > 1e-12 * eig[-1]))})"
+                )
         V.flags.writeable = False
         object.__setattr__(self, "values", V)
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+
+def _factors_with_margin(V: np.ndarray) -> bool:
+    """Whether V + tau I has a Cholesky factor, tau = 0.5e-8 * max(diag V).
+
+    V must be exactly symmetric, so its transpose -- the Fortran-ordered
+    view LAPACK factors in place -- is V itself.
+    """
+    W = V.copy()
+    W.flat[:: W.shape[0] + 1] += 0.5e-8 * np.max(np.diagonal(V))
+    try:
+        scipy.linalg.cho_factor(W.T, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _as_matrix(residuals) -> np.ndarray:
@@ -181,23 +216,6 @@ def _h1_matrix(residuals: ResidualSet, k: int) -> np.ndarray:
     )
 
 
-def wlsv_diagonal(residuals: ResidualSet) -> np.ndarray:
-    """Diagonal of the ``wlsv`` covariance in the stacked layout.
-
-    Every cell of a (series, order) block gets the mean squared one-step
-    residual of that block: all of its columns for one-step residuals,
-    the h = 1 column for multi-step ones.
-    """
-    st = residuals.structure
-    diag = np.empty(st.dim)
-    for i in range(st.n):
-        for k in st.te.factors:
-            block = residuals.block(i, k)
-            vals = block.reshape(-1) if residuals.kind == "one_step" else block[:, 0]
-            diag[st.block_slice(i, k)] = np.mean(vals**2)
-    return diag
-
-
 def build_omega(
     spec: CovarianceSpec,
     structure: CrossTemporalStructure,
@@ -225,7 +243,7 @@ def build_omega(
 
     if kind == "wlsv":
         _require_kind(spec, residuals, ("one_step",) + multi)
-        return CovarianceMatrix(np.diag(wlsv_diagonal(residuals)), spec)
+        return CovarianceMatrix(np.diag(residuals.h1_mean_squares), spec)
 
     if kind == "bdshr":
         _require_kind(spec, residuals, ("one_step",) + multi)

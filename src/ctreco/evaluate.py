@@ -19,7 +19,7 @@ from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
 from ctreco.reconcile import (
     bottom_up,
     build_projection,
-    partly_bottom_up,
+    composite_map,
     set_negative_to_zero,
 )
 from ctreco.residuals import (
@@ -96,14 +96,13 @@ def base_forecasts(
     return xhat
 
 
-def _reconcile(mth, draws, st, one_step, maps) -> np.ndarray:
+def _reconcile(mth, draws, st, maps) -> np.ndarray:
     if mth == "base":
         return draws
     if mth == "ct-bu":
         return bottom_up(st, draws[:, st.bottom_hf_indices()])
     if mth in COMPOSITES:
-        mode, inner = COMPOSITES[mth]
-        return partly_bottom_up(st, mode, draws, CovarianceSpec(inner), one_step)
+        return maps[mth](draws)
     return draws @ maps[mth].M.T
 
 
@@ -143,12 +142,15 @@ def evaluate_origin(
     xhat = base_forecasts(st, models, data)
 
     sources = {"one_step": one_step, "multi": multi, None: None}
-    maps = {}
+    maps = {}  # built once per origin, applied to every sampler's draws
     for mth in methods:
         if mth in PROJECTIONS:
             kind, source = PROJECTIONS[mth]
             omega = build_omega(CovarianceSpec(kind), st, sources[source])
             maps[mth] = build_projection(st, omega)
+        elif mth in COMPOSITES:
+            mode, inner = COMPOSITES[mth]
+            maps[mth] = composite_map(st, mode, CovarianceSpec(inner), one_step)
 
     shape = (len(methods), len(samplers))
     crps = np.empty(shape + (st.n, len(st.te.factors)))
@@ -163,7 +165,7 @@ def evaluate_origin(
                 GaussianForecast(xhat, sigma), st, L, seed=seeds[s_idx]
             )
         for m_idx, mth in enumerate(methods):
-            draws = _reconcile(mth, sample.draws, st, one_step, maps)
+            draws = _reconcile(mth, sample.draws, st, maps)
             if nonneg and mth != "base":
                 draws = set_negative_to_zero(st, draws)
             raw = score_draws(st, draws, z)

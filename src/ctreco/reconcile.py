@@ -2,9 +2,19 @@
 
 The optimal map is the oblique projection onto the coherent subspace,
 ``M = I - Omega C' (C Omega C')^{-1} C``, for a positive-definite
-weighting Omega.  The equivalent structural form ``M = S G`` with
-``G = (S' Omega^{-1} S)^{-1} S' Omega^{-1}`` is also provided and the two
-agree entrywise for any PD Omega.
+weighting Omega.  It equals the structural form ``M = S G`` with
+``G = (S' Omega^{-1} S)^{-1} S' Omega^{-1}`` for any PD Omega.
+
+Every linear solve factors its matrix A (``C Omega C'`` or the inner
+``C W C'`` of a composite) by Cholesky, A = R'R, and accepts the factor
+when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on
+the 2-norm condition number of A (||A||_2 <= ||A||_1 for symmetric A,
+and ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a decade under the
+1e12 limit.  When the factorisation fails or the bound is larger, the
+eigenvalues of A decide: A is rejected as numerically singular, with
+``NumericalError`` naming the covariance kind, when its smallest
+eigenvalue is not positive or its eigenvalue ratio exceeds 1e12.  So a
+matrix is accepted exactly when the eigenvalue rule accepts it.
 
 The structured covariances (``hb``, ``h``, ``b``) are rank deficient by
 construction, so ``C Omega C'`` is singular for them at any shrinkage
@@ -32,7 +42,6 @@ from ctreco.covariance import (
     CovarianceSpec,
     _h1_matrix,
     _shrunk,
-    wlsv_diagonal,
 )
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import CrossTemporalStructure
@@ -41,15 +50,16 @@ from ctreco.residuals import ResidualSet
 __all__ = [
     "ReconciliationMap",
     "build_projection",
-    "build_projection_structural",
     "reconcile_point",
     "bottom_up",
+    "composite_map",
     "partly_bottom_up",
     "set_negative_to_zero",
 ]
 
 _RIDGE = 1e-8  # relative ridge for the rank-deficient structured kinds
 _MAX_COND = 1e12
+_COND_BOUND = 1e11  # a factor bounded by this is accepted without eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +96,30 @@ def _solve_weights(omega: CovarianceMatrix) -> np.ndarray:
     return Om
 
 
+def _cond_bound(A: np.ndarray, R: np.ndarray) -> float:
+    """||A||_1 ||R^{-1}||_F^2, an upper bound on cond_2(A) for A = R'R.
+
+    ``R`` is an upper Cholesky factor as ``cho_factor`` returns it, with
+    unused entries below the diagonal.
+    """
+    R_inv, info = scipy.linalg.lapack.dtrtri(R, lower=0)
+    if info != 0:
+        return np.inf
+    return np.linalg.norm(A, 1) * np.sum(np.triu(R_inv) ** 2)
+
+
 def _checked_cho_factor(A: np.ndarray, what: str, kind: str):
+    """Cholesky factor of A, or NumericalError if A is numerically singular.
+
+    A factor whose condition bound is at most ``_COND_BOUND`` is accepted
+    as it is; otherwise the eigenvalue rule decides (module docstring).
+    """
+    try:
+        cho = scipy.linalg.cho_factor(A)
+    except scipy.linalg.LinAlgError as exc:
+        cho, failure = None, exc
+    if cho is not None and _cond_bound(A, cho[0]) <= _COND_BOUND:
+        return cho
     eig = np.linalg.eigvalsh(A)
     if eig[0] <= 0 or eig[-1] / eig[0] > _MAX_COND:
         cond = np.inf if eig[0] <= 0 else eig[-1] / eig[0]
@@ -94,10 +127,9 @@ def _checked_cho_factor(A: np.ndarray, what: str, kind: str):
             f"{what} is numerically singular for covariance kind "
             f"{kind!r} (condition number {cond:.2e})"
         )
-    try:
-        return scipy.linalg.cho_factor(A)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"{what} failed to factor: {exc}") from exc
+    if cho is None:  # pragma: no cover
+        raise NumericalError(f"{what} failed to factor: {failure}") from failure
+    return cho
 
 
 def build_projection(
@@ -115,20 +147,6 @@ def build_projection(
     cho = _checked_cho_factor(A, "C Omega C'", omega.spec.kind)
     M = np.eye(structure.dim) - CO.T @ scipy.linalg.cho_solve(cho, C)
     return ReconciliationMap(structure=structure, omega=omega, M=M)
-
-
-def build_projection_structural(
-    structure: CrossTemporalStructure, omega: CovarianceMatrix
-) -> ReconciliationMap:
-    """Same map in structural form, M = S (S' Omega^-1 S)^-1 S' Omega^-1."""
-    S = structure.summation
-    Om = _solve_weights(omega)
-    cho = _checked_cho_factor(Om, "Omega", omega.spec.kind)
-    Oinv_S = scipy.linalg.cho_solve(cho, S)
-    inner = S.T @ Oinv_S
-    cho_inner = _checked_cho_factor(inner, "S' Omega^-1 S", omega.spec.kind)
-    G = scipy.linalg.cho_solve(cho_inner, Oinv_S.T)
-    return ReconciliationMap(structure=structure, omega=omega, M=S @ G, G=G)
 
 
 def reconcile_point(rec_map: ReconciliationMap, xhat: np.ndarray) -> np.ndarray:
@@ -172,6 +190,89 @@ def _cross_sectional_weights(
     raise ValueError(f"unsupported inner cross-sectional covariance {kind!r}")
 
 
+def composite_map(
+    structure: CrossTemporalStructure,
+    mode: str,
+    inner_spec: CovarianceSpec | None,
+    residuals: ResidualSet | None = None,
+):
+    """Build a two-step composite once; return the function applying it.
+
+    The inner map -- the cross-sectional ``M_cs`` or one temporal ``M_te``
+    per bottom series -- is built here, so a caller reconciling several
+    draw blocks with one composite builds it once.  The returned function
+    takes a stacked vector or an (L, dim) block and returns what
+    ``partly_bottom_up`` returns for it.
+    """
+    st = structure
+    n, n_a = st.n, st.cs.n_upper
+    m, k_star = st.te.m, st.te.k_star
+
+    if inner_spec is None:
+        # both inner steps bottom-up, in either order: plain ct(bu)
+        bottom_hf = st.bottom_hf_indices()
+
+        def reconcile_hf(X):
+            return X[:, bottom_hf]
+
+    elif mode == "cs_then_te_bu":
+        W = _cross_sectional_weights(inner_spec, st, residuals)
+        C = st.cs.constraints
+        CW = C @ W
+        cho = _checked_cho_factor(CW @ C.T, "C W C'", inner_spec.kind)
+        M_cs = np.eye(n) - CW.T @ scipy.linalg.cho_solve(cho, C)
+        hf_cols = np.array(
+            [st.index_of(i, 1, j) for i in range(n) for j in range(m)]
+        )
+
+        def reconcile_hf(X):
+            hf = X[:, hf_cols].reshape(-1, n, m)
+            rec = np.einsum("ab,rbt->rat", M_cs, hf)
+            return rec[:, n_a:, :].reshape(-1, st.bottom_dim)
+
+    elif mode == "te_then_cs_bu":
+        C_te = st.te.constraints
+        if inner_spec.kind == "ols":
+            diags = np.ones((n, st.te.dim))
+        elif inner_spec.kind == "struc":
+            diags = np.tile(st.te.summation @ np.ones(m), (n, 1))
+        elif inner_spec.kind == "wlsv":
+            if residuals is None:
+                raise ValueError("inner wlsv requires residuals")
+            diags = residuals.h1_mean_squares.reshape(n, st.te.dim)
+        else:
+            raise ValueError(
+                f"unsupported inner temporal covariance {inner_spec.kind!r}"
+            )
+        M_te = []
+        for i in range(n_a, n):
+            COm = C_te * diags[i]  # C @ diag(d)
+            cho = _checked_cho_factor(COm @ C_te.T, "C Omega C'", inner_spec.kind)
+            M_te.append(np.eye(st.te.dim) - COm.T @ scipy.linalg.cho_solve(cho, C_te))
+
+        def reconcile_hf(X):
+            Xmat = X.reshape(-1, n, st.te.dim)
+            b_hf = np.empty((X.shape[0], n - n_a, m))
+            for bi, M in enumerate(M_te):
+                rec = Xmat[:, n_a + bi, :] @ M.T
+                b_hf[:, bi, :] = rec[:, k_star:]
+            return b_hf.reshape(-1, st.bottom_dim)
+
+    else:
+        raise ValueError(f"unknown partly-bottom-up mode {mode!r}")
+
+    def apply(base: np.ndarray) -> np.ndarray:
+        x = np.asarray(base, dtype=float)
+        single = x.ndim == 1
+        X = np.atleast_2d(x)
+        if X.shape[-1] != st.dim:
+            raise ValueError(f"expected trailing dimension {st.dim}")
+        out = bottom_up(st, reconcile_hf(X))
+        return out[0] if single else out
+
+    return apply
+
+
 def partly_bottom_up(
     structure: CrossTemporalStructure,
     mode: str,
@@ -188,61 +289,10 @@ def partly_bottom_up(
 
     ``inner_spec=None`` replaces the inner reconciliation by bottom-up
     too, collapsing both modes to plain ct(bu).  Either way the result is
-    cross-temporally coherent.
+    cross-temporally coherent.  Builds the composite for this one call;
+    ``composite_map`` keeps it for several.
     """
-    st = structure
-    x = np.asarray(base, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[-1] != st.dim:
-        raise ValueError(f"expected trailing dimension {st.dim}")
-    n, n_a = st.n, st.cs.n_upper
-    m, k_star = st.te.m, st.te.k_star
-    hf_cols = np.array(
-        [st.index_of(i, 1, j) for i in range(n) for j in range(m)]
-    )
-
-    if inner_spec is None:
-        # both inner steps bottom-up, in either order: plain ct(bu)
-        out = bottom_up(st, X[:, st.bottom_hf_indices()])
-        return out[0] if single else out
-
-    if mode == "cs_then_te_bu":
-        W = _cross_sectional_weights(inner_spec, st, residuals)
-        C = st.cs.constraints
-        CW = C @ W
-        cho = _checked_cho_factor(CW @ C.T, "C W C'", inner_spec.kind)
-        M_cs = np.eye(n) - CW.T @ scipy.linalg.cho_solve(cho, C)
-        hf = X[:, hf_cols].reshape(-1, n, m)
-        rec = np.einsum("ab,rbt->rat", M_cs, hf)
-        out = rec[:, n_a:, :].reshape(-1, st.bottom_dim) @ st.summation.T
-    elif mode == "te_then_cs_bu":
-        C_te = st.te.constraints
-        Xmat = X.reshape(-1, n, st.te.dim)
-        b_hf = np.empty((X.shape[0], n - n_a, m))
-        if inner_spec.kind == "ols":
-            diags = np.ones((n, st.te.dim))
-        elif inner_spec.kind == "struc":
-            diags = np.tile(st.te.summation @ np.ones(m), (n, 1))
-        elif inner_spec.kind == "wlsv":
-            if residuals is None:
-                raise ValueError("inner wlsv requires residuals")
-            diags = wlsv_diagonal(residuals).reshape(n, st.te.dim)
-        else:
-            raise ValueError(
-                f"unsupported inner temporal covariance {inner_spec.kind!r}"
-            )
-        for bi, i in enumerate(range(n_a, n)):
-            COm = C_te * diags[i]  # C @ diag(d)
-            cho = _checked_cho_factor(COm @ C_te.T, "C Omega C'", inner_spec.kind)
-            M_te = np.eye(st.te.dim) - COm.T @ scipy.linalg.cho_solve(cho, C_te)
-            rec = Xmat[:, i, :] @ M_te.T
-            b_hf[:, bi, :] = rec[:, k_star:]
-        out = b_hf.reshape(-1, st.bottom_dim) @ st.summation.T
-    else:
-        raise ValueError(f"unknown partly-bottom-up mode {mode!r}")
-
-    return out[0] if single else out
+    return composite_map(structure, mode, inner_spec, residuals)(base)
 
 
 def set_negative_to_zero(

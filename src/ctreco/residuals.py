@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,25 @@ class ResidualSet:
         n = self.structure.n
         cols = [self.block(i, k) for i in range(n)]
         return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+    @cached_property
+    def h1_mean_squares(self) -> np.ndarray:
+        """Mean squared one-step residual of every (series, order) block,
+        repeated over the block's cells in the stacked layout.
+
+        A one-step block pools all of its columns, a multi-step one uses
+        its h = 1 column.  This is the ``wlsv`` covariance diagonal; it is
+        computed once per residual set and is read-only.
+        """
+        st = self.structure
+        diag = np.empty(st.dim)
+        for i in range(st.n):
+            for k in st.te.factors:
+                block = self.block(i, k)
+                vals = block.reshape(-1) if self.kind == "one_step" else block[:, 0]
+                diag[st.block_slice(i, k)] = np.mean(vals**2)
+        diag.flags.writeable = False
+        return diag
 
     def columns(self, series_indices, orders) -> np.ndarray:
         """Sub-matrix of E for given series (major) and orders (descending)."""

@@ -5,7 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python tests/goldens/make_goldens.py
 
 It rewrites the inputs under ``tests/goldens/inputs/`` and, for every run
-in ``RUNS``, the CSVs that run writes under ``tests/goldens/<run>/``.
+in ``RUNS``, the files of ``KEPT`` that run writes under
+``tests/goldens/<run>/``.
 ``tests/test_goldens.py`` repeats the runs and compares the bytes, so a
 refactor that must not change any report is checked against them.
 Regenerate only for a change that is meant to alter report bytes, and
@@ -76,7 +77,22 @@ RUNS = {
         "--observations", "{in}/observed.csv",
         "--hierarchy", "{in}/hierarchy.json", "--benchmark", "ctjb",
     ],
+    "reconcile-export-omega": [
+        "--output-dir", "{out}/reconcile-export-omega", "reconcile",
+        "{out}/sample-ctjb/samples.csv", "--hierarchy", "{in}/hierarchy.json",
+        "--method", "oct", "--omega", "bdshr",
+        "--residuals", "{out}/sample-ctjb/residuals.csv",
+        "--residual-kind", "one-step", "--export-omega",
+    ],
 }
+
+# the output files compared byte for byte
+KEPT = ("*.csv", "omega.json")
+
+
+def kept_files(run_dir: Path) -> list[str]:
+    """Names of the files of ``KEPT`` in one run's output directory."""
+    return sorted({p.name for pattern in KEPT for p in run_dir.glob(pattern)})
 
 
 def run_all(out_root: Path, inputs: Path = INPUTS) -> None:
@@ -134,8 +150,8 @@ def main_cli() -> int:
         target = HERE / name
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()
-        for csv in sorted((scratch / name).glob("*.csv")):
-            shutil.copyfile(csv, target / csv.name)
+        for file in kept_files(scratch / name):
+            shutil.copyfile(scratch / name / file, target / file)
     shutil.rmtree(scratch)
     return 0
 

@@ -1,0 +1,143 @@
+"""Reference implementations the tests compare the package against.
+
+Each one is a slower or differently built form of a package routine:
+the structural-form projection, the eigenvalue accept rules that the
+Cholesky-first checks must agree with, and the partly-bottom-up composite
+as one function that rebuilds its inner map on every call.
+``spectral_matrices`` draws the symmetric matrices the accept rules are
+compared on.
+"""
+
+import numpy as np
+import scipy.linalg
+from hypothesis import strategies as st
+
+from ctreco.reconcile import (
+    ReconciliationMap,
+    _checked_cho_factor,
+    _cross_sectional_weights,
+    _solve_weights,
+    bottom_up,
+)
+
+
+def covariance_eig_verdict(values: np.ndarray) -> str | None:
+    """The ValueError message ``CovarianceMatrix`` raises for a finite,
+    symmetric ``values`` by the eigenvalue rule alone, or None."""
+    V = np.asarray(values, dtype=float)
+    V = 0.5 * (V + V.T)
+    eig = np.linalg.eigvalsh(V)
+    if eig[0] < -1e-8 * max(eig[-1], 1e-30):
+        return (
+            f"covariance has negative eigenvalue {eig[0]:.3e} "
+            f"(rank {int(np.sum(eig > 1e-12 * eig[-1]))})"
+        )
+    return None
+
+
+def cho_eig_verdict(A: np.ndarray, what: str, kind: str) -> str | None:
+    """The NumericalError message of the eigenvalue rule for a solve, or
+    None when the rule accepts A (smallest eigenvalue positive and
+    eigenvalue ratio at most 1e12)."""
+    eig = np.linalg.eigvalsh(A)
+    if eig[0] <= 0 or eig[-1] / eig[0] > 1e12:
+        cond = np.inf if eig[0] <= 0 else eig[-1] / eig[0]
+        return (
+            f"{what} is numerically singular for covariance kind "
+            f"{kind!r} (condition number {cond:.2e})"
+        )
+    return None
+
+
+@st.composite
+def spectral_matrices(draw):
+    """A random symmetric matrix with a chosen spectrum, and its kind.
+
+    ``rank_deficient``: PSD with some zero eigenvalues; ``near_gate``:
+    lambda_min = s * 1e-8 * lambda_max for s in [-1.5, 1.5];
+    ``ill_conditioned``: condition number 1e10 to 1e13; ``nonpositive``:
+    lambda_min <= 0.  The largest eigenvalue spans 1e-6 to 1e6.
+    """
+    d = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(
+        ["rank_deficient", "near_gate", "ill_conditioned", "nonpositive"]
+    ))
+    top = 10.0 ** draw(st.floats(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = top * rng.uniform(1e-3, 1.0, size=d)
+    lam[-1] = top
+    if kind == "rank_deficient":
+        lam[: draw(st.integers(1, d - 1))] = 0.0
+    elif kind == "near_gate":
+        lam[0] = draw(st.floats(-1.5, 1.5)) * 1e-8 * top
+    elif kind == "ill_conditioned":
+        lam[0] = top / 10.0 ** draw(st.floats(10, 13))
+    else:
+        lam[0] = -top * draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1.0]))
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    V = (Q * lam) @ Q.T
+    return 0.5 * (V + V.T), kind
+
+
+def build_projection_structural(structure, omega) -> ReconciliationMap:
+    """The optimal map in structural form, M = S (S' Omega^-1 S)^-1 S' Omega^-1."""
+    S = structure.summation
+    Om = _solve_weights(omega)
+    cho = _checked_cho_factor(Om, "Omega", omega.spec.kind)
+    Oinv_S = scipy.linalg.cho_solve(cho, S)
+    inner = S.T @ Oinv_S
+    cho_inner = _checked_cho_factor(inner, "S' Omega^-1 S", omega.spec.kind)
+    G = scipy.linalg.cho_solve(cho_inner, Oinv_S.T)
+    return ReconciliationMap(structure=structure, omega=omega, M=S @ G, G=G)
+
+
+def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None):
+    """Partly-bottom-up reconciliation in one function, building the inner
+    map inside the call (the form ``composite_map`` splits in two)."""
+    st = structure
+    x = np.asarray(base, dtype=float)
+    single = x.ndim == 1
+    X = np.atleast_2d(x)
+    n, n_a = st.n, st.cs.n_upper
+    m, k_star = st.te.m, st.te.k_star
+    if inner_spec is None:
+        out = bottom_up(st, X[:, st.bottom_hf_indices()])
+        return out[0] if single else out
+    if mode == "cs_then_te_bu":
+        hf_cols = np.array(
+            [st.index_of(i, 1, j) for i in range(n) for j in range(m)]
+        )
+        W = _cross_sectional_weights(inner_spec, st, residuals)
+        C = st.cs.constraints
+        CW = C @ W
+        cho = scipy.linalg.cho_factor(CW @ C.T)
+        M_cs = np.eye(n) - CW.T @ scipy.linalg.cho_solve(cho, C)
+        hf = X[:, hf_cols].reshape(-1, n, m)
+        rec = np.einsum("ab,rbt->rat", M_cs, hf)
+        out = rec[:, n_a:, :].reshape(-1, st.bottom_dim) @ st.summation.T
+    else:
+        C_te = st.te.constraints
+        Xmat = X.reshape(-1, n, st.te.dim)
+        b_hf = np.empty((X.shape[0], n - n_a, m))
+        if inner_spec.kind == "ols":
+            diags = np.ones((n, st.te.dim))
+        elif inner_spec.kind == "struc":
+            diags = np.tile(st.te.summation @ np.ones(m), (n, 1))
+        else:  # wlsv
+            diags = np.empty((n, st.te.dim))
+            for i in range(n):
+                for k in st.te.factors:
+                    block = residuals.block(i, k)
+                    vals = (block.reshape(-1) if residuals.kind == "one_step"
+                            else block[:, 0])
+                    cells = st.block_slice(i, k)
+                    diags.reshape(-1)[cells] = np.mean(vals**2)
+        for bi, i in enumerate(range(n_a, n)):
+            COm = C_te * diags[i]
+            cho = scipy.linalg.cho_factor(COm @ C_te.T)
+            M_te = np.eye(st.te.dim) - COm.T @ scipy.linalg.cho_solve(cho, C_te)
+            rec = Xmat[:, i, :] @ M_te.T
+            b_hf[:, bi, :] = rec[:, k_star:]
+        out = b_hf.reshape(-1, st.bottom_dim) @ st.summation.T
+    return out[0] if single else out
+

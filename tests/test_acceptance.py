@@ -24,10 +24,7 @@ from ctreco.probabilistic import (
     reconcile_sample,
     sample_gaussian,
 )
-from ctreco.reconcile import (
-    build_projection,
-    build_projection_structural,
-)
+from ctreco.reconcile import build_projection
 from ctreco.residuals import ResidualSet
 from ctreco.scoring import crps, energy_score
 from ctreco.simulation import (
@@ -36,6 +33,7 @@ from ctreco.simulation import (
     study_structure,
     true_covariance,
 )
+from reference import build_projection_structural
 
 
 def report(number: int, text: str):

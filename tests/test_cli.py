@@ -137,6 +137,26 @@ class TestReconcile:
         dense = np.loadtxt(out / "omega.csv", delimiter=",")
         assert dense.shape == (9, 9)
 
+    def test_export_omega_builds_the_covariance_once(self, toy_files, monkeypatch):
+        import ctreco.cli as cli
+
+        calls = []
+        real = cli.build_omega
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].kind)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_omega", counting)
+        samples = self.make_samples(toy_files)
+        rc = run(
+            ["--output-dir", toy_files["tmp"] / "r_once", "reconcile", samples,
+             "--hierarchy", toy_files["hierarchy"], "--method", "oct",
+             "--omega", "struc", "--export-omega"]
+        )
+        assert rc == 0
+        assert calls == ["struc"]
+
     def test_partly_bottom_up_method(self, toy_files):
         samples = self.make_samples(toy_files)
         out = toy_files["tmp"] / "r4"

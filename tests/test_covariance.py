@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ctreco.covariance import (
     CovarianceMatrix,
@@ -13,6 +14,7 @@ from ctreco.covariance import (
 )
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.residuals import ResidualSet
+from reference import covariance_eig_verdict, spectral_matrices
 
 
 def make_structure(agg, m):
@@ -235,6 +237,39 @@ class TestCovarianceMatrixValidation:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]),
                              CovarianceSpec("sam"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match=r"1 non-finite entries: \(0, 0\)"):
+            CovarianceMatrix(np.array([[bad, 0.0], [0.0, 1.0]]),
+                             CovarianceSpec("sam"))
+
+    def test_non_finite_message_lists_the_first_entries(self):
+        V = np.eye(4)
+        V[1, :] = V[:, 1] = np.nan
+        with pytest.raises(ValueError, match=r"7 non-finite entries: \(0, 1\) = nan, "
+                                             r".*\(1, 3\) = nan and 2 more"):
+            CovarianceMatrix(V, CovarianceSpec("sam"))
+
+    @given(spectral_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_what_the_eigenvalue_rule_accepts(self, case):
+        V, _ = case
+        want = covariance_eig_verdict(V)
+        try:
+            om = CovarianceMatrix(V, CovarianceSpec("sam"))
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            np.testing.assert_array_equal(om.values, 0.5 * (V + V.T))
+
+    def test_input_array_is_left_untouched(self):
+        V = np.array([[2.0, 1.0 + 1e-14], [1.0, 2.0]])
+        before = V.copy()
+        om = CovarianceMatrix(V, CovarianceSpec("sam"))
+        np.testing.assert_array_equal(V, before)
+        assert V.flags.writeable and not om.values.flags.writeable
 
 
 class TestParameterCount:

@@ -1,0 +1,63 @@
+"""The per-origin kernel: what it builds once per origin, and that the
+common case never needs an eigendecomposition."""
+
+import numpy as np
+import pytest
+
+import ctreco.evaluate as evaluate
+from ctreco.evaluate import COMPOSITES, METHODS, SAMPLERS, evaluate_origin
+from ctreco.hierarchy import (
+    build_cross_sectional,
+    build_cross_temporal,
+    build_temporal,
+    stack_window,
+)
+
+
+def random_origin(seed, m=4, years=12):
+    """A random 0/1 hierarchy over four bottoms, a positive AR(1) panel
+    of ``years`` training periods and the stacked period after it."""
+    rng = np.random.default_rng(seed)
+    agg = np.vstack([np.ones(4), rng.integers(0, 2, size=(2, 4))])
+    agg[1:, 0] = 1.0  # no all-zero rows
+    st = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
+    T = (years + 1) * m
+    b = np.zeros((4, T + 20))
+    for t in range(1, T + 20):
+        b[:, t] = 0.6 * b[:, t - 1] + rng.normal(size=4)
+    panel = st.cs.summation @ (b[:, 20:] + 30.0)
+    train, test = panel[:, : years * m], panel[:, years * m :]
+    return st, train, stack_window(st, test)
+
+
+def run(st, train, z, methods, samplers):
+    return evaluate_origin(
+        st, train, z, methods, samplers, 20, list(range(len(samplers))),
+        max_order=2, criterion="aicc", residuals="multi_step", nonneg=False,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_origin_completes_without_eigenvalues(seed, monkeypatch):
+    def no_eig(*_):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    st, train, z = random_origin(seed)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+    crps, es, _ = run(st, train, z, METHODS, SAMPLERS)
+    assert np.all(np.isfinite(crps)) and np.all(np.isfinite(es))
+
+
+@pytest.mark.parametrize("samplers", [("ctjb",), SAMPLERS])
+def test_each_composite_is_built_once_per_origin(samplers, monkeypatch):
+    built = []
+    real = evaluate.composite_map
+
+    def counting(structure, mode, inner_spec, residuals=None):
+        built.append(mode)
+        return real(structure, mode, inner_spec, residuals)
+
+    monkeypatch.setattr(evaluate, "composite_map", counting)
+    st, train, z = random_origin(3)
+    run(st, train, z, ("base",) + tuple(COMPOSITES), samplers)
+    assert sorted(built) == sorted(mode for mode, _ in COMPOSITES.values())

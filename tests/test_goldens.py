@@ -1,8 +1,11 @@
-"""Every CSV the CLI writes in the golden runs matches its golden byte for byte.
+"""Every report the CLI writes in the golden runs matches its golden byte
+for byte.
 
-The goldens pin the reports of ``simulate``, ``pipeline``, ``sample`` and
-``score`` at fixed seeds, so a change meant to keep every output the same
-is checked here.  ``tests/goldens/make_goldens.py`` regenerates them.
+The goldens pin the CSVs of ``simulate``, ``pipeline``, ``sample``,
+``score`` and ``reconcile``, and the ``omega.json`` of
+``reconcile --export-omega``, at fixed seeds, so a change meant to keep
+every output the same is checked here.  ``tests/goldens/make_goldens.py``
+regenerates them.
 """
 
 import importlib.util
@@ -32,11 +35,11 @@ def runs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", list(make_goldens.RUNS))
 def test_reports_match_goldens_byte_for_byte(runs, name):
-    expected = sorted(p.name for p in (GOLDENS / name).glob("*.csv"))
-    produced = sorted(p.name for p in (runs / name).glob("*.csv"))
+    expected = make_goldens.kept_files(GOLDENS / name)
+    produced = make_goldens.kept_files(runs / name)
     assert expected, f"no goldens for run {name!r}; {REGENERATE}"
-    assert produced == expected, f"run {name!r} wrote other CSVs; {REGENERATE}"
-    for csv in expected:
-        got = (runs / name / csv).read_bytes()
-        want = (GOLDENS / name / csv).read_bytes()
-        assert got == want, f"{name}/{csv} differs from its golden; {REGENERATE}"
+    assert produced == expected, f"run {name!r} wrote other files; {REGENERATE}"
+    for file in expected:
+        got = (runs / name / file).read_bytes()
+        want = (GOLDENS / name / file).read_bytes()
+        assert got == want, f"{name}/{file} differs from its golden; {REGENERATE}"

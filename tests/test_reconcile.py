@@ -5,19 +5,28 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
 
 from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.reconcile import (
+    _checked_cho_factor,
     bottom_up,
     build_projection,
-    build_projection_structural,
+    composite_map,
     partly_bottom_up,
     reconcile_point,
     set_negative_to_zero,
 )
 from ctreco.residuals import ResidualSet
+from reference import (
+    build_projection_structural,
+    cho_eig_verdict,
+    partly_bottom_up_per_call,
+    spectral_matrices,
+)
 
 
 def make_structure(agg, m):
@@ -244,6 +253,70 @@ class TestPartlyBottomUp:
         x = rng.normal(size=st.dim)
         out = partly_bottom_up(st, "cs_then_te_bu", x, CovarianceSpec("ols"))
         assert np.max(np.abs(out - x)) > 1e-3
+
+
+class TestCheckedChoFactor:
+    @given(spectral_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_exactly_what_the_eigenvalue_rule_rejects(self, case):
+        A, kind = case
+        want = cho_eig_verdict(A, "C Omega C'", kind)
+        try:
+            cho = _checked_cho_factor(A, "C Omega C'", kind)
+        except NumericalError as exc:
+            assert str(exc) == want
+            assert repr(kind) in str(exc)
+        else:
+            assert want is None
+            c, lower = scipy.linalg.cho_factor(A)
+            np.testing.assert_array_equal(cho[0], c)
+            assert cho[1] == lower
+
+    def test_well_conditioned_accepts_without_eigenvalues(self, monkeypatch):
+        def no_eig(*_):
+            raise AssertionError("eigvalsh called")
+
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        A = (Q * np.logspace(0, 9, 30)) @ Q.T
+        A = 0.5 * (A + A.T)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+        _checked_cho_factor(A, "C Omega C'", "shr")
+
+
+class TestCompositeMap:
+    CASES = [("cs_then_te_bu", k) for k in ("ols", "struc", "wlsv", "shr")] + [
+        ("te_then_cs_bu", k) for k in ("ols", "struc", "wlsv")
+    ]
+
+    @pytest.mark.parametrize("mode,inner", CASES)
+    def test_matches_per_call_form_byte_for_byte(self, mode, inner):
+        st = make_structure([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], 4)
+        rng = np.random.default_rng(9)
+        res = ResidualSet(st, rng.normal(size=(40, st.dim)), "one_step")
+        spec = CovarianceSpec(inner)
+        apply = composite_map(st, mode, spec, res)
+        for x in (rng.normal(size=st.dim), rng.normal(size=(25, st.dim))):
+            got = apply(x)
+            assert got.shape == x.shape
+            want = partly_bottom_up_per_call(st, mode, x, spec, res)
+            assert got.tobytes() == want.tobytes()
+            assert partly_bottom_up(st, mode, x, spec, res).tobytes() == got.tobytes()
+
+    def test_bottom_up_inner_in_both_modes(self):
+        st = semi_annual()
+        x = np.random.default_rng(10).normal(size=(3, st.dim))
+        want = bottom_up(st, x[:, st.bottom_hf_indices()])
+        for mode in ("cs_then_te_bu", "te_then_cs_bu"):
+            assert composite_map(st, mode, None)(x).tobytes() == want.tobytes()
+
+    def test_map_is_built_at_construction(self):
+        st = semi_annual()
+        with pytest.raises(ValueError, match="requires residuals"):
+            composite_map(st, "cs_then_te_bu", CovarianceSpec("shr"))
+        apply = composite_map(st, "te_then_cs_bu", CovarianceSpec("ols"))
+        with pytest.raises(ValueError, match="trailing dimension"):
+            apply(np.zeros(st.dim + 1))
 
 
 class TestSetNegativeToZero:
