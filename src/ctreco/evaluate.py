@@ -17,6 +17,7 @@ from ctreco.hierarchy import CrossTemporalStructure
 from ctreco.models import forecast
 from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
 from ctreco.reconcile import (
+    _apply_unchecked,
     bottom_up,
     build_projection,
     composite_map,
@@ -103,7 +104,7 @@ def _reconcile(mth, draws, st, maps) -> np.ndarray:
         return bottom_up(st, draws[:, st.bottom_hf_indices()])
     if mth in COMPOSITES:
         return maps[mth](draws)
-    return draws @ maps[mth].M.T
+    return _apply_unchecked(maps[mth], draws)  # sampled draws are finite
 
 
 def evaluate_origin(

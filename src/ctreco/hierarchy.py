@@ -19,8 +19,10 @@ order.  ``index_of`` gives the explicit index map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "CrossSectionalStructure",
@@ -39,6 +41,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _readonly_csr(a: np.ndarray) -> scipy.sparse.csr_array:
+    # from the non-zeros (found in row-major order, as CSR keeps them):
+    # half the cost of converting the dense array at the study's size
+    rows, cols = np.nonzero(a)
+    indptr = np.searchsorted(rows, np.arange(a.shape[0] + 1))
+    sparse = scipy.sparse.csr_array((a[rows, cols], cols, indptr), shape=a.shape)
+    for part in (sparse.data, sparse.indices, sparse.indptr):
+        part.flags.writeable = False
+    return sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +142,10 @@ class CrossTemporalStructure:
             ``constraints @ summation = 0``.
         perm: index permutation encoding the commutation matrix P; see
             :meth:`commutation_dense`.
+
+    ``summation_csr``, ``constraints_csr`` and ``constraints_t_csr``
+    (the transpose C') are read-only CSR forms of the two matrices, built
+    on first use and kept with the structure.
     """
 
     cs: CrossSectionalStructure
@@ -167,15 +184,36 @@ class CrossTemporalStructure:
         start = self.index_of(series, k, 0)
         return slice(start, start + self.te.periods_at(k))
 
+    @cached_property
+    def summation_csr(self) -> scipy.sparse.csr_array:
+        return _readonly_csr(self.summation)
+
+    @cached_property
+    def constraints_csr(self) -> scipy.sparse.csr_array:
+        return _readonly_csr(self.constraints)
+
+    @cached_property
+    def constraints_t_csr(self) -> scipy.sparse.csr_array:
+        return _readonly_csr(self.constraints.T)
+
+    @cached_property
+    def _bottom_hf(self) -> np.ndarray:
+        idx = np.asarray(
+            [
+                self.index_of(i, 1, j)
+                for i in range(self.cs.n_upper, self.n)
+                for j in range(self.te.m)
+            ],
+            dtype=np.intp,
+        )
+        idx.flags.writeable = False
+        return idx
+
     def bottom_hf_indices(self) -> np.ndarray:
         """Indices of the high-frequency bottom cells, in the order the
-        summation matrix expects them (bottom series major, time ascending)."""
-        idx = [
-            self.index_of(i, 1, j)
-            for i in range(self.cs.n_upper, self.n)
-            for j in range(self.te.m)
-        ]
-        return np.asarray(idx, dtype=np.intp)
+        summation matrix expects them (bottom series major, time ascending).
+        Computed once per structure; the array is read-only."""
+        return self._bottom_hf
 
     def commutation_dense(self) -> np.ndarray:
         """Dense commutation matrix P with P @ vec(X) = vec(X').

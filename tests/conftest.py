@@ -1,9 +1,11 @@
-"""Shared fixtures: synthetic dataset and hierarchy files."""
+"""Shared fixtures and strategies: synthetic dataset and hierarchy files,
+and random cross-temporal structures."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 @pytest.fixture
@@ -35,3 +37,35 @@ def toy_files(tmp_path):
         lines.append(f"{a[t]:.10g},{b[0, t]:.10g},{b[1, t]:.10g}")
     data.write_text("\n".join(lines) + "\n")
     return {"hierarchy": hierarchy, "data": data, "tmp": tmp_path, "T": T}
+
+
+@st.composite
+def _scoring_case(draw):
+    """A random 0/1 hierarchy, a seasonal period, a draw count and the
+    shape of the draws: ties (values on an integer grid) and constant
+    columns."""
+    n_upper = draw(st.integers(1, 4))
+    n_bottom = draw(st.integers(2, 6))
+    agg = draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=n_bottom, max_size=n_bottom),
+            min_size=n_upper,
+            max_size=n_upper,
+        )
+    )
+    m = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    L = draw(st.sampled_from([2, 3, 17, 200]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ties, constant = draw(st.booleans()), draw(st.booleans())
+    return np.array(agg, dtype=float), m, L, seed, ties, constant
+
+
+@pytest.fixture(scope="session")
+def scoring_cases():
+    """The hypothesis strategy of random cross-temporal cases: 1-4 upper
+    over 2-6 bottom series, m in {1, 2, 3, 4, 6, 12}.  A test takes it
+    with ``st.data()`` and draws ``(agg, m, L, seed, ties, constant)``.
+
+    It is a fixture because test modules cannot import this conftest by
+    name while ``perfbench/tests`` has one too."""
+    return _scoring_case()

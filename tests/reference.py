@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 Each one is a slower or differently built form of a package routine:
-the structural-form projection, the eigenvalue accept rules that the
-Cholesky-first checks must agree with, and the partly-bottom-up composite
-as one function that rebuilds its inner map on every call.
+the projection as a dense d x d matrix and in structural form, the
+eigenvalue accept rules that the Cholesky-first checks must agree with,
+and the partly-bottom-up composite as one function that rebuilds its
+inner map on every call.
 ``spectral_matrices`` draws the symmetric matrices the accept rules are
 compared on.
 """
@@ -12,11 +13,12 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
+from ctreco.covariance import STRUCTURED_KINDS
 from ctreco.reconcile import (
+    _RIDGE,
     ReconciliationMap,
     _checked_cho_factor,
     _cross_sectional_weights,
-    _solve_weights,
     bottom_up,
 )
 
@@ -79,16 +81,35 @@ def spectral_matrices(draw):
     return 0.5 * (V + V.T), kind
 
 
+def _solve_weights(omega) -> np.ndarray:
+    """Omega values, with the package's relative diagonal ridge for the
+    structurally rank-deficient kinds."""
+    Om = omega.values
+    if omega.spec.kind in STRUCTURED_KINDS:
+        ridge = _RIDGE * np.trace(Om) / Om.shape[0]
+        Om = Om + ridge * np.eye(Om.shape[0])
+    return Om
+
+
+def build_projection_dense(structure, omega) -> np.ndarray:
+    """The optimal map as a dense matrix, M = I - Omega C' (C Omega C')^-1 C,
+    from the dense C (the package's builder before the structural form)."""
+    C = structure.constraints
+    CO = C @ _solve_weights(omega)
+    cho, _ = _checked_cho_factor(CO @ C.T, "C Omega C'", omega.spec.kind)
+    return np.eye(structure.dim) - CO.T @ scipy.linalg.cho_solve(cho, C)
+
+
 def build_projection_structural(structure, omega) -> ReconciliationMap:
     """The optimal map in structural form, M = S (S' Omega^-1 S)^-1 S' Omega^-1."""
     S = structure.summation
     Om = _solve_weights(omega)
-    cho = _checked_cho_factor(Om, "Omega", omega.spec.kind)
+    cho, _ = _checked_cho_factor(Om, "Omega", omega.spec.kind)
     Oinv_S = scipy.linalg.cho_solve(cho, S)
     inner = S.T @ Oinv_S
-    cho_inner = _checked_cho_factor(inner, "S' Omega^-1 S", omega.spec.kind)
+    cho_inner, _ = _checked_cho_factor(inner, "S' Omega^-1 S", omega.spec.kind)
     G = scipy.linalg.cho_solve(cho_inner, Oinv_S.T)
-    return ReconciliationMap(structure=structure, omega=omega, M=S @ G, G=G)
+    return ReconciliationMap(structure=structure, omega=omega, G=G)
 
 
 def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None):

@@ -1,11 +1,20 @@
-"""The per-origin kernel: what it builds once per origin, and that the
-common case never needs an eigendecomposition."""
+"""The per-origin kernel: what it builds once per origin, that the
+common case never needs an eigendecomposition, and that the unridged
+projections are never formed as d x d matrices."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ctreco.evaluate as evaluate
-from ctreco.evaluate import COMPOSITES, METHODS, SAMPLERS, evaluate_origin
+from ctreco.covariance import STRUCTURED_KINDS
+from ctreco.evaluate import (
+    COMPOSITES,
+    METHODS,
+    PROJECTIONS,
+    SAMPLERS,
+    evaluate_origin,
+)
 from ctreco.hierarchy import (
     build_cross_sectional,
     build_cross_temporal,
@@ -61,3 +70,27 @@ def test_each_composite_is_built_once_per_origin(samplers, monkeypatch):
     st, train, z = random_origin(3)
     run(st, train, z, ("base",) + tuple(COMPOSITES), samplers)
     assert sorted(built) == sorted(mode for mode, _ in COMPOSITES.values())
+
+
+def test_unridged_projections_are_applied_without_dense_maps(monkeypatch):
+    def no_solve(*_):
+        raise AssertionError("scipy.linalg.cho_solve called")
+
+    built = []
+    real = evaluate.build_projection
+
+    def recording(structure, omega):
+        built.append(real(structure, omega))
+        return built[-1]
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", no_solve)
+    monkeypatch.setattr(evaluate, "build_projection", recording)
+    unridged = tuple(
+        mth for mth, (kind, _) in PROJECTIONS.items()
+        if kind not in STRUCTURED_KINDS
+    )
+    st, train, z = random_origin(4)
+    crps, es, _ = run(st, train, z, ("base", "ct-bu") + unridged, SAMPLERS)
+    assert np.all(np.isfinite(crps)) and np.all(np.isfinite(es))
+    assert len(built) == len(unridged)
+    assert all("M" not in vars(rec) for rec in built)  # M is derived lazily

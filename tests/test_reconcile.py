@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.reconcile import (
+    ReconciliationMap,
     _checked_cho_factor,
+    _cross_sectional_weights,
     bottom_up,
     build_projection,
     composite_map,
@@ -22,6 +25,7 @@ from ctreco.reconcile import (
 )
 from ctreco.residuals import ResidualSet
 from reference import (
+    build_projection_dense,
     build_projection_structural,
     cho_eig_verdict,
     partly_bottom_up_per_call,
@@ -149,6 +153,10 @@ class TestBuildProjection:
         rec = build_projection(st, build_omega(CovarianceSpec("ols"), st))
         with pytest.raises(ValueError):
             reconcile_point(rec, np.zeros(5))
+        with pytest.raises(ValueError):
+            reconcile_point(rec, np.zeros((2, 3, st.dim)))
+        with pytest.raises(ValueError):
+            bottom_up(st, np.zeros((2, 3, st.bottom_dim)))
 
 
 class TestStructuredKindProjections:
@@ -179,6 +187,93 @@ class TestStructuredKindProjections:
         M = build_projection(st, om).M
         M_ols = build_projection(st, build_omega(CovarianceSpec("ols"), st)).M
         assert np.max(np.abs(M - M_ols)) > 1e-3
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestBottomLevelMaps:
+    """The maps held as G and applied as S (G x), against the dense d x d
+    builder; the ridged kinds keep that builder byte for byte."""
+
+    UNRIDGED = ("ols", "struc", "wlsv", "bdshr", "shr")
+
+    @staticmethod
+    def case_inputs(case):
+        agg, m, L, seed, _, _ = case
+        st = make_structure(agg, m)
+        rng = np.random.default_rng(seed)
+        res = ResidualSet(st, rng.normal(size=(30, st.dim)), "multi_step")
+        x = 30.0 + rng.normal(size=(L, st.dim)) * rng.uniform(0.5, 3.0, st.dim)
+        return st, res, x
+
+    @staticmethod
+    def dense_or_same_error(st, omega):
+        """The dense map, or None when it is rejected, after checking that
+        the package rejects the covariance with the same message."""
+        try:
+            return build_projection_dense(st, omega)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as got:
+                build_projection(st, omega)
+            assert str(got.value) == str(exc)
+            return None
+
+    @given(data=hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_structural_form_matches_dense_map(self, data, scoring_cases):
+        case = data.draw(scoring_cases)
+        st, res, x = self.case_inputs(case)
+        for kind in self.UNRIDGED:
+            omega = build_omega(CovarianceSpec(kind), st, res)
+            want = self.dense_or_same_error(st, omega)
+            if want is None:  # e.g. struc with an all-zero aggregation row
+                continue
+            rec = build_projection(st, omega)
+            got = reconcile_point(rec, x)
+            assert _rel(got, x @ want.T) <= 1e-12
+            G = rec.G
+            assert np.max(np.abs(G @ st.summation - np.eye(st.bottom_dim))) <= 1e-12
+            assert np.max(np.abs(got @ st.constraints.T)) <= 1e-14 * np.abs(got).max()
+            M = rec.M  # derived from G on first use
+            assert np.max(np.abs(M @ M - M)) <= 1e-12 * max(1.0, np.abs(M).max())
+
+    @given(data=hst.data())
+    @settings(max_examples=30, deadline=None)
+    def test_ridged_kinds_keep_the_dense_map(self, data, scoring_cases):
+        case = data.draw(scoring_cases)
+        st, res, x = self.case_inputs(case)
+        for kind in ("hb", "h", "b"):
+            omega = build_omega(CovarianceSpec(kind), st, res)
+            want = self.dense_or_same_error(st, omega)
+            if want is None:
+                continue
+            rec = build_projection(st, omega)
+            assert rec.G is None
+            assert rec.M.tobytes() == want.tobytes()
+            assert reconcile_point(rec, x).tobytes() == (x @ want.T).tobytes()
+
+    @given(data=hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_bottom_up_matches_dense_product(self, data, scoring_cases):
+        case = data.draw(scoring_cases)
+        agg, m, L, seed, _, _ = case
+        st = make_structure(agg, m)
+        b = np.random.default_rng(seed).normal(size=(L, st.bottom_dim))
+        for block in (b[0], b):
+            assert _rel(bottom_up(st, block), block @ st.summation.T) <= 1e-15
+
+    def test_map_holds_exactly_one_form(self):
+        st = semi_annual()
+        omega = build_omega(CovarianceSpec("ols"), st)
+        G = build_projection(st, omega).G
+        with pytest.raises(ValueError, match="exactly one"):
+            ReconciliationMap(structure=st, omega=omega)
+        with pytest.raises(ValueError, match="exactly one"):
+            ReconciliationMap(structure=st, omega=omega, G=G, ridged_M=np.eye(st.dim))
+        with pytest.raises(ValueError, match="wrong shape"):
+            ReconciliationMap(structure=st, omega=omega, G=G.T)
 
 
 class TestBottomUp:
@@ -247,6 +342,17 @@ class TestPartlyBottomUp:
         with pytest.raises(ValueError, match="mode"):
             partly_bottom_up(st, "sideways", np.zeros(st.dim), CovarianceSpec("ols"))
 
+    @pytest.mark.parametrize("kind", ["one_step", "multi_step"])
+    def test_inner_wlsv_weights_are_the_wlsv_diagonal(self, kind):
+        st = make_structure([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], 4)
+        res = ResidualSet(
+            st, np.random.default_rng(12).normal(size=(40, st.dim)), kind
+        )
+        W = _cross_sectional_weights(CovarianceSpec("wlsv"), st, res)
+        cells = [st.index_of(i, 1, 0) for i in range(st.n)]
+        assert np.array_equal(W, np.diag(np.diag(W)))
+        assert np.diag(W).tobytes() == res.h1_mean_squares[cells].tobytes()
+
     def test_ols_inner_differs_from_base_when_incoherent(self):
         st = semi_annual()
         rng = np.random.default_rng(4)
@@ -262,7 +368,7 @@ class TestCheckedChoFactor:
         A, kind = case
         want = cho_eig_verdict(A, "C Omega C'", kind)
         try:
-            cho = _checked_cho_factor(A, "C Omega C'", kind)
+            cho, R_inv = _checked_cho_factor(A, "C Omega C'", kind)
         except NumericalError as exc:
             assert str(exc) == want
             assert repr(kind) in str(exc)
@@ -271,6 +377,12 @@ class TestCheckedChoFactor:
             c, lower = scipy.linalg.cho_factor(A)
             np.testing.assert_array_equal(cho[0], c)
             assert cho[1] == lower
+            # the inverse of the factor's triangle, zero below the diagonal
+            assert np.array_equal(R_inv, np.triu(R_inv))
+            R = np.triu(c)
+            np.testing.assert_allclose(
+                R_inv @ R, np.eye(len(A)), atol=1e-8 * np.linalg.cond(R)
+            )
 
     def test_well_conditioned_accepts_without_eigenvalues(self, monkeypatch):
         def no_eig(*_):
@@ -299,9 +411,15 @@ class TestCompositeMap:
         for x in (rng.normal(size=st.dim), rng.normal(size=(25, st.dim))):
             got = apply(x)
             assert got.shape == x.shape
-            want = partly_bottom_up_per_call(st, mode, x, spec, res)
-            assert got.tobytes() == want.tobytes()
             assert partly_bottom_up(st, mode, x, spec, res).tobytes() == got.tobytes()
+            # the oracle keeps the einsum and the dense S of the per-call
+            # form, so it sums in another order than the 2-D product and
+            # the CSR S; the atol floor covers cells that cancel to well
+            # under the block's scale
+            want = partly_bottom_up_per_call(st, mode, x, spec, res)
+            np.testing.assert_allclose(
+                got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max()
+            )
 
     def test_bottom_up_inner_in_both_modes(self):
         st = semi_annual()

@@ -182,27 +182,6 @@ class TestScoreDraws:
         assert raw.es[1] == pytest.approx(energy_score(draws[:, cols], z[cols]))
 
 
-@st.composite
-def scoring_cases(draw):
-    """A random 0/1 hierarchy, a seasonal period, a draw count and the
-    shape of the draws: ties (values on an integer grid) and constant
-    columns."""
-    n_upper = draw(st.integers(1, 4))
-    n_bottom = draw(st.integers(2, 6))
-    agg = draw(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=n_bottom, max_size=n_bottom),
-            min_size=n_upper,
-            max_size=n_upper,
-        )
-    )
-    m = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
-    L = draw(st.sampled_from([2, 3, 17, 200]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    ties, constant = draw(st.booleans()), draw(st.booleans())
-    return np.array(agg, dtype=float), m, L, seed, ties, constant
-
-
 def assert_matches_oracle(structure, draws, z):
     raw = score_draws(structure, draws, z)
     crps_mat, es_vec = score_draws_per_cell(structure, draws, z)
@@ -215,9 +194,10 @@ def assert_matches_oracle(structure, draws, z):
 class TestScoreDrawsKernel:
     """The column-wise kernel against the per-cell oracle."""
 
-    @given(scoring_cases())
+    @given(data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_per_cell_oracle(self, case):
+    def test_matches_per_cell_oracle(self, data, scoring_cases):
+        case = data.draw(scoring_cases)
         agg, m, L, seed, ties, constant = case
         st_ = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
         rng = np.random.default_rng(seed)
