@@ -19,7 +19,7 @@ import numpy as np
 
 from ctreco import __version__
 from ctreco.covariance import CovarianceSpec, build_omega
-from ctreco.evaluate import base_forecasts
+from ctreco.evaluate import GAUSS_KINDS, base_forecasts
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.io import (
     atomic_write_text,
@@ -151,9 +151,9 @@ def _cmd_sample(args) -> int:
             structure, models, data, residuals, args.L, seed=args.seed
         )
     else:
-        lam_by_cov = {"sam": None, "shr": None, "g": 0.0, "h": 0.0, "b": 0.0,
-                      "hb": 0.0}
-        spec = CovarianceSpec(args.cov, lam=lam_by_cov[args.cov])
+        # g, b, h, hb draw as the gauss-* samplers: unshrunk
+        gauss = GAUSS_KINDS.get(f"gauss-{args.cov}")
+        spec = CovarianceSpec(gauss, lam=0.0) if gauss else CovarianceSpec(args.cov)
         sigma = build_omega(spec, structure, residuals)
         xhat = base_forecasts(structure, models, data)
         sample = sample_gaussian(
@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("gaussian", "ctjb"), default="ctjb")
     p.add_argument(
         "--cov", choices=("sam", "shr", "g", "h", "b", "hb"), default="sam",
-        help="gaussian covariance (g/h/b/hb use the unshrunk expansions)",
+        help="gaussian covariance; g/b/h/hb draw as the gauss-* samplers "
+             "(unshrunk, g being sam)",
     )
     p.add_argument("--L", type=int, default=200, help="number of draws")
     p.add_argument("--max-order", type=int, default=5)

@@ -9,6 +9,12 @@ series -- shrink it toward its diagonal, and expand it back through the
 corresponding summation factor, cutting the parameter count by an order
 of magnitude on realistic hierarchies.
 
+Covariances built from residuals alone -- ``sam`` = E'E/N and the
+structured kinds at lambda = 0, F (X'X/N) F' -- are held as a root
+F R' (R'R = X'X/N, from one QR of the residual rows), which has
+min(N, r) columns for N rows of r columns; no d x d matrix is formed or
+decomposed unless its dense ``values`` are read.
+
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
 being shrunk.
@@ -16,11 +22,12 @@ being shrunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import CrossTemporalStructure
 from ctreco.residuals import ResidualSet
 
@@ -64,61 +71,119 @@ class CovarianceSpec:
         return self.kind not in ("ols", "struc")
 
 
-@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """A built covariance with its provenance.
+    """A built covariance Sigma with its provenance, held as ``values``
+    (d x d), as a ``root`` A (d x q, Sigma = A A'), or as both.
 
-    ``values`` must be finite, symmetric to 1e-10 of its largest entry
-    (it is stored as its symmetric part) and positive semi-definite up to
-    a relative 1e-8: lambda_min >= -1e-8 * lambda_max.  The check is one
-    Cholesky factorisation of V + tau I with tau = 0.5e-8 * max(diag V);
-    since max(diag V) <= lambda_max, its success already implies the rule.
-    Only when it fails are the eigenvalues computed, and the rule decides
-    on them, so the two steps accept and reject exactly what the
-    eigenvalue rule alone would.
+    A form that was not given is derived on first read and kept:
 
-    ``factor`` and ``core`` are set for the structured kinds, with
-    ``values = factor @ core @ factor.T``; samplers use them to draw in
-    the reduced space.
+    * ``values`` = A A'.  It is positive semi-definite by construction and
+      is not checked again.
+    * ``root`` is the lower Cholesky factor of ``values`` or, when that
+      fails (a singular Sigma), Q sqrt(max(w, 0)) from the eigenpairs
+      (w, Q) of ``values``.
+
+    Given with ``values``, ``root`` may also be a zero-argument callable
+    that returns it, called on first read.  Both forms are read-only.
+
+    A given ``values`` must be finite, symmetric to 1e-10 of its largest
+    entry (it is stored as its symmetric part) and positive semi-definite
+    up to a relative 1e-8: lambda_min >= -1e-8 * lambda_max.  The check is
+    one Cholesky factorisation of V + tau I with tau = 0.5e-8 * max(diag
+    V); since max(diag V) <= lambda_max, its success already implies the
+    rule.  Only when it fails are the eigenvalues computed, and the rule
+    decides on them, so the two steps accept and reject exactly what the
+    eigenvalue rule alone would.  A given root must be finite.
     """
 
-    values: np.ndarray = field(repr=False)
-    spec: CovarianceSpec
-    lambda_used: float | None = None
-    factor: np.ndarray | None = field(default=None, repr=False)
-    core: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, values, spec: CovarianceSpec,
+                 lambda_used: float | None = None, root=None):
+        if values is None and (root is None or callable(root)):
+            raise ValueError("give values or a root array")
+        self.spec = spec
+        self.lambda_used = lambda_used
+        self._values = None if values is None else _checked_values(values)
+        self._root = root if root is None or callable(root) else _checked_root(root)
 
-    def __post_init__(self):
-        V = np.asarray(self.values, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise ValueError("covariance must be square")
-        buf = np.abs(V, order="C")  # one buffer for every elementwise step
-        scale = np.max(buf)
-        if not np.isfinite(scale):
-            bad = np.argwhere(~np.isfinite(V))
-            shown = ", ".join(f"({i}, {j}) = {V[i, j]}" for i, j in bad[:5])
-            more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-            raise ValueError(
-                f"covariance has {len(bad)} non-finite entries: {shown}{more}"
-            )
-        np.abs(np.subtract(V, V.T, out=buf), out=buf)
-        sym_gap = np.max(buf)
-        if sym_gap > 1e-10 * max(1.0, scale):
-            raise ValueError(f"covariance not symmetric (gap {sym_gap:.2e})")
-        V = np.multiply(0.5, np.add(V, V.T, out=buf), out=buf)
-        if not _factors_with_margin(V):
-            eig = np.linalg.eigvalsh(V)
-            if eig[0] < -1e-8 * max(eig[-1], 1e-30):
-                raise ValueError(
-                    f"covariance has negative eigenvalue {eig[0]:.3e} "
-                    f"(rank {int(np.sum(eig > 1e-12 * eig[-1]))})"
-                )
-        V.flags.writeable = False
-        object.__setattr__(self, "values", V)
+    def __repr__(self) -> str:
+        return (f"CovarianceMatrix(spec={self.spec!r}, "
+                f"lambda_used={self.lambda_used!r}, dim={self.dim})")
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            A = self._root
+            V = A @ A.T  # numpy forms this as one syrk: exactly symmetric
+            V.flags.writeable = False
+            self._values = V
+        return self._values
+
+    @property
+    def root(self) -> np.ndarray:
+        if self._root is None:
+            self._root = _values_root(self._values)
+        elif callable(self._root):
+            self._root = _checked_root(self._root())
+        return self._root
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        held = self._values if self._values is not None else self._root
+        return held.shape[0]
+
+
+def _require_finite(A: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first non-finite entries of A."""
+    if np.isfinite(A).all():
+        return
+    bad = np.argwhere(~np.isfinite(A))
+    shown = ", ".join(f"({i}, {j}) = {A[i, j]}" for i, j in bad[:5])
+    more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+    raise ValueError(f"{what} has {len(bad)} non-finite entries: {shown}{more}")
+
+
+def _checked_values(values) -> np.ndarray:
+    V = np.asarray(values, dtype=float)
+    if V.ndim != 2 or V.shape[0] != V.shape[1]:
+        raise ValueError("covariance must be square")
+    buf = np.abs(V, order="C")  # one buffer for every elementwise step
+    scale = np.max(buf)
+    if not np.isfinite(scale):
+        _require_finite(V, "covariance")
+    np.abs(np.subtract(V, V.T, out=buf), out=buf)
+    sym_gap = np.max(buf)
+    if sym_gap > 1e-10 * max(1.0, scale):
+        raise ValueError(f"covariance not symmetric (gap {sym_gap:.2e})")
+    V = np.multiply(0.5, np.add(V, V.T, out=buf), out=buf)
+    if not _factors_with_margin(V):
+        eig = np.linalg.eigvalsh(V)
+        if eig[0] < -1e-8 * max(eig[-1], 1e-30):
+            raise ValueError(
+                f"covariance has negative eigenvalue {eig[0]:.3e} "
+                f"(rank {int(np.sum(eig > 1e-12 * eig[-1]))})"
+            )
+    V.flags.writeable = False
+    return V
+
+
+def _checked_root(root) -> np.ndarray:
+    A = np.array(root, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("covariance root must be a matrix")
+    _require_finite(A, "covariance root")
+    A.flags.writeable = False
+    return A
+
+
+def _values_root(V: np.ndarray) -> np.ndarray:
+    """A with A A' = V: Cholesky, or the eigenpairs for a singular V."""
+    try:
+        A = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        w, Q = np.linalg.eigh(V)
+        A = Q * np.sqrt(np.clip(w, 0.0, None))
+    A.flags.writeable = False
+    return A
 
 
 def _factors_with_margin(V: np.ndarray) -> bool:
@@ -187,6 +252,18 @@ def sample_covariance(
     return (X.T @ X) / div
 
 
+def _residual_root(X: np.ndarray) -> np.ndarray:
+    """R' with R'R = X'X/N, for the rows of the (N, r) array X.
+
+    R is the upper factor of the economic QR of X/sqrt(N), its rows
+    signed to a non-negative diagonal, so R' is (r, min(N, r)); for
+    N >= r it is the Cholesky factor of X'X/N.
+    """
+    R = np.linalg.qr(X / np.sqrt(X.shape[0]), mode="r")
+    R *= np.where(np.diagonal(R) < 0.0, -1.0, 1.0)[:, None]
+    return R.T
+
+
 def _shrunk(X: np.ndarray, lam: float | None) -> tuple[np.ndarray, float]:
     """Shrink the sample covariance of X toward its diagonal."""
     cov = sample_covariance(X)
@@ -239,6 +316,12 @@ def build_omega(
 
     if kind == "struc":
         diag = st.summation @ np.ones(st.bottom_dim)
+        idle = sorted({int(i) // st.te.dim for i in np.flatnonzero(diag <= 0)})
+        if idle:
+            raise ValidationError(
+                f"covariance kind 'struc' weights each cell by S 1, which is "
+                f"<= 0 for series {idle}"
+            )
         return CovarianceMatrix(np.diag(diag), spec)
 
     if kind == "wlsv":
@@ -265,11 +348,12 @@ def build_omega(
     if kind in ("shr", "sam"):
         _require_kind(spec, residuals, multi)
         if kind == "sam":
-            return CovarianceMatrix(sample_covariance(residuals), spec)
+            return CovarianceMatrix(None, spec, root=_residual_root(residuals.E))
         values, lam = _shrunk(residuals.E, spec.lam)
         return CovarianceMatrix(values, spec, lambda_used=lam)
 
-    # structured kinds: estimate on a sub-block, shrink, expand
+    # structured kinds: estimate on a sub-block, shrink, expand through F;
+    # unshrunk, F (X'X/N) F' is held as its root F R'
     _require_kind(spec, residuals, multi)
     n_a, n_b = st.cs.n_upper, st.cs.n_bottom
     bottoms = range(n_a, st.n)
@@ -282,10 +366,14 @@ def build_omega(
     else:  # "b"
         data = residuals.columns(bottoms, st.te.factors)
         factor = np.kron(st.cs.summation, np.eye(st.te.dim))
+    if spec.lam == 0.0:
+        return CovarianceMatrix(
+            None, spec, lambda_used=0.0, root=factor @ _residual_root(data)
+        )
     core, lam = _shrunk(data, spec.lam)
-    values = factor @ core @ factor.T
     return CovarianceMatrix(
-        values, spec, lambda_used=lam, factor=factor, core=core
+        factor @ core @ factor.T, spec, lambda_used=lam,
+        root=lambda: factor @ CovarianceMatrix(core, spec).root,
     )
 
 

@@ -140,8 +140,10 @@ class CrossTemporalStructure:
             summation matrices; its columns span the coherent subspace.
         constraints: full-row-rank zero-constraints matrix with
             ``constraints @ summation = 0``.
-        perm: index permutation encoding the commutation matrix P; see
-            :meth:`commutation_dense`.
+        perm: index permutation encoding the commutation matrix P, the
+            one with P[i, perm[i]] = 1 and P @ vec(X) = vec(X') for the
+            n x (m + k_star) observation matrix X (``vec`` stacks
+            columns, so vec(X') is the canonical stacked vector).
 
     ``summation_csr``, ``constraints_csr`` and ``constraints_t_csr``
     (the transpose C') are read-only CSR forms of the two matrices, built
@@ -214,18 +216,6 @@ class CrossTemporalStructure:
         summation matrix expects them (bottom series major, time ascending).
         Computed once per structure; the array is read-only."""
         return self._bottom_hf
-
-    def commutation_dense(self) -> np.ndarray:
-        """Dense commutation matrix P with P @ vec(X) = vec(X').
-
-        ``vec`` stacks columns; X is the n x (m + k_star) observation
-        matrix, so vec(X) is temporal-major and vec(X') is the canonical
-        series-major stacked vector.
-        """
-        d = self.dim
-        P = np.zeros((d, d))
-        P[np.arange(d), self.perm] = 1.0
-        return P
 
     def stack(self, X: np.ndarray) -> np.ndarray:
         """Stack an n x (m + k_star) observation matrix canonically."""

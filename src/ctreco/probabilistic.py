@@ -4,9 +4,11 @@ A sample from the reconciled predictive distribution is obtained by
 reconciling each member of a sample from the incoherent base
 distribution.  Two base samplers are provided:
 
-* Gaussian: draws from N(mean, covariance); when the covariance carries a
-  low-rank factorisation (the structured kinds), draws are generated in
-  the reduced space and expanded through the factor.
+* Gaussian: draws mean + A z from N(mean, A A') through the covariance's
+  root A (d x q).  A covariance built from N residual rows of r columns
+  is held as that root with q = min(N, r), so no d x d matrix is
+  decomposed; for the structured kinds A = F R' lies in the span of the
+  summation factor F.
 * Cross-temporal joint block bootstrap (ctjb): one most-aggregated period
   index is drawn per replicate and the residual blocks of that period for
   every series and every aggregation order, jointly, drive simulated
@@ -102,17 +104,6 @@ def gaussian_reconcile(
     )
 
 
-def _sqrt_factor(cov: CovarianceMatrix) -> np.ndarray:
-    """Matrix R with R R' = covariance (Cholesky, eigen fallback for PSD)."""
-    V = cov.values
-    try:
-        return np.linalg.cholesky(V)
-    except np.linalg.LinAlgError:
-        w, Q = np.linalg.eigh(V)
-        w = np.clip(w, 0.0, None)
-        return Q * np.sqrt(w)
-
-
 def sample_gaussian(
     base: GaussianForecast,
     structure: CrossTemporalStructure,
@@ -121,21 +112,18 @@ def sample_gaussian(
 ) -> ForecastSample:
     """Draw L i.i.d. vectors from the Gaussian base forecast.
 
-    With a factored covariance the noise is generated in the reduced
-    space and mapped through the factor, so for a coherent mean the raw
-    draws are already coherent.
+    Each draw is mean + A z, z ~ N(0, I_q), with A the (d, q) root of
+    the covariance (``CovarianceMatrix.root``).  A residual-built root has
+    q = min(N, r) columns (N residual rows of r columns) and for the
+    structured kinds lies in the span of the summation factor, so for a
+    coherent mean their raw draws are already coherent.
     """
     if L < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
     cov = base.covariance
-    if cov.factor is not None and cov.core is not None:
-        R = _sqrt_factor(CovarianceMatrix(cov.core, cov.spec))
-        z = rng.standard_normal((L, cov.core.shape[0]))
-        draws = base.mean + (z @ R.T) @ cov.factor.T
-    else:
-        R = _sqrt_factor(cov)
-        draws = base.mean + rng.standard_normal((L, cov.dim)) @ R.T
+    A = cov.root
+    draws = base.mean + rng.standard_normal((L, A.shape[1])) @ A.T
     return ForecastSample(
         structure=structure,
         draws=draws,

@@ -109,9 +109,7 @@ def true_covariance(config: SimulationConfig) -> CovarianceMatrix:
         ]
     )
     values = st.summation @ Q @ st.summation.T
-    return CovarianceMatrix(
-        values, CovarianceSpec("hb", lam=0.0), factor=st.summation, core=Q
-    )
+    return CovarianceMatrix(values, CovarianceSpec("hb", lam=0.0))
 
 
 def simulate_dgp(

@@ -6,7 +6,10 @@ Run from the repository root:
 
 It rewrites the inputs under ``tests/goldens/inputs/`` and, for every run
 in ``RUNS``, the files of ``KEPT`` that run writes under
-``tests/goldens/<run>/``.
+``tests/goldens/<run>/``.  With ``--compare DIR`` it writes nothing under
+``tests/goldens/``: it reruns every golden into ``DIR`` from the kept
+inputs and prints, for each golden file, how many cells changed and the
+largest absolute and relative gap of the changed numeric cells.
 ``tests/test_goldens.py`` repeats the runs and compares the bytes, so a
 refactor that must not change any report is checked against them.
 Regenerate only for a change that is meant to alter report bytes, and
@@ -15,6 +18,9 @@ say so with that change.  ``manifest.json`` is not kept: it holds timings.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import shutil
 import sys
@@ -141,7 +147,73 @@ def write_inputs(inputs: Path = INPUTS) -> None:
     )
 
 
-def main_cli() -> int:
+def _cells(path: Path) -> list[str]:
+    """The cells of a kept file: CSV fields row by row, or the scalars of
+    a JSON document in key order."""
+    text = path.read_text()
+    if path.suffix != ".json":
+        return [cell for line in text.splitlines() for cell in line.split(",")]
+
+    def leaves(node):
+        if isinstance(node, dict):
+            return [c for key in sorted(node) for c in leaves(node[key])]
+        if isinstance(node, list):
+            return [c for item in node for c in leaves(item)]
+        return [json.dumps(node)]
+
+    return leaves(json.loads(text))
+
+
+def gap_summary(golden: Path, produced: Path) -> str:
+    """How a produced file differs from its golden, cell by cell."""
+    if not golden.exists() or not produced.exists():
+        return "not in the goldens" if produced.exists() else "not written"
+    if golden.read_bytes() == produced.read_bytes():
+        return "identical"
+    old, new = _cells(golden), _cells(produced)
+    if len(old) != len(new):
+        return f"cell count differs ({len(old)} -> {len(new)})"
+    changed, abs_gap, rel_gap = 0, 0.0, 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        changed += 1
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            continue
+        gap = abs(x - y)
+        abs_gap = max(abs_gap, gap)
+        rel_gap = max(rel_gap, gap / max(abs(x), abs(y)))
+    return (f"{changed} of {len(old)} cells changed, largest gap "
+            f"{abs_gap:.3g} absolute, {rel_gap:.3g} relative")
+
+
+def compare(out_root: Path) -> list[str]:
+    """Rerun every golden into ``out_root`` and describe each kept file's
+    gap from its golden, one line per file."""
+    with contextlib.redirect_stdout(io.StringIO()):  # the paths written
+        run_all(out_root)
+    lines = []
+    for name in RUNS:
+        files = set(kept_files(HERE / name)) | set(kept_files(out_root / name))
+        for file in sorted(files):
+            summary = gap_summary(HERE / name / file, out_root / name / file)
+            lines.append(f"{name}/{file}: {summary}")
+    return lines
+
+
+def main_cli(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--compare", metavar="DIR", type=Path,
+        help="rerun every golden into DIR and print its gaps from the "
+             "goldens instead of rewriting them",
+    )
+    args = parser.parse_args(argv)
+    if args.compare is not None:
+        print("\n".join(compare(args.compare)))
+        return 0
     write_inputs()
     scratch = HERE / "_runs"
     shutil.rmtree(scratch, ignore_errors=True)

@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 Each one is a slower or differently built form of a package routine:
-the projection as a dense d x d matrix and in structural form, the
+the commutation matrix as a dense d x d matrix, the residual-built
+covariances as F core F' (the package holds the unshrunk ones as a
+root), the projection as a dense d x d matrix and in structural form, the
 eigenvalue accept rules that the Cholesky-first checks must agree with,
 and the partly-bottom-up composite as one function that rebuilds its
 inner map on every call.
@@ -21,6 +23,47 @@ from ctreco.reconcile import (
     _cross_sectional_weights,
     bottom_up,
 )
+
+
+def commutation_dense(structure) -> np.ndarray:
+    """Dense commutation matrix P with P @ vec(X) = vec(X'), from the
+    structure's index permutation ``perm``.
+
+    ``vec`` stacks columns; X is the n x (m + k_star) observation matrix,
+    so vec(X) is temporal-major and vec(X') is the canonical series-major
+    stacked vector.
+    """
+    d = structure.dim
+    P = np.zeros((d, d))
+    P[np.arange(d), structure.perm] = 1.0
+    return P
+
+
+def unshrunk_blocks(kind, structure, residuals):
+    """The residual columns X a covariance kind is estimated on and the
+    dense factor F that expands X'X/N to the stacked vector (F = I for
+    ``sam``)."""
+    st = structure
+    bottoms = range(st.cs.n_upper, st.n)
+    if kind == "sam":
+        return residuals.E, np.eye(st.dim)
+    if kind == "hb":
+        return residuals.columns(bottoms, [1]), st.summation
+    if kind == "h":
+        return (residuals.columns(range(st.n), [1]),
+                np.kron(np.eye(st.n), st.te.summation))
+    return (residuals.columns(bottoms, st.te.factors),
+            np.kron(st.cs.summation, np.eye(st.te.dim)))
+
+
+def dense_covariance(kind, structure, residuals, lam) -> np.ndarray:
+    """The covariance as the d x d matrix F core F', core being X'X/N
+    shrunk toward its diagonal by ``lam`` (``sam`` is never shrunk)."""
+    X, F = unshrunk_blocks(kind, structure, residuals)
+    core = X.T @ X / X.shape[0]
+    if kind != "sam":
+        core = lam * np.diag(np.diag(core)) + (1.0 - lam) * core
+    return F @ core @ F.T
 
 
 def covariance_eig_verdict(values: np.ndarray) -> str | None:

