@@ -44,7 +44,7 @@ __all__ = [
 
 FULL_KINDS = ("ols", "struc", "wlsv", "bdshr", "shr", "sam")
 STRUCTURED_KINDS = ("hb", "h", "b")
-_ALIASES = {"g": "shr"}
+_ALIASES = {"g": "sam"}
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ class CovarianceSpec:
     """Which estimator builds the covariance, and how lambda is chosen.
 
     ``lam`` fixes the shrinkage intensity; ``None`` means estimate it.
-    ``"g"`` is accepted as an alias for ``"shr"`` (global shrinkage).
+    ``"g"`` is accepted as an alias for ``"sam"``, as the ``gauss-g``
+    sampler reads it.
     """
 
     kind: str
@@ -397,6 +398,7 @@ def parameter_count(
     kind = _ALIASES.get(kind.lower(), kind.lower())
     sizes = {
         "shr": n * (m + k_star),
+        "sam": n * (m + k_star),
         "hb": n_b * m,
         "h": n * m,
         "b": n_b * (m + k_star),

@@ -158,23 +158,29 @@ def fitted_multistep(model: ARModel, series: np.ndarray, h: int) -> np.ndarray:
         raise ValueError("horizon must be >= 1")
     if h > y.size:
         raise ValueError(f"horizon {h} exceeds series length {y.size}")
+    return _fitted_horizons(model, y, h)[h - 1]
+
+
+def _fitted_horizons(model: ARModel, y: np.ndarray, H: int) -> np.ndarray:
+    """(H, T) array whose row h - 1 holds ``fitted_multistep(model, y, h)``.
+
+    Row h - 1 depends only on the rows above it, so its bits do not depend
+    on H.  ``y`` is a one-dimensional series with 1 <= H <= its length.
+    """
     p = model.order
     T = y.size
-    # preds[s - 1][t] = prediction of y[t] from origin t - s, built by
+    # preds[s - 1, t] = prediction of y[t] from origin t - s, built by
     # chaining the recursion: lags reaching back to the origin or earlier
     # use observed values, nearer lags use already-computed predictions
-    # from the same origin.
-    preds: list[np.ndarray] = []
-    for step in range(1, h + 1):
-        pred = np.full(T, model.intercept)
-        for lag in range(1, p + 1):
-            vals = np.full(T, np.nan)
-            if lag >= step:
-                vals[lag:] = y[: T - lag]
-            else:
-                vals[lag:] = preds[step - lag - 1][: T - lag]
-            pred = pred + model.coefficients[lag - 1] * vals
+    # from the same origin.  Entries before a lag's first source value
+    # fall in the NaN prefix set below, so they are left unset.
+    preds = np.empty((H, T))
+    for step in range(1, H + 1):
+        pred = preds[step - 1]
+        pred[:] = model.intercept
+        for lag in range(1, min(p + 1, T)):  # a lag >= T reaches no entry
+            src = y if lag >= step else preds[step - lag - 1]
+            pred[lag:] += model.coefficients[lag - 1] * src[: T - lag]
         # the origin t - step must have at least p observations available
         pred[: min(step + p - 1, T)] = np.nan
-        preds.append(pred)
-    return preds[h - 1]
+    return preds

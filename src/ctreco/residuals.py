@@ -18,21 +18,26 @@ Three kinds are produced:
 * ``overlapping_multi_step``: multi-step residuals pooled over all phase
   shifts of the aggregation windows, enlarging the row count.
 
-Leading periods whose forecast origin lacks enough history for some
-fitted model are dropped so that E stays rectangular and time-aligned
-across blocks.
+All three come from one window kernel.  A window is a most-aggregated
+period's worth of values starting at some highest-frequency time; its
+row holds, for every (series, order) block, the gap between each value
+and its fitted value at that horizon, read from one all-horizon fitted
+array per block.  Multi-step residuals use the unshifted windows, one per
+period; overlapping ones every shift of them; one-step ones the unshifted
+windows with the one-step fitted value at every horizon.  Windows whose
+origin lacks enough history for some fitted model are dropped before any
+cell is read, so that E stays rectangular and time-aligned across blocks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ctreco.hierarchy import CrossTemporalStructure, temporally_aggregate
-from ctreco.models import ARModel, fit_ar, fitted_multistep
+from ctreco.models import ARModel, _fitted_horizons, fit_ar
 
 __all__ = [
     "ResidualSet",
@@ -174,14 +179,45 @@ def _check_inputs(structure, models, data):
     return N
 
 
-def _row_offset(structure, models) -> int:
-    """Periods to drop so every block's forecast origin has enough history."""
+def _assemble(structure, models, shifted, shifts, n_periods, kind):
+    """Residual rows of the windows of ``n_periods`` periods, one per
+    (period, shift) pair with the shift in ``shifts``, by window origin.
+
+    The window of period tau and shift s starts at highest-frequency time
+    o = tau m + s.  In the order-k series of shift sk = o % k,
+    ``shifted[(i, k, sk)]`` (of equal length for every series i), its h-th
+    value is element t = o // k + h - 1.  A window is kept when it ends
+    inside the sample and every block's model has its ``order`` values
+    before the window (o >= order k).  Each cell holds x[t] - F[h - 1, t],
+    F being the block's all-horizon fitted values; a ``one_step`` cell
+    reads the h = 1 row at every horizon.
+    """
     st = structure
-    off = 0
-    for (i, k), model in models.items():
+    m = st.te.m
+    origins = (np.arange(n_periods)[:, None] * m + np.asarray(shifts)).ravel()
+    history = max(
+        models[(i, k)].order * k for i in range(st.n) for k in st.te.factors
+    )
+    origins = origins[(origins >= history) & (origins <= (n_periods - 1) * m)]
+    if origins.size == 0:
+        raise ValueError("not enough periods to form any residual row")
+    E = np.empty((origins.size, st.dim))
+    for k in st.te.factors:
         Mk = st.te.periods_at(k)
-        off = max(off, math.ceil(model.order / Mk))
-    return off
+        horizons = np.zeros(Mk, int) if kind == "one_step" else np.arange(Mk)
+        for sk in {s % k for s in shifts}:
+            # a basic slice when every window has this phase: it assigns
+            # several times faster than an index array
+            rows = (slice(None) if all(s % k == sk for s in shifts)
+                    else np.flatnonzero(origins % k == sk))
+            T = shifted[(0, k, sk)].size
+            # flat index of cell (h, row) into the (H, T) residual array
+            cells = (horizons * T + np.arange(Mk))[:, None] + origins[rows] // k
+            for i in range(st.n):
+                x = shifted[(i, k, sk)]
+                F = _fitted_horizons(models[(i, k)], x, horizons[-1] + 1)
+                E[rows, st.block_slice(i, k)] = (x - F).take(cells).T
+    return ResidualSet(structure=st, E=E, kind=kind)
 
 
 def assemble_multistep(
@@ -191,21 +227,9 @@ def assemble_multistep(
 ) -> ResidualSet:
     """Multi-step residuals: every value of period tau is predicted from
     the end of period tau - 1, at its own horizon."""
-    st = structure
-    N = _check_inputs(st, models, data)
-    off = _row_offset(st, models)
-    if off >= N:
-        raise ValueError("not enough periods to form any residual row")
-    E = np.empty((N - off, st.dim))
-    for (i, k), series in data.items():
-        Mk = st.te.periods_at(k)
-        block = np.empty((N - off, Mk))
-        for h in range(1, Mk + 1):
-            fitted = fitted_multistep(models[(i, k)], series, h=h)
-            targets = np.arange(off, N) * Mk + h - 1
-            block[:, h - 1] = series[targets] - fitted[targets]
-        E[:, st.block_slice(i, k)] = block
-    return ResidualSet(structure=st, E=E, kind="multi_step")
+    N = _check_inputs(structure, models, data)
+    shifted = {(i, k, 0): x for (i, k), x in data.items()}
+    return _assemble(structure, models, shifted, (0,), N, "multi_step")
 
 
 def assemble_onestep(
@@ -214,18 +238,9 @@ def assemble_onestep(
     data: dict[LevelKey, np.ndarray],
 ) -> ResidualSet:
     """Ordinary one-step residuals arranged by target time."""
-    st = structure
-    N = _check_inputs(st, models, data)
-    off = _row_offset(st, models)
-    if off >= N:
-        raise ValueError("not enough periods to form any residual row")
-    E = np.empty((N - off, st.dim))
-    for (i, k), series in data.items():
-        Mk = st.te.periods_at(k)
-        fitted = fitted_multistep(models[(i, k)], series, h=1)
-        res = series - fitted
-        E[:, st.block_slice(i, k)] = res[off * Mk :].reshape(N - off, Mk)
-    return ResidualSet(structure=st, E=E, kind="one_step")
+    N = _check_inputs(structure, models, data)
+    shifted = {(i, k, 0): x for (i, k), x in data.items()}
+    return _assemble(structure, models, shifted, (0,), N, "one_step")
 
 
 def overlapping_series(series: np.ndarray, k: int, s: int) -> np.ndarray:
@@ -261,49 +276,11 @@ def assemble_overlapping(
     n, T = hf.shape
     if n != st.n or T % m:
         raise ValueError("hf panel must be (n, T) with m dividing T")
-    N = T // m
-
-    shifted: dict[tuple[int, int, int], np.ndarray] = {}
-    fitted_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
-    for i in range(n):
-        for k in st.te.factors:
-            for sk in range(k):
-                shifted[(i, k, sk)] = overlapping_series(hf[i], k, sk)
-
-    def fitted_for(i, k, sk, h):
-        key = (i, k, sk, h)
-        if key not in fitted_cache:
-            fitted_cache[key] = fitted_multistep(
-                models[(i, k)], shifted[(i, k, sk)], h=h
-            )
-        return fitted_cache[key]
-
-    rows = []
-    for tau in range(N):
-        for s in range(m):
-            if s > 0 and tau >= N - 1:
-                continue  # shifted window runs past the sample
-            row = np.empty(st.dim)
-            ok = True
-            for i in range(n):
-                for k in st.te.factors:
-                    Mk = st.te.periods_at(k)
-                    sk = s % k
-                    j0 = (tau * m + s - sk) // k
-                    x = shifted[(i, k, sk)]
-                    if j0 < models[(i, k)].order or j0 + Mk > x.size:
-                        ok = False
-                        break
-                    for h in range(1, Mk + 1):
-                        fitted = fitted_for(i, k, sk, h)
-                        t = j0 + h - 1
-                        row[st.index_of(i, k, h - 1)] = x[t] - fitted[t]
-                if not ok:
-                    break
-            if ok:
-                rows.append(row)
-    if not rows:
-        raise ValueError("not enough periods to form any residual row")
-    return ResidualSet(
-        structure=st, E=np.asarray(rows), kind="overlapping_multi_step"
-    )
+    shifted = {
+        (i, k, sk): overlapping_series(hf[i], k, sk)
+        for i in range(n)
+        for k in st.te.factors
+        for sk in range(k)
+    }
+    return _assemble(st, models, shifted, range(m), T // m,
+                     "overlapping_multi_step")

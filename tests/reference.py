@@ -11,6 +11,8 @@ inner map on every call.
 compared on.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from ctreco.reconcile import (
     _cross_sectional_weights,
     bottom_up,
 )
+from ctreco.residuals import ResidualSet, _check_inputs, overlapping_series
 
 
 def commutation_dense(structure) -> np.ndarray:
@@ -205,3 +208,124 @@ def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None)
         out = b_hf.reshape(-1, st.bottom_dim) @ st.summation.T
     return out[0] if single else out
 
+
+
+def fitted_multistep_loop(model, series, h) -> np.ndarray:
+    """h-step-ahead fitted values by the recursion over horizons 1..h,
+    with every unavailable lag held as NaN."""
+    y = np.asarray(series, dtype=float)
+    p = model.order
+    T = y.size
+    preds: list[np.ndarray] = []
+    for step in range(1, h + 1):
+        pred = np.full(T, model.intercept)
+        for lag in range(1, p + 1):
+            vals = np.full(T, np.nan)
+            if lag >= step:
+                vals[lag:] = y[: T - lag]
+            else:
+                vals[lag:] = preds[step - lag - 1][: T - lag]
+            pred = pred + model.coefficients[lag - 1] * vals
+        pred[: min(step + p - 1, T)] = np.nan
+        preds.append(pred)
+    return preds[h - 1]
+
+
+def _row_offset(structure, models) -> int:
+    """Periods to drop so every block's forecast origin has enough history."""
+    st = structure
+    off = 0
+    for (i, k), model in models.items():
+        Mk = st.te.periods_at(k)
+        off = max(off, math.ceil(model.order / Mk))
+    return off
+
+
+def assemble_multistep_loop(structure, models, data) -> ResidualSet:
+    """Multi-step residuals, one fitted series per (block, horizon)."""
+    st = structure
+    N = _check_inputs(st, models, data)
+    off = _row_offset(st, models)
+    if off >= N:
+        raise ValueError("not enough periods to form any residual row")
+    E = np.empty((N - off, st.dim))
+    for (i, k), series in data.items():
+        Mk = st.te.periods_at(k)
+        block = np.empty((N - off, Mk))
+        for h in range(1, Mk + 1):
+            fitted = fitted_multistep_loop(models[(i, k)], series, h=h)
+            targets = np.arange(off, N) * Mk + h - 1
+            block[:, h - 1] = series[targets] - fitted[targets]
+        E[:, st.block_slice(i, k)] = block
+    return ResidualSet(structure=st, E=E, kind="multi_step")
+
+
+def assemble_onestep_loop(structure, models, data) -> ResidualSet:
+    """One-step residuals, one block at a time."""
+    st = structure
+    N = _check_inputs(st, models, data)
+    off = _row_offset(st, models)
+    if off >= N:
+        raise ValueError("not enough periods to form any residual row")
+    E = np.empty((N - off, st.dim))
+    for (i, k), series in data.items():
+        Mk = st.te.periods_at(k)
+        res = series - fitted_multistep_loop(models[(i, k)], series, h=1)
+        E[:, st.block_slice(i, k)] = res[off * Mk :].reshape(N - off, Mk)
+    return ResidualSet(structure=st, E=E, kind="one_step")
+
+
+def assemble_overlapping_loop(structure, models, hf) -> ResidualSet:
+    """Overlapping multi-step residuals, one cell at a time over
+    (period, shift, series, order, horizon)."""
+    st = structure
+    hf = np.asarray(hf, dtype=float)
+    m = st.te.m
+    n, T = hf.shape
+    N = T // m
+    shifted = {
+        (i, k, sk): overlapping_series(hf[i], k, sk)
+        for i in range(n)
+        for k in st.te.factors
+        for sk in range(k)
+    }
+    fitted_cache = {}
+
+    def fitted_for(i, k, sk, h):
+        key = (i, k, sk, h)
+        if key not in fitted_cache:
+            fitted_cache[key] = fitted_multistep_loop(
+                models[(i, k)], shifted[(i, k, sk)], h=h
+            )
+        return fitted_cache[key]
+
+    rows = []
+    for tau in range(N):
+        for s in range(m):
+            if s > 0 and tau >= N - 1:
+                continue  # shifted window runs past the sample
+            row = np.empty(st.dim)
+            ok = True
+            for i in range(n):
+                for k in st.te.factors:
+                    Mk = st.te.periods_at(k)
+                    sk = s % k
+                    j0 = (tau * m + s - sk) // k
+                    x = shifted[(i, k, sk)]
+                    if j0 < models[(i, k)].order or j0 + Mk > x.size:
+                        ok = False
+                        break
+                    for h in range(1, Mk + 1):
+                        t = j0 + h - 1
+                        row[st.index_of(i, k, h - 1)] = (
+                            x[t] - fitted_for(i, k, sk, h)[t]
+                        )
+                if not ok:
+                    break
+            if ok:
+                rows.append(row)
+    if not rows:
+        raise ValueError("not enough periods to form any residual row")
+    return ResidualSet(
+        structure=st, E=np.asarray(rows), kind="overlapping_multi_step"
+    )

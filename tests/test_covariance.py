@@ -143,8 +143,8 @@ class TestBuildOmegaBasic:
         np.testing.assert_allclose(shr0.values, sam.values)
         np.testing.assert_allclose(shr1.values, np.diag(np.diag(sam.values)))
 
-    def test_g_is_alias_for_shr(self):
-        assert CovarianceSpec("g").kind == "shr"
+    def test_g_is_alias_for_sam(self):
+        assert CovarianceSpec("g").kind == "sam"
 
     def test_sam_matches_definition(self):
         st = semi_annual()

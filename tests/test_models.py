@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
-from ctreco.models import ARModel, fit_ar, fitted_multistep, forecast, simulate_path
+from ctreco.models import (
+    ARModel,
+    _fitted_horizons,
+    fit_ar,
+    fitted_multistep,
+    forecast,
+    simulate_path,
+)
+from reference import fitted_multistep_loop
 
 
 def simulate_ar2(rng, phi, sigma, T, burn=200):
@@ -107,6 +117,32 @@ class TestFittedMultistep:
         model = ARModel(0, np.array([]), 0.0, 1.0)
         with pytest.raises(ValueError):
             fitted_multistep(model, np.ones(3), h=4)
+
+    @given(
+        p=hst.integers(0, 6),  # orders above T - 1 leave every entry NaN
+        T=hst.integers(1, 30),
+        seed=hst.integers(0, 2**32 - 1),
+        data=hst.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_all_horizons_match_each_horizon_and_simulation(self, p, T, seed, data):
+        H = data.draw(hst.integers(1, T))
+        rng = np.random.default_rng(seed)
+        model = ARModel(p, rng.normal(scale=0.6, size=p), rng.normal(), 1.0)
+        y = rng.normal(scale=10.0, size=T)
+        F = _fitted_horizons(model, y, H)
+        for h in range(1, H + 1):
+            fitted = fitted_multistep(model, y, h)
+            assert F[h - 1].tobytes() == fitted.tobytes()
+            if p < T:  # the loop raises on some lags past the series end
+                loop = fitted_multistep_loop(model, y, h)
+                assert fitted.tobytes() == loop.tobytes()
+            # from every origin with p observations, the zero-shock path
+            # ends at the fitted value
+            for t in range(h + p - 1, T):
+                path = simulate_path(model, y[: t - h + 1], h, np.zeros(h))
+                assert abs(path[-1] - fitted[t]) <= 1e-12 * max(1.0, abs(path[-1]))
+            assert np.isnan(fitted[: min(h + p - 1, T)]).all()
 
     def test_one_step_residuals_white_multistep_not(self):
         # h=1 residuals pass a Ljung-Box whiteness check; h=2 residuals

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.models import ARModel
@@ -13,6 +15,11 @@ from ctreco.residuals import (
     assemble_overlapping,
     fit_level_models,
     overlapping_series,
+)
+from reference import (
+    assemble_multistep_loop,
+    assemble_onestep_loop,
+    assemble_overlapping_loop,
 )
 
 
@@ -211,6 +218,57 @@ class TestAssembleOverlapping:
         # variance of the bottom DGPs
         v = over.block(1, 1)[:, 0].var()
         assert abs(v - 1.0) < 0.15
+
+
+class TestWindowKernel:
+    """The three assemblers against the per-cell loops they replaced."""
+
+    @given(data=hst.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_loops_byte_for_byte(self, data, scoring_cases):
+        agg, m, _, seed, _, _ = data.draw(scoring_cases)
+        st = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
+        # up to 10 periods against AR orders up to 3: leading rows, or all
+        # of them, lack history
+        N = data.draw(hst.integers(1, 10))
+        keys = [(i, k) for i in range(st.n) for k in st.te.factors]
+        orders = data.draw(
+            hst.lists(hst.integers(0, 3), min_size=len(keys), max_size=len(keys))
+        )
+        rng = np.random.default_rng(seed)
+        models = {
+            key: ARModel(p, rng.normal(scale=0.5, size=p), rng.normal(), 1.0)
+            for key, p in zip(keys, orders)
+        }
+        hf = st.cs.summation @ rng.normal(size=(st.cs.n_bottom, N * m))
+        levels = aggregate_levels(st, hf)
+        pairs = (
+            (assemble_multistep, assemble_multistep_loop, levels),
+            (assemble_onestep, assemble_onestep_loop, levels),
+            (assemble_overlapping, assemble_overlapping_loop, hf),
+        )
+        got = {}
+        for kernel, loop, inputs in pairs:
+            try:
+                want = loop(st, models, inputs)
+            except ValueError as exc:
+                assert str(exc) == "not enough periods to form any residual row"
+                with pytest.raises(ValueError) as raised:
+                    kernel(st, models, inputs)
+                assert str(raised.value) == str(exc)
+                continue
+            rs = kernel(st, models, inputs)
+            assert rs.kind == want.kind and rs.E.shape == want.E.shape
+            assert rs.E.tobytes() == want.E.tobytes()
+            got[rs.kind] = rs
+        # each needs (N - 1) m >= order * k for every block, so the three
+        # raise together
+        assert len(got) in (0, 3)
+        if got:
+            # every m-th row from the last is the unshifted window
+            over = got["overlapping_multi_step"].E
+            multi = got["multi_step"].E
+            assert over[::-m][::-1].tobytes() == multi.tobytes()
 
 
 class TestResidualSetValidation:
