@@ -294,6 +294,14 @@ def _h1_matrix(residuals: ResidualSet, k: int) -> np.ndarray:
     )
 
 
+def _factor_blocks(kind: str, structure: CrossTemporalStructure):
+    """The factor F = F_cs (x) F_te of a structured kind, as its two blocks:
+    the summation matrix of each dimension F aggregates, None (an identity)
+    for each it keeps.  ``hb`` aggregates both, ``h`` time, ``b`` series."""
+    return (structure.cs.summation if kind in ("hb", "b") else None,
+            structure.te.summation if kind in ("hb", "h") else None)
+
+
 def build_omega(
     spec: CovarianceSpec,
     structure: CrossTemporalStructure,
@@ -353,20 +361,14 @@ def build_omega(
         values, lam = _shrunk(residuals.E, spec.lam)
         return CovarianceMatrix(values, spec, lambda_used=lam)
 
-    # structured kinds: estimate on a sub-block, shrink, expand through F;
-    # unshrunk, F (X'X/N) F' is held as its root F R'
+    # structured kinds: estimate on the cells F spans, shrink, expand
+    # through F; unshrunk, F (X'X/N) F' is held as its root F R'
     _require_kind(spec, residuals, multi)
-    n_a, n_b = st.cs.n_upper, st.cs.n_bottom
-    bottoms = range(n_a, st.n)
-    if kind == "hb":
-        data = residuals.columns(bottoms, [1])
-        factor = st.summation
-    elif kind == "h":
-        data = residuals.columns(range(st.n), [1])
-        factor = np.kron(np.eye(st.n), st.te.summation)
-    else:  # "b"
-        data = residuals.columns(bottoms, st.te.factors)
-        factor = np.kron(st.cs.summation, np.eye(st.te.dim))
+    S_cs, S_te = _factor_blocks(kind, st)
+    series = range(0 if S_cs is None else st.cs.n_upper, st.n)
+    data = residuals.columns(series, st.te.factors if S_te is None else [1])
+    factor = np.kron(np.eye(st.n) if S_cs is None else S_cs,
+                     np.eye(st.te.dim) if S_te is None else S_te)
     if spec.lam == 0.0:
         return CovarianceMatrix(
             None, spec, lambda_used=0.0, root=factor @ _residual_root(data)

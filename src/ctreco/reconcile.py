@@ -11,25 +11,22 @@ form through the sparse C, and a map is applied as ``S (G x)`` with the
 sparse S, so the d x d matrix M is formed only when a caller reads
 ``ReconciliationMap.M``.
 
-Every linear solve factors its matrix A (``C Omega C'`` or the inner
-``C W C'`` of a composite) by Cholesky, A = R'R, and accepts the factor
-when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on
-the 2-norm condition number of A (||A||_2 <= ||A||_1 for symmetric A,
-and ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a decade under the
-1e12 limit.  When the factorisation fails or the bound is larger, the
+Every linear solve factors its matrix A (``C Omega C'``, the reduced
+``C Q C'`` or a composite's inner ``C W C'``) by Cholesky, A = R'R, and
+accepts the factor when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is
+an upper bound on the 2-norm condition number of A (||A||_2 <= ||A||_1
+for symmetric A, and ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a
+decade under the 1e12 limit.  When the factorisation fails or the bound is larger, the
 eigenvalues of A decide: A is rejected as numerically singular, with
 ``NumericalError`` naming the covariance kind, when its smallest
 eigenvalue is not positive or its eigenvalue ratio exceeds 1e12.  So a
 matrix is accepted exactly when the eigenvalue rule accepts it.
 
-The structured covariances (``hb``, ``h``, ``b``) are rank deficient by
-construction, so ``C Omega C'`` is singular for them at any shrinkage
-intensity.  For those kinds a small relative diagonal ridge is added
-before projecting, which yields the well-defined limit of the projection
-as the ridge vanishes (for ``hb`` that limit is exactly the ols
-projection, since the ridge is the only incoherent component).  Their
-ridged M is off coherence by up to about 1e-6, so it is not S G: these
-kinds keep the dense M, built and applied as ``x M'``.
+The structured covariances (``hb``, ``h``, ``b``), Omega = F Q F', are
+singular; their map is the limit of the map at Omega + eps I as eps -> 0,
+G = G_Q F^+: G_Q reconciles a = F^+ x with Q in the reduced space S = F T,
+T constrained by C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing
+(``hb``, whose G = S^+ is the ``ols`` map).
 
 Besides the optimal map, the classic composites are provided: plain
 bottom-up, the two partly-bottom-up schemes (one-dimensional
@@ -44,11 +41,13 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from ctreco.covariance import (
     STRUCTURED_KINDS,
     CovarianceMatrix,
     CovarianceSpec,
+    _factor_blocks,
     _h1_matrix,
     _shrunk,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "set_negative_to_zero",
 ]
 
-_RIDGE = 1e-8  # relative ridge for the rank-deficient structured kinds
 _MAX_COND = 1e12
 _COND_BOUND = 1e11  # a factor bounded by this is accepted without eigenvalues
 
@@ -79,33 +77,23 @@ class ReconciliationMap:
     ``M S = S`` and ``M M = M`` all hold (to solver precision).  The map
     holds ``G``, the (bottom_dim, dim) matrix giving the reconciled
     high-frequency bottom cells, and is applied as ``S (G x)``; ``M`` is
-    derived as S G on first use and kept.  A ridged structured kind
-    (``hb``, ``h``, ``b``) holds its dense map as ``ridged_M`` instead,
-    with ``G`` None, because its ridged M is not exactly S G.
+    derived as S G on first use and kept.
     """
 
     structure: CrossTemporalStructure
     omega: CovarianceMatrix
-    G: np.ndarray | None = field(default=None, repr=False)
-    ridged_M: np.ndarray | None = field(default=None, repr=False)
+    G: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if (self.G is None) == (self.ridged_M is None):
-            raise ValueError("give exactly one of G and ridged_M")
-        st = self.structure
-        name = "ridged_M" if self.G is None else "G"
-        rows = st.dim if self.G is None else st.bottom_dim
-        a = np.asarray(getattr(self, name), dtype=float)
-        if a.shape != (rows, st.dim):
-            raise ValueError(f"{name} has wrong shape {a.shape}")
-        a.flags.writeable = False
-        object.__setattr__(self, name, a)
+        G = np.asarray(self.G, dtype=float)
+        if G.shape != (self.structure.bottom_dim, self.structure.dim):
+            raise ValueError(f"G has wrong shape {G.shape}")
+        G.flags.writeable = False
+        object.__setattr__(self, "G", G)
 
     @cached_property
     def M(self) -> np.ndarray:
-        """The d x d map, S G (or the ridged dense map)."""
-        if self.G is None:
-            return self.ridged_M
+        """The d x d map, S G."""
         M = self.structure.summation_csr @ self.G
         M.flags.writeable = False
         return M
@@ -114,25 +102,25 @@ class ReconciliationMap:
         return reconcile_point(self, xhat)
 
 
-def _checked_cho_factor(A: np.ndarray, what: str, kind: str):
-    """Cholesky factor of A, or NumericalError if A is numerically singular.
+def _checked_cho_factor(A: np.ndarray, what: str, kind: str) -> np.ndarray:
+    """R^{-1} (upper triangular) for the Cholesky factor R'R = A, or
+    NumericalError if A is numerically singular.
 
-    Returns ``(cho, R_inv)``: ``cho`` as ``scipy.linalg.cho_factor``
-    returns it, with A = R'R, and R_inv = R^{-1} (upper triangular), which
-    the condition bound ||A||_1 ||R^{-1}||_F^2 needs anyway.  A factor
-    whose bound is at most ``_COND_BOUND`` is accepted as it is;
-    otherwise the eigenvalue rule decides (module docstring).
+    R^{-1} gives both the condition bound ||A||_1 ||R^{-1}||_F^2 and the
+    solve, A^{-1} = R^{-1} R^{-T}.  A factor whose bound is at most
+    ``_COND_BOUND`` is accepted as it is; otherwise the eigenvalue rule
+    decides (module docstring).
     """
     try:
-        cho = scipy.linalg.cho_factor(A)
+        R = scipy.linalg.cho_factor(A)[0]
     except scipy.linalg.LinAlgError as exc:
-        cho, failure = None, exc
-    if cho is not None:
-        R_inv, info = scipy.linalg.lapack.dtrtri(cho[0], lower=0)
+        R, failure = None, exc
+    if R is not None:
+        R_inv, info = scipy.linalg.lapack.dtrtri(R, lower=0)
         R_inv = np.triu(R_inv)
         bound = np.inf if info != 0 else np.linalg.norm(A, 1) * np.sum(R_inv**2)
         if bound <= _COND_BOUND:
-            return cho, R_inv
+            return R_inv
     eig = np.linalg.eigvalsh(A)
     if eig[0] <= 0 or eig[-1] / eig[0] > _MAX_COND:
         cond = np.inf if eig[0] <= 0 else eig[-1] / eig[0]
@@ -140,61 +128,70 @@ def _checked_cho_factor(A: np.ndarray, what: str, kind: str):
             f"{what} is numerically singular for covariance kind "
             f"{kind!r} (condition number {cond:.2e})"
         )
-    if cho is None:  # pragma: no cover
+    if R is None:  # pragma: no cover
         raise NumericalError(f"{what} failed to factor: {failure}") from failure
-    return cho, R_inv
+    return R_inv
+
+
+def _zero_constrained(C, C_t, Omega, keep, what: str, kind: str) -> np.ndarray:
+    """Rows ``keep`` of I - Omega C' (C Omega C')^{-1} C, computed as
+    E_keep - (C Omega)'[keep] R^{-1} R^{-T} C with R'R = C Omega C'; C and
+    its transpose ``C_t`` may be sparse, ``what`` names C Omega C'."""
+    if C.shape[0] == 0:  # no constraints: every vector is coherent
+        return np.eye(Omega.shape[0])[keep]
+    CO = C @ Omega
+    R_inv = _checked_cho_factor(C @ CO.T, what, kind)
+    W = (CO[:, keep].T @ R_inv) @ R_inv.T  # (C Omega)'[keep] (C Omega C')^{-1}
+    G = -(C_t @ W.T).T
+    G[np.arange(keep.size), keep] += 1.0
+    return G
 
 
 def build_projection(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
-    """Optimal projection map for a given covariance, in structural form.
+    """Optimal projection map for a given covariance, held as G.
 
-    With R'R = C Omega C', the rows of M at the bottom high-frequency
-    cells (bhf) are G = E_bhf - (C Omega)'[bhf] R^{-1} R^{-T} C, where
-    E_bhf selects those cells; every product with C goes through its CSR
-    form.  The ridged structured kinds are built densely by
-    ``_ridged_projection``.  Each call computes a new map; callers that
-    apply one covariance more than once keep the returned map.
+    A full kind's G is the rows of I - Omega C' (C Omega C')^{-1} C at the
+    bottom high-frequency cells, through the cached CSR forms of C; a
+    structured kind's is ``_structured_map``.  Each call computes a new
+    map; callers that apply one covariance more than once keep it.
     """
-    kind = omega.spec.kind
+    st, kind = structure, omega.spec.kind
     if kind in STRUCTURED_KINDS:
-        return _ridged_projection(structure, omega)
-    C = structure.constraints_csr
-    CO = C @ omega.values
-    _, R_inv = _checked_cho_factor(C @ CO.T, "C Omega C'", kind)
-    bhf = structure.bottom_hf_indices()
-    W = (CO[:, bhf].T @ R_inv) @ R_inv.T  # (C Omega)'[bhf] (C Omega C')^{-1}
-    G = -(structure.constraints_t_csr @ W.T).T
-    G[np.arange(bhf.size), bhf] += 1.0
-    return ReconciliationMap(structure=structure, omega=omega, G=G)
+        G = _structured_map(st, omega)
+    else:
+        G = _zero_constrained(st.constraints_csr, st.constraints_t_csr,
+                              omega.values, st.bottom_hf_indices(),
+                              "C Omega C'", kind)
+    return ReconciliationMap(structure=st, omega=omega, G=G)
 
 
-def _ridged_projection(
-    structure: CrossTemporalStructure, omega: CovarianceMatrix
-) -> ReconciliationMap:
-    """Dense M = I - Omega_r C' (C Omega_r C')^{-1} C for a structured kind,
-    Omega_r being Omega plus a relative diagonal ridge.
-
-    Kept byte for byte as before the structural form: these maps miss
-    coherence by up to about 1e-6, and any change of arithmetic moves
-    them by as much.
-    ROADMAP item 4 deletes this path when the ridge is retired.
-    """
-    Om = omega.values
-    ridge = _RIDGE * np.trace(Om) / Om.shape[0]
-    Om = Om + ridge * np.eye(Om.shape[0])
-    C = structure.constraints
-    CO = C @ Om
-    cho, _ = _checked_cho_factor(CO @ C.T, "C Omega C'", omega.spec.kind)
-    M = np.eye(structure.dim) - CO.T @ scipy.linalg.cho_solve(cho, C)
-    return ReconciliationMap(structure=structure, omega=omega, ridged_M=M)
+def _structured_map(st: CrossTemporalStructure, omega: CovarianceMatrix):
+    """G = G_Q F^+ for a structured kind (module docstring): F^+ is the
+    Kronecker product of the blocks' pseudo-inverses, Q = F^+ Omega F^+',
+    and G_Q keeps the reduced cells of the high-frequency bottoms."""
+    kind, te, n_b = omega.spec.kind, st.te, st.cs.n_bottom
+    S_cs, S_te = _factor_blocks(kind, st)
+    F_pinv = scipy.sparse.kron(
+        np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs),
+        np.eye(te.dim) if S_te is None else np.linalg.pinv(S_te), format="csr",
+    )
+    if S_cs is None:  # h: cells (series, period) under C_cs (x) I_m
+        C = scipy.sparse.kron(st.cs.constraints, np.eye(te.m), format="csr")
+        keep = np.arange(st.cs.n_upper * te.m, st.n * te.m)
+    elif S_te is None:  # b: cells (bottom series, temporal cell) under I (x) C_te
+        C = scipy.sparse.kron(np.eye(n_b), te.constraints, format="csr")
+        keep = (np.arange(n_b)[:, None] * te.dim + np.arange(te.k_star, te.dim)).ravel()
+    else:  # hb: T = I, nothing to reconcile
+        return F_pinv.toarray()
+    Q = F_pinv @ (F_pinv @ omega.values).T
+    G_Q = _zero_constrained(C, C.T.tocsr(), Q, keep, "C Q C'", kind)
+    return (F_pinv.T @ G_Q.T).T
 
 
 def _apply_unchecked(rec_map: ReconciliationMap, x: np.ndarray) -> np.ndarray:
     """The map applied to a (dim,) vector or (L, dim) block, unchecked."""
-    if rec_map.G is None:
-        return x @ rec_map.ridged_M.T
     return bottom_up(rec_map.structure, (rec_map.G @ x.T).T)
 
 
@@ -251,11 +248,12 @@ def composite_map(
 ):
     """Build a two-step composite once; return the function applying it.
 
-    The inner map -- the cross-sectional ``M_cs`` or one temporal ``M_te``
-    per bottom series -- is built here, so a caller reconciling several
-    draw blocks with one composite builds it once.  The returned function
-    takes a stacked vector or an (L, dim) block and returns what
-    ``partly_bottom_up`` returns for it.
+    The inner map -- the bottom rows of the cross-sectional M_cs, or the
+    high-frequency rows of one temporal M_te per bottom series -- is
+    built here, so a caller reconciling several draw blocks with one
+    composite builds it once.  The returned function takes a stacked
+    vector or an (L, dim) block and returns what ``partly_bottom_up``
+    returns for it.
     """
     st = structure
     n, n_a = st.n, st.cs.n_upper
@@ -271,10 +269,9 @@ def composite_map(
     elif mode == "cs_then_te_bu":
         W = _cross_sectional_weights(inner_spec, st, residuals)
         C = st.cs.constraints
-        CW = C @ W
-        cho, _ = _checked_cho_factor(CW @ C.T, "C W C'", inner_spec.kind)
-        M_cs = np.eye(n) - CW.T @ scipy.linalg.cho_solve(cho, C)
-        M_b = M_cs[n_a:]
+        M_b = _zero_constrained(
+            C, C.T, W, np.arange(n_a, n), "C W C'", inner_spec.kind
+        )
         hf_cols = np.array(
             [st.index_of(i, 1, j) for i in range(n) for j in range(m)]
         )
@@ -298,14 +295,13 @@ def composite_map(
             raise ValueError(
                 f"unsupported inner temporal covariance {inner_spec.kind!r}"
             )
-        M_te = []
-        for i in range(n_a, n):
-            COm = C_te * diags[i]  # C @ diag(d)
-            cho, _ = _checked_cho_factor(
-                COm @ C_te.T, "C Omega C'", inner_spec.kind
+        hf = np.arange(k_star, st.te.dim)
+        M_te = [
+            _zero_constrained(
+                C_te, C_te.T, np.diag(diags[i]), hf, "C Omega C'", inner_spec.kind
             )
-            M = np.eye(st.te.dim) - COm.T @ scipy.linalg.cho_solve(cho, C_te)
-            M_te.append(M[k_star:])  # the high-frequency rows
+            for i in range(n_a, n)
+        ]
 
         def reconcile_hf(X):
             Xmat = X.reshape(-1, n, st.te.dim)

@@ -3,7 +3,9 @@
 Each one is a slower or differently built form of a package routine:
 the commutation matrix as a dense d x d matrix, the residual-built
 covariances as F core F' (the package holds the unshrunk ones as a
-root), the projection as a dense d x d matrix and in structural form, the
+root), the projection as a dense d x d matrix (also at a ridged Omega,
+the form the structured kinds had before their exact limit) and in
+structural form, the structured kinds' limit map in structural form, the
 eigenvalue accept rules that the Cholesky-first checks must agree with,
 and the partly-bottom-up composite as one function that rebuilds its
 inner map on every call.
@@ -17,9 +19,8 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from ctreco.covariance import STRUCTURED_KINDS
+from ctreco.exceptions import NumericalError
 from ctreco.reconcile import (
-    _RIDGE,
     ReconciliationMap,
     _checked_cho_factor,
     _cross_sectional_weights,
@@ -42,6 +43,16 @@ def commutation_dense(structure) -> np.ndarray:
     return P
 
 
+def dense_factor(kind, structure) -> np.ndarray:
+    """The dense factor F of a structured kind, Omega = F Q F'."""
+    st = structure
+    if kind == "hb":
+        return st.summation
+    if kind == "h":
+        return np.kron(np.eye(st.n), st.te.summation)
+    return np.kron(st.cs.summation, np.eye(st.te.dim))
+
+
 def unshrunk_blocks(kind, structure, residuals):
     """The residual columns X a covariance kind is estimated on and the
     dense factor F that expands X'X/N to the stacked vector (F = I for
@@ -51,12 +62,12 @@ def unshrunk_blocks(kind, structure, residuals):
     if kind == "sam":
         return residuals.E, np.eye(st.dim)
     if kind == "hb":
-        return residuals.columns(bottoms, [1]), st.summation
-    if kind == "h":
-        return (residuals.columns(range(st.n), [1]),
-                np.kron(np.eye(st.n), st.te.summation))
-    return (residuals.columns(bottoms, st.te.factors),
-            np.kron(st.cs.summation, np.eye(st.te.dim)))
+        X = residuals.columns(bottoms, [1])
+    elif kind == "h":
+        X = residuals.columns(range(st.n), [1])
+    else:
+        X = residuals.columns(bottoms, st.te.factors)
+    return X, dense_factor(kind, st)
 
 
 def dense_covariance(kind, structure, residuals, lam) -> np.ndarray:
@@ -127,35 +138,60 @@ def spectral_matrices(draw):
     return 0.5 * (V + V.T), kind
 
 
-def _solve_weights(omega) -> np.ndarray:
-    """Omega values, with the package's relative diagonal ridge for the
-    structurally rank-deficient kinds."""
-    Om = omega.values
-    if omega.spec.kind in STRUCTURED_KINDS:
-        ridge = _RIDGE * np.trace(Om) / Om.shape[0]
-        Om = Om + ridge * np.eye(Om.shape[0])
-    return Om
+RIDGE = 1e-8  # relative ridge the structured kinds were once solved with
 
 
-def build_projection_dense(structure, omega) -> np.ndarray:
+def _cho_solve(A, B, what, kind):
+    """A^{-1} B by a Cholesky solve, once the package's accept rule has
+    accepted A (so a rejection raises the package's NumericalError)."""
+    _checked_cho_factor(A, what, kind)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), B)
+
+
+def build_projection_dense(structure, omega, ridge=0.0) -> np.ndarray:
     """The optimal map as a dense matrix, M = I - Omega C' (C Omega C')^-1 C,
-    from the dense C (the package's builder before the structural form)."""
+    from the dense C (the package's builder before the structural form).
+
+    ``ridge`` > 0 adds ridge * tr(Omega) / d to the diagonal of Omega
+    first; at ``RIDGE`` this is how the structured kinds were built before
+    their exact limit."""
+    Om = omega.values
+    if ridge:
+        Om = Om + ridge * np.trace(Om) / Om.shape[0] * np.eye(Om.shape[0])
     C = structure.constraints
-    CO = C @ _solve_weights(omega)
-    cho, _ = _checked_cho_factor(CO @ C.T, "C Omega C'", omega.spec.kind)
-    return np.eye(structure.dim) - CO.T @ scipy.linalg.cho_solve(cho, C)
+    CO = C @ Om
+    return np.eye(structure.dim) - CO.T @ _cho_solve(
+        CO @ C.T, C, "C Omega C'", omega.spec.kind
+    )
 
 
 def build_projection_structural(structure, omega) -> ReconciliationMap:
     """The optimal map in structural form, M = S (S' Omega^-1 S)^-1 S' Omega^-1."""
     S = structure.summation
-    Om = _solve_weights(omega)
-    cho, _ = _checked_cho_factor(Om, "Omega", omega.spec.kind)
-    Oinv_S = scipy.linalg.cho_solve(cho, S)
-    inner = S.T @ Oinv_S
-    cho_inner, _ = _checked_cho_factor(inner, "S' Omega^-1 S", omega.spec.kind)
-    G = scipy.linalg.cho_solve(cho_inner, Oinv_S.T)
+    kind = omega.spec.kind
+    Oinv_S = _cho_solve(omega.values, S, "Omega", kind)
+    G = _cho_solve(S.T @ Oinv_S, Oinv_S.T, "S' Omega^-1 S", kind)
     return ReconciliationMap(structure=structure, omega=omega, G=G)
+
+
+def structured_limit_map(structure, omega) -> np.ndarray:
+    """G of a structured kind as the eps -> 0 limit of its map at
+    Omega + eps I, in structural form on the reduced space:
+    G = (T' Q^-1 T)^-1 T' Q^-1 F^+, with F^+ = pinv(F), T = F^+ S and
+    Q = F^+ Omega F^+'.  When T is square (``hb``) this is T^-1 F^+ for
+    every Q.  Raises NumericalError when the eigenvalue rule finds Q
+    singular."""
+    kind = omega.spec.kind
+    F_pinv = np.linalg.pinv(dense_factor(kind, structure))
+    T = F_pinv @ structure.summation
+    if T.shape[0] == T.shape[1]:
+        return np.linalg.solve(T, F_pinv)
+    Q = F_pinv @ omega.values @ F_pinv.T
+    verdict = cho_eig_verdict(0.5 * (Q + Q.T), "Q", kind)
+    if verdict is not None:
+        raise NumericalError(verdict)
+    Qinv_T = np.linalg.pinv(Q) @ T
+    return np.linalg.lstsq(T.T @ Qinv_T, Qinv_T.T @ F_pinv, rcond=None)[0]
 
 
 def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,9 @@ class TestSample:
         assert outs[0] == outs[1]
 
 
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
 class TestReconcile:
     def make_samples(self, toy_files, L=20):
         out = toy_files["tmp"] / "s"
@@ -79,6 +83,24 @@ class TestReconcile:
              "--hierarchy", toy_files["hierarchy"], "--L", L]
         )
         return out / "samples.csv"
+
+    @pytest.mark.parametrize("lam", ["auto", "0"])
+    @pytest.mark.parametrize("omega", ["hb", "h", "b"])
+    def test_structured_omegas_write_coherent_rows(self, tmp_path, omega, lam):
+        # the golden inputs with the golden ctjb draws and residuals
+        hierarchy = GOLDENS / "inputs" / "hierarchy.json"
+        rc = run(
+            ["--output-dir", tmp_path, "reconcile",
+             GOLDENS / "sample-ctjb" / "samples.csv", "--hierarchy", hierarchy,
+             "--method", "oct", "--omega", omega, "--lambda", lam,
+             "--residuals", GOLDENS / "sample-ctjb" / "residuals.csv",
+             "--residual-kind", "multi-step"]
+        )
+        assert rc == 0
+        st, names = load_hierarchy(hierarchy)
+        rows = read_stacked_csv(tmp_path / "reconciled.csv", st, names)
+        gaps = np.abs(rows @ st.constraints.T).max(axis=1) / np.abs(rows).max(axis=1)
+        assert gaps.max() <= 1e-12
 
     def test_oct_ols_outputs_coherent_rows(self, toy_files):
         samples = self.make_samples(toy_files)

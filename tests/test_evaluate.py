@@ -1,13 +1,12 @@
 """The per-origin kernel: what it builds once per origin, that the
-common case never needs an eigendecomposition, and that the unridged
-projections are never formed as d x d matrices."""
+common case never needs an eigendecomposition, and that no projection or
+composite is formed as a d x d matrix."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import ctreco.evaluate as evaluate
-from ctreco.covariance import STRUCTURED_KINDS
 from ctreco.evaluate import (
     COMPOSITES,
     METHODS,
@@ -72,7 +71,7 @@ def test_each_composite_is_built_once_per_origin(samplers, monkeypatch):
     assert sorted(built) == sorted(mode for mode, _ in COMPOSITES.values())
 
 
-def test_unridged_projections_are_applied_without_dense_maps(monkeypatch):
+def test_every_method_is_applied_without_dense_maps(monkeypatch):
     def no_solve(*_):
         raise AssertionError("scipy.linalg.cho_solve called")
 
@@ -85,14 +84,10 @@ def test_unridged_projections_are_applied_without_dense_maps(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_solve", no_solve)
     monkeypatch.setattr(evaluate, "build_projection", recording)
-    unridged = tuple(
-        mth for mth, (kind, _) in PROJECTIONS.items()
-        if kind not in STRUCTURED_KINDS
-    )
     st, train, z = random_origin(4)
-    crps, es, _ = run(st, train, z, ("base", "ct-bu") + unridged, SAMPLERS)
+    crps, es, _ = run(st, train, z, METHODS, SAMPLERS)
     assert np.all(np.isfinite(crps)) and np.all(np.isfinite(es))
-    assert len(built) == len(unridged)
+    assert len(built) == len(PROJECTIONS)
     assert all("M" not in vars(rec) for rec in built)  # M is derived lazily
 
 

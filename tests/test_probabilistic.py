@@ -323,6 +323,21 @@ class TestReconcileSample:
         twice = reconcile_sample(once, rec)
         np.testing.assert_allclose(once.draws, twice.draws, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["hb", "h", "b"])
+    def test_accepts_draws_of_the_structured_maps(self, kind):
+        # their ridged maps left gaps of 5.8e-9 (h) to 7.4e-8 (b) here
+        st = build_cross_temporal(
+            build_cross_sectional(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])),
+            build_temporal(4),
+        )
+        rng = np.random.default_rng(25)
+        res = ResidualSet(st, rng.normal(size=(20, st.dim)), "multi_step")
+        rec = build_projection(st, build_omega(CovarianceSpec(kind), st, res))
+        sample = ForecastSample(st, 30.0 + rng.normal(size=(100, st.dim)))
+        D = reconcile_sample(sample, rec).draws
+        gaps = np.abs(D @ st.constraints.T).max(axis=1) / np.abs(D).max(axis=1)
+        assert gaps.max() <= 1e-12
+
     def test_coherent_flag_validated(self):
         st = semi_annual()
         rng = np.random.default_rng(24)
