@@ -92,6 +92,8 @@ def _load_residuals(args, structure, names):
 
 
 def _cmd_reconcile(args) -> int:
+    if args.export_omega and args.method != "oct":
+        raise ValidationError(f"--export-omega needs --method oct, not {args.method}")
     structure, names = load_hierarchy(args.hierarchy)
     rows = read_stacked_csv(args.base, structure, names)
     residuals = _load_residuals(args, structure, names)
@@ -118,7 +120,7 @@ def _cmd_reconcile(args) -> int:
     if args.nonneg:
         out = set_negative_to_zero(structure, out)
 
-    if args.export_omega and args.method == "oct":
+    if args.export_omega:
         from ctreco.io import covariance_to_json, write_covariance_csv
 
         write_covariance_csv(_out(args, "omega.csv"), rec.omega)
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonneg", action="store_true",
                    help="clamp negative bottom cells and re-aggregate")
     p.add_argument("--export-omega", action="store_true",
-                   help="also write the weighting matrix (CSV + JSON cache)")
+                   help="also write the oct weighting matrix (CSV + JSON cache)")
     p.set_defaults(func=_cmd_reconcile)
 
     p = sub.add_parser("sample", help="draw base-forecast samples from data")

@@ -3,17 +3,17 @@
 Two families are provided.  The classic approximations (``ols``,
 ``struc``, ``wlsv``, ``bdshr``, ``shr``, ``sam``) parameterise the full
 error covariance directly.  The structured estimators (``hb``, ``h``,
-``b``) estimate a smaller matrix on a sub-block of the residuals -- the
+``b``) estimate a smaller core Q on a sub-block of the residuals -- the
 high-frequency bottom cells, all high-frequency cells, or all bottom
-series -- shrink it toward its diagonal, and expand it back through the
-corresponding summation factor, cutting the parameter count by an order
-of magnitude on realistic hierarchies.
+series -- shrink it toward its diagonal, and are held factored as
+Omega = F Q F' through the corresponding summation factor F, cutting the
+parameter count by an order of magnitude on realistic hierarchies.
 
 Covariances built from residuals alone -- ``sam`` = E'E/N and the
-structured kinds at lambda = 0, F (X'X/N) F' -- are held as a root
-F R' (R'R = X'X/N, from one QR of the residual rows), which has
-min(N, r) columns for N rows of r columns; no d x d matrix is formed or
-decomposed unless its dense ``values`` are read.
+structured cores at lambda = 0, X'X/N -- are held as a root R' (R'R =
+X'X/N, from one QR of the residual rows), which has min(N, r) columns
+for N rows of r columns.  No d x d matrix is formed or decomposed for a
+structured kind or ``sam`` unless its dense ``values`` are read.
 
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
@@ -67,25 +67,21 @@ class CovarianceSpec:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         object.__setattr__(self, "kind", kind)
 
-    @property
-    def needs_residuals(self) -> bool:
-        return self.kind not in ("ols", "struc")
-
 
 class CovarianceMatrix:
     """A built covariance Sigma with its provenance, held as ``values``
-    (d x d), as a ``root`` A (d x q, Sigma = A A'), or as both.
+    (d x d), as a ``root`` A (d x q, Sigma = A A'), as both, or as a
+    ``factor`` F (d x r) with a ``core`` Q, an r x r CovarianceMatrix, for
+    Sigma = F Q F'.  ``factor`` and ``core`` are None for an unfactored
+    Sigma.
 
     A form that was not given is derived on first read and kept:
 
-    * ``values`` = A A'.  It is positive semi-definite by construction and
-      is not checked again.
-    * ``root`` is the lower Cholesky factor of ``values`` or, when that
-      fails (a singular Sigma), Q sqrt(max(w, 0)) from the eigenpairs
-      (w, Q) of ``values``.
-
-    Given with ``values``, ``root`` may also be a zero-argument callable
-    that returns it, called on first read.  Both forms are read-only.
+    * ``values`` = A A', or F Q F' made exactly symmetric.  It is positive
+      semi-definite by construction and is not checked again.
+    * ``root`` = F (root of Q), or else the lower Cholesky factor of
+      ``values`` or, when that fails (a singular Sigma), U sqrt(max(w, 0))
+      from the eigenpairs (w, U) of ``values``.
 
     A given ``values`` must be finite, symmetric to 1e-10 of its largest
     entry (it is stored as its symmetric part) and positive semi-definite
@@ -94,17 +90,22 @@ class CovarianceMatrix:
     V); since max(diag V) <= lambda_max, its success already implies the
     rule.  Only when it fails are the eigenvalues computed, and the rule
     decides on them, so the two steps accept and reject exactly what the
-    eigenvalue rule alone would.  A given root must be finite.
+    eigenvalue rule alone would.  A given root or factor must be finite.
+    Every form is read-only.
     """
 
     def __init__(self, values, spec: CovarianceSpec,
-                 lambda_used: float | None = None, root=None):
-        if values is None and (root is None or callable(root)):
-            raise ValueError("give values or a root array")
+                 lambda_used: float | None = None, root=None, *,
+                 factor=None, core: CovarianceMatrix | None = None):
+        if (factor is None) != (core is None) or values is root is core is None:
+            raise ValueError("give values or a root array, or a factor and its core")
         self.spec = spec
         self.lambda_used = lambda_used
         self._values = None if values is None else _checked_values(values)
-        self._root = root if root is None or callable(root) else _checked_root(root)
+        self._root = None if root is None else _checked_root(root)
+        self.core = core
+        self.factor = (None if core is None
+                       else _checked_root(factor, "covariance factor"))
 
     def __repr__(self) -> str:
         return (f"CovarianceMatrix(spec={self.spec!r}, "
@@ -113,8 +114,11 @@ class CovarianceMatrix:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            A = self._root
-            V = A @ A.T  # numpy forms this as one syrk: exactly symmetric
+            if self.core is None:
+                V = self._root @ self._root.T  # one syrk: exactly symmetric
+            else:
+                V = self.factor @ self.core.values @ self.factor.T
+                V = 0.5 * (V + V.T)
             V.flags.writeable = False
             self._values = V
         return self._values
@@ -122,15 +126,18 @@ class CovarianceMatrix:
     @property
     def root(self) -> np.ndarray:
         if self._root is None:
-            self._root = _values_root(self._values)
-        elif callable(self._root):
-            self._root = _checked_root(self._root())
+            if self.core is None:
+                A = _values_root(self._values)
+            else:
+                A = self.factor @ self.core.root
+            A.flags.writeable = False
+            self._root = A
         return self._root
 
     @property
     def dim(self) -> int:
         held = self._values if self._values is not None else self._root
-        return held.shape[0]
+        return (self.factor if held is None else held).shape[0]
 
 
 def _require_finite(A: np.ndarray, what: str) -> None:
@@ -167,11 +174,11 @@ def _checked_values(values) -> np.ndarray:
     return V
 
 
-def _checked_root(root) -> np.ndarray:
+def _checked_root(root, what: str = "covariance root") -> np.ndarray:
     A = np.array(root, dtype=float)
     if A.ndim != 2:
-        raise ValueError("covariance root must be a matrix")
-    _require_finite(A, "covariance root")
+        raise ValueError(f"{what} must be a matrix")
+    _require_finite(A, what)
     A.flags.writeable = False
     return A
 
@@ -179,12 +186,10 @@ def _checked_root(root) -> np.ndarray:
 def _values_root(V: np.ndarray) -> np.ndarray:
     """A with A A' = V: Cholesky, or the eigenpairs for a singular V."""
     try:
-        A = np.linalg.cholesky(V)
+        return np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
-        w, Q = np.linalg.eigh(V)
-        A = Q * np.sqrt(np.clip(w, 0.0, None))
-    A.flags.writeable = False
-    return A
+        w, U = np.linalg.eigh(V)
+        return U * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _factors_with_margin(V: np.ndarray) -> bool:
@@ -361,8 +366,8 @@ def build_omega(
         values, lam = _shrunk(residuals.E, spec.lam)
         return CovarianceMatrix(values, spec, lambda_used=lam)
 
-    # structured kinds: estimate on the cells F spans, shrink, expand
-    # through F; unshrunk, F (X'X/N) F' is held as its root F R'
+    # structured kinds: estimate the core on the cells F spans and hold
+    # Omega = F core F'; unshrunk, the core is held as its root R'
     _require_kind(spec, residuals, multi)
     S_cs, S_te = _factor_blocks(kind, st)
     series = range(0 if S_cs is None else st.cs.n_upper, st.n)
@@ -370,14 +375,11 @@ def build_omega(
     factor = np.kron(np.eye(st.n) if S_cs is None else S_cs,
                      np.eye(st.te.dim) if S_te is None else S_te)
     if spec.lam == 0.0:
-        return CovarianceMatrix(
-            None, spec, lambda_used=0.0, root=factor @ _residual_root(data)
-        )
-    core, lam = _shrunk(data, spec.lam)
-    return CovarianceMatrix(
-        factor @ core @ factor.T, spec, lambda_used=lam,
-        root=lambda: factor @ CovarianceMatrix(core, spec).root,
-    )
+        core, lam = CovarianceMatrix(None, spec, root=_residual_root(data)), 0.0
+    else:
+        values, lam = _shrunk(data, spec.lam)
+        core = CovarianceMatrix(values, spec)
+    return CovarianceMatrix(None, spec, lambda_used=lam, factor=factor, core=core)
 
 
 def parameter_count(

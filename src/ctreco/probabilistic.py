@@ -7,12 +7,16 @@ distribution.  Two base samplers are provided:
 * Gaussian: draws mean + A z from N(mean, A A') through the covariance's
   root A (d x q).  A covariance built from N residual rows of r columns
   is held as that root with q = min(N, r), so no d x d matrix is
-  decomposed; for the structured kinds A = F R' lies in the span of the
-  summation factor F.
+  decomposed; for the structured kinds it is held factored, A = F R',
+  and lies in the span of the summation factor F.
 * Cross-temporal joint block bootstrap (ctjb): one most-aggregated period
   index is drawn per replicate and the residual blocks of that period for
   every series and every aggregation order, jointly, drive simulated
   forecast paths.
+
+A Gaussian forecast is also reconciled in closed form
+(``gaussian_reconcile``): N(S G x, S (G Sigma G') S'), held factored with
+the core root G A, so it forms no d x d matrix.
 
 All randomness is drawn in a single vectorised pass from a seeded
 generator before any per-draw work, so splitting draws across workers
@@ -91,17 +95,13 @@ class GaussianForecast:
 def gaussian_reconcile(
     base: GaussianForecast, rec_map: ReconciliationMap
 ) -> GaussianForecast:
-    """Closed-form reconciled Gaussian: mean M x, covariance M Sigma M'."""
-    M = rec_map.M
-    if base.mean.size != M.shape[0]:
-        raise ValueError("dimension mismatch between forecast and map")
-    mean = M @ base.mean
-    cov = M @ base.covariance.values @ M.T
-    return GaussianForecast(
-        mean=mean,
-        covariance=CovarianceMatrix(cov, base.covariance.spec,
-                                    lambda_used=base.covariance.lambda_used),
-    )
+    """Closed-form reconciled Gaussian: mean S G x and covariance
+    S (G Sigma G') S', held factored with the core root G A, A the root of
+    Sigma, so no d x d matrix is formed."""
+    mean, cov = reconcile_point(rec_map, base.mean), base.covariance
+    core = CovarianceMatrix(None, cov.spec, root=rec_map.G @ cov.root)
+    return GaussianForecast(mean, CovarianceMatrix(
+        None, cov.spec, cov.lambda_used, factor=rec_map.structure.summation, core=core))
 
 
 def sample_gaussian(

@@ -6,10 +6,19 @@ weighting Omega.  It equals the structural form ``M = S G`` with
 ``G = (S' Omega^{-1} S)^{-1} S' Omega^{-1}`` for any PD Omega.  Only G,
 the (n_b m) x d map from a stacked vector to its reconciled
 high-frequency bottom cells, carries information: it is the rows of M at
-those cells.  ``build_projection`` computes it from the zero-constrained
-form through the sparse C, and a map is applied as ``S (G x)`` with the
-sparse S, so the d x d matrix M is formed only when a caller reads
-``ReconciliationMap.M``.
+those cells.  A map is applied as ``S (G x)`` with the sparse S, so the
+d x d matrix M is formed only when a caller reads ``ReconciliationMap.M``.
+
+``build_projection`` takes one path for every kind: G = G_Q F^+, G_Q the
+rows at the kept cells of the zero-constrained map
+I - Q C_r' (C_r Q C_r')^{-1} C_r of a reduced space with factor F.  A
+full kind has F = I, Q = Omega and C_r = C, the sparse C, and keeps the
+high-frequency bottom cells.  A structured covariance (``hb``, ``h``,
+``b``) is held factored, Omega = F Q F', and is singular; its map is the
+limit of the map at Omega + eps I as eps -> 0.  G_Q reconciles a = F^+ x
+with the core Q in the reduced space S = F T, T constrained by
+C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing (``hb``, whose
+G = S^+ is the ``ols`` map), so no d x d Omega is formed.
 
 Every linear solve factors its matrix A (``C Omega C'``, the reduced
 ``C Q C'`` or a composite's inner ``C W C'``) by Cholesky, A = R'R, and
@@ -21,12 +30,6 @@ eigenvalues of A decide: A is rejected as numerically singular, with
 ``NumericalError`` naming the covariance kind, when its smallest
 eigenvalue is not positive or its eigenvalue ratio exceeds 1e12.  So a
 matrix is accepted exactly when the eigenvalue rule accepts it.
-
-The structured covariances (``hb``, ``h``, ``b``), Omega = F Q F', are
-singular; their map is the limit of the map at Omega + eps I as eps -> 0,
-G = G_Q F^+: G_Q reconciles a = F^+ x with Q in the reduced space S = F T,
-T constrained by C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing
-(``hb``, whose G = S^+ is the ``ols`` map).
 
 Besides the optimal map, the classic composites are provided: plain
 bottom-up, the two partly-bottom-up schemes (one-dimensional
@@ -51,7 +54,7 @@ from ctreco.covariance import (
     _h1_matrix,
     _shrunk,
 )
-from ctreco.exceptions import NumericalError
+from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.hierarchy import CrossTemporalStructure
 from ctreco.residuals import ResidualSet
 
@@ -150,28 +153,23 @@ def _zero_constrained(C, C_t, Omega, keep, what: str, kind: str) -> np.ndarray:
 def build_projection(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
-    """Optimal projection map for a given covariance, held as G.
-
-    A full kind's G is the rows of I - Omega C' (C Omega C')^{-1} C at the
-    bottom high-frequency cells, through the cached CSR forms of C; a
-    structured kind's is ``_structured_map``.  Each call computes a new
-    map; callers that apply one covariance more than once keep it.
+    """Optimal projection map for a given covariance, held as G = G_Q F^+
+    (module docstring).  A full kind uses the cached CSR forms of C; a
+    structured kind reads Q from ``omega.core`` and raises ValidationError
+    when it holds none, as a covariance read from a JSON cache does.
+    Each call computes a new map; callers that apply one covariance more
+    than once keep it.
     """
     st, kind = structure, omega.spec.kind
-    if kind in STRUCTURED_KINDS:
-        G = _structured_map(st, omega)
-    else:
+    if kind not in STRUCTURED_KINDS:
         G = _zero_constrained(st.constraints_csr, st.constraints_t_csr,
                               omega.values, st.bottom_hf_indices(),
                               "C Omega C'", kind)
-    return ReconciliationMap(structure=st, omega=omega, G=G)
-
-
-def _structured_map(st: CrossTemporalStructure, omega: CovarianceMatrix):
-    """G = G_Q F^+ for a structured kind (module docstring): F^+ is the
-    Kronecker product of the blocks' pseudo-inverses, Q = F^+ Omega F^+',
-    and G_Q keeps the reduced cells of the high-frequency bottoms."""
-    kind, te, n_b = omega.spec.kind, st.te, st.cs.n_bottom
+        return ReconciliationMap(st, omega, G)
+    if omega.core is None:
+        raise ValidationError(f"covariance kind {kind!r} reconciles from its "
+                              f"core, and this covariance holds none")
+    te, n_b = st.te, st.cs.n_bottom
     S_cs, S_te = _factor_blocks(kind, st)
     F_pinv = scipy.sparse.kron(
         np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs),
@@ -183,11 +181,10 @@ def _structured_map(st: CrossTemporalStructure, omega: CovarianceMatrix):
     elif S_te is None:  # b: cells (bottom series, temporal cell) under I (x) C_te
         C = scipy.sparse.kron(np.eye(n_b), te.constraints, format="csr")
         keep = (np.arange(n_b)[:, None] * te.dim + np.arange(te.k_star, te.dim)).ravel()
-    else:  # hb: T = I, nothing to reconcile
-        return F_pinv.toarray()
-    Q = F_pinv @ (F_pinv @ omega.values).T
-    G_Q = _zero_constrained(C, C.T.tocsr(), Q, keep, "C Q C'", kind)
-    return (F_pinv.T @ G_Q.T).T
+    else:  # hb: T = I, G_Q = I; G = S^+ stays C-ordered, which fixes how G x sums
+        return ReconciliationMap(st, omega, F_pinv.toarray())
+    G_Q = _zero_constrained(C, C.T.tocsr(), omega.core.values, keep, "C Q C'", kind)
+    return ReconciliationMap(st, omega, (F_pinv.T @ G_Q.T).T)
 
 
 def _apply_unchecked(rec_map: ReconciliationMap, x: np.ndarray) -> np.ndarray:
@@ -258,6 +255,8 @@ def composite_map(
     st = structure
     n, n_a = st.n, st.cs.n_upper
     m, k_star = st.te.m, st.te.k_star
+    if mode not in ("cs_then_te_bu", "te_then_cs_bu"):
+        raise ValueError(f"unknown partly-bottom-up mode {mode!r}")
 
     if inner_spec is None:
         # both inner steps bottom-up, in either order: plain ct(bu)
@@ -281,7 +280,7 @@ def composite_map(
             hf = X.T[hf_cols].reshape(n, -1)
             return (M_b @ hf).reshape(st.bottom_dim, -1).T
 
-    elif mode == "te_then_cs_bu":
+    else:  # te_then_cs_bu
         C_te = st.te.constraints
         if inner_spec.kind == "ols":
             diags = np.ones((n, st.te.dim))
@@ -309,9 +308,6 @@ def composite_map(
             for bi, M in enumerate(M_te):
                 b_hf[bi] = M @ Xmat[:, n_a + bi, :].T
             return b_hf.reshape(st.bottom_dim, -1).T
-
-    else:
-        raise ValueError(f"unknown partly-bottom-up mode {mode!r}")
 
     def apply(base: np.ndarray) -> np.ndarray:
         x = np.asarray(base, dtype=float)

@@ -259,7 +259,6 @@ def mcb_nemenyi(score_matrix: np.ndarray, alpha: float = 0.05) -> dict:
         * np.sqrt(k * (k + 1) / (12.0 * n_rep))
     )
     best = int(np.argmin(mean_ranks))
-    half = cd / 2.0
     equivalent = np.abs(mean_ranks - mean_ranks[best]) <= cd
     return {
         "friedman_stat": float(friedman_stat),

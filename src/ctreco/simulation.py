@@ -90,9 +90,9 @@ def study_structure() -> CrossTemporalStructure:
 def true_covariance(config: SimulationConfig) -> CovarianceMatrix:
     """Closed-form one-period-ahead error covariance of the stacked vector.
 
-    Built from the 4x4 covariance of the high-frequency bottom forecast
-    errors (order B then C, two steps each) and expanded through the
-    summation matrix.
+    Held factored as S Q S', with core Q the 4x4 covariance of the
+    high-frequency bottom forecast errors (order B then C, two steps
+    each).
     """
     st = study_structure()
     pb1 = config.phi_b[0]
@@ -108,8 +108,9 @@ def true_covariance(config: SimulationConfig) -> CovarianceMatrix:
             [pc1 * vbc, vbc * (1 + pb1 * pc1), pc1 * vc, vc * (1 + pc1**2)],
         ]
     )
-    values = st.summation @ Q @ st.summation.T
-    return CovarianceMatrix(values, CovarianceSpec("hb", lam=0.0))
+    spec = CovarianceSpec("hb", lam=0.0)
+    return CovarianceMatrix(None, spec, factor=st.summation,
+                            core=CovarianceMatrix(Q, spec))
 
 
 def simulate_dgp(

@@ -192,6 +192,17 @@ class TestReconcile:
         assert rc == 0
         assert calls == ["struc"]
 
+    def test_export_omega_needs_method_oct(self, toy_files, capsys):
+        out = toy_files["tmp"] / "r_no_omega"
+        rc = run(
+            ["--output-dir", out, "reconcile", self.make_samples(toy_files),
+             "--hierarchy", toy_files["hierarchy"], "--method", "ct-bu",
+             "--export-omega"]
+        )
+        assert rc == 2
+        assert "--export-omega" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_partly_bottom_up_method(self, toy_files):
         samples = self.make_samples(toy_files)
         out = toy_files["tmp"] / "r4"

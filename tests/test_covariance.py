@@ -8,17 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ctreco.covariance import (
+    STRUCTURED_KINDS,
     CovarianceMatrix,
     CovarianceSpec,
     build_omega,
     parameter_count,
     sample_covariance,
     shrinkage_intensity,
+    _residual_root,
 )
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.residuals import ResidualSet
 from ctreco.exceptions import ValidationError
-from reference import covariance_eig_verdict, dense_covariance, spectral_matrices
+from reference import (
+    covariance_eig_verdict,
+    dense_covariance,
+    spectral_matrices,
+    unshrunk_blocks,
+)
 
 
 def make_structure(agg, m):
@@ -249,9 +256,9 @@ class TestStructuredKinds:
 
 
 class TestRootForm:
-    """sam and the structured kinds: the unshrunk ones held as a root F R',
-    the shrunk ones as dense values with the root F chol(core) derived on
-    first read; A A' is the covariance F core F' either way."""
+    """sam held as a root R' and the structured kinds as a factor F and a
+    core, itself a root R' when unshrunk and values when shrunk; A A' is
+    the covariance F core F' either way."""
 
     UNSHRUNK = ("sam", "hb", "h", "b")
 
@@ -296,13 +303,26 @@ class TestRootForm:
             np.testing.assert_array_equal(V, V.T)
             assert not V.flags.writeable and not om.root.flags.writeable
 
-    def test_values_are_kept_eager_when_shrunk(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.3, None])
+    def test_structured_kinds_hold_their_factor_and_core(self, lam):
         st = semi_annual()
-        om = build_omega(CovarianceSpec("h", lam=0.3), st,
-                         random_residuals(st, 20, seed=24))
-        assert vars(om)["_values"] is not None
-        assert callable(vars(om)["_root"])  # F chol(core), derived on read
-        assert om.root.shape == (st.dim, 6)
+        rs = random_residuals(st, 20, seed=24)
+        for kind in STRUCTURED_KINDS:
+            om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
+            X, F = unshrunk_blocks(kind, st, rs)
+            np.testing.assert_array_equal(om.factor, F)
+            if lam == 0.0:
+                np.testing.assert_array_equal(om.core.root, _residual_root(X))
+                assert vars(om.core)["_values"] is None
+            else:
+                used = shrinkage_intensity(X) if lam is None else lam
+                cov = X.T @ X / X.shape[0]
+                want = used * np.diag(np.diag(cov)) + (1.0 - used) * cov
+                np.testing.assert_array_equal(om.core.values, want)
+                assert om.lambda_used == used
+            assert vars(om)["_values"] is None  # F core F' is formed on read
+            assert _rel(om.values, F @ om.core.values @ F.T) <= 1e-14
+            assert vars(om)["_values"] is not None
 
 
 class TestStructuralWeights:
@@ -317,8 +337,8 @@ class TestCovarianceMatrixValidation:
     def test_needs_values_or_a_root_array(self):
         with pytest.raises(ValueError, match="values or a root"):
             CovarianceMatrix(None, CovarianceSpec("sam"))
-        with pytest.raises(ValueError, match="values or a root"):
-            CovarianceMatrix(None, CovarianceSpec("sam"), root=lambda: np.eye(2))
+        with pytest.raises(ValueError, match="a factor and its core"):
+            CovarianceMatrix(None, CovarianceSpec("hb"), factor=np.eye(2))
 
     def test_rejects_a_non_finite_root(self):
         A = np.ones((3, 2))

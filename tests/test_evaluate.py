@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import ctreco.evaluate as evaluate
+from ctreco.covariance import STRUCTURED_KINDS
 from ctreco.evaluate import (
     COMPOSITES,
     METHODS,
@@ -89,6 +90,9 @@ def test_every_method_is_applied_without_dense_maps(monkeypatch):
     assert np.all(np.isfinite(crps)) and np.all(np.isfinite(es))
     assert len(built) == len(PROJECTIONS)
     assert all("M" not in vars(rec) for rec in built)  # M is derived lazily
+    structured = [rec for rec in built if rec.omega.spec.kind in STRUCTURED_KINDS]
+    assert len(structured) == len(STRUCTURED_KINDS)
+    assert all(vars(rec.omega)["_values"] is None for rec in structured)
 
 
 @pytest.mark.parametrize("m,years", [(4, 12), (2, 60)])

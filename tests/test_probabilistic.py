@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
@@ -69,6 +71,30 @@ class TestGaussianReconcile:
         out = gaussian_reconcile(base, rec)
         np.testing.assert_allclose(out.covariance.values, rec.M @ om.values,
                                    atol=1e-8)
+
+    @given(data=hst.data())
+    @settings(max_examples=30, deadline=None)
+    def test_factored_covariance_matches_the_dense_m_sigma_m(
+        self, data, scoring_cases
+    ):
+        agg, m, _, seed, _, _ = data.draw(scoring_cases)
+        st = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
+        rng = np.random.default_rng(seed)
+        rs = ResidualSet(st, rng.normal(size=(30, st.dim)), "multi_step")
+        rec = build_projection(st, build_omega(CovarianceSpec("wlsv"), st, rs))
+        M = st.summation @ rec.G
+        sigmas = [build_omega(CovarianceSpec(kind, lam=0.0), st, rs)
+                  for kind in ("sam", "h")] + [spd_cov(st, seed % 1000)]
+        for sigma in sigmas:
+            base = GaussianForecast(rng.normal(size=st.dim), sigma)
+            out = gaussian_reconcile(base, rec)
+            assert "M" not in vars(rec)
+            assert vars(out.covariance)["_values"] is None
+            want = M @ sigma.values @ M.T
+            assert np.max(np.abs(out.covariance.values - want)) <= (
+                1e-12 * np.max(np.abs(want)))
+            np.testing.assert_allclose(out.mean, M @ base.mean, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(base.mean)))
 
     def test_dimension_mismatch(self):
         st = semi_annual()

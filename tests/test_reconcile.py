@@ -18,6 +18,7 @@ from ctreco.covariance import (
 )
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
+from ctreco.io import covariance_from_json, covariance_to_json
 from ctreco.reconcile import (
     ReconciliationMap,
     _checked_cho_factor,
@@ -211,6 +212,14 @@ class TestStructuredKindProjections:
         G = build_projection(st, om).G
         assert np.max(np.abs(G - np.linalg.pinv(st.summation))) <= 1e-12
 
+    def test_a_structured_kind_without_its_core_is_rejected(self):
+        # the JSON cache holds dense values only, not the core
+        st = semi_annual()
+        om = build_omega(CovarianceSpec("h"), st, self.make_residuals(st, 4))
+        back = covariance_from_json(covariance_to_json(om))
+        with pytest.raises(ValidationError, match=r"kind 'h'.*holds none"):
+            build_projection(st, back)
+
     @pytest.mark.parametrize("kind", ["h", "b"])
     def test_h_b_differ_from_ols(self, kind):
         st = semi_annual()
@@ -385,6 +394,8 @@ class TestPartlyBottomUp:
         st = semi_annual()
         with pytest.raises(ValueError, match="mode"):
             partly_bottom_up(st, "sideways", np.zeros(st.dim), CovarianceSpec("ols"))
+        with pytest.raises(ValueError, match="mode 'bogus'"):
+            partly_bottom_up(st, "bogus", np.zeros(st.dim), None)
 
     @pytest.mark.parametrize("kind", ["one_step", "multi_step"])
     def test_inner_wlsv_weights_are_the_wlsv_diagonal(self, kind):
