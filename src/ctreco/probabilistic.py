@@ -16,7 +16,7 @@ distribution.  Two base samplers are provided:
 
 A Gaussian forecast is also reconciled in closed form
 (``gaussian_reconcile``): N(S G x, S (G Sigma G') S'), held factored with
-the core root G A, so it forms no d x d matrix.
+the core root G A; only a dense Sigma is decomposed, for its root A.
 
 All randomness is drawn in a single vectorised pass from a seeded
 generator before any per-draw work, so splitting draws across workers
@@ -97,7 +97,7 @@ def gaussian_reconcile(
 ) -> GaussianForecast:
     """Closed-form reconciled Gaussian: mean S G x and covariance
     S (G Sigma G') S', held factored with the core root G A, A the root of
-    Sigma, so no d x d matrix is formed."""
+    Sigma; M is not formed, and Sigma is decomposed only if held dense."""
     mean, cov = reconcile_point(rec_map, base.mean), base.covariance
     core = CovarianceMatrix(None, cov.spec, root=rec_map.G @ cov.root)
     return GaussianForecast(mean, CovarianceMatrix(
