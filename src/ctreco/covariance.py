@@ -213,7 +213,7 @@ def _as_matrix(residuals) -> np.ndarray:
     return np.asarray(residuals, dtype=float)
 
 
-def shrinkage_intensity(residuals, center: bool = False) -> float:
+def shrinkage_intensity(residuals) -> float:
     """Ledoit-Wolf shrinkage intensity toward the diagonal.
 
     On the sample correlations r_ij of the residual rows,
@@ -221,16 +221,13 @@ def shrinkage_intensity(residuals, center: bool = False) -> float:
     [0, 1]; an exactly diagonal sample covariance gives lambda = 1.
 
     Args:
-        residuals: a ResidualSet or an (N, d) array, N >= 3.
-        center: subtract column means first (default treats model
-            residuals as mean zero).
+        residuals: a ResidualSet or an (N, d) array, N >= 3, taken as
+            mean zero (model residuals).
     """
     X = _as_matrix(residuals)
     N, d = X.shape
     if N < 3:
         raise ValueError(f"need at least 3 residual rows, got {N}")
-    if center:
-        X = X - X.mean(axis=0)
     scale = np.sqrt(np.mean(X**2, axis=0))
     Z = np.divide(X, scale, out=np.zeros_like(X), where=scale > 0)
     W_mean = (Z.T @ Z) / N  # sample correlations
@@ -244,18 +241,13 @@ def shrinkage_intensity(residuals, center: bool = False) -> float:
     return min(max(lam, 0.0), 1.0)
 
 
-def sample_covariance(
-    residuals, center: bool = False, unbiased: bool = False
-) -> np.ndarray:
-    """Sample covariance of residual rows (divisor N by default)."""
+def sample_covariance(residuals) -> np.ndarray:
+    """Sample covariance X'X/N of the N residual rows, taken as mean zero."""
     X = _as_matrix(residuals)
     N = X.shape[0]
-    if center:
-        X = X - X.mean(axis=0)
-    div = N - 1 if unbiased else N
-    if div < 1:
+    if N < 1:
         raise ValueError("not enough rows for a sample covariance")
-    return (X.T @ X) / div
+    return (X.T @ X) / N
 
 
 def _residual_root(X: np.ndarray) -> np.ndarray:
@@ -329,7 +321,7 @@ def build_omega(
         return CovarianceMatrix(np.eye(dim), spec)
 
     if kind == "struc":
-        diag = st.summation @ np.ones(st.bottom_dim)
+        diag = st.summation_csr @ np.ones(st.bottom_dim)
         idle = sorted({int(i) // st.te.dim for i in np.flatnonzero(diag <= 0)})
         if idle:
             raise ValidationError(

@@ -69,14 +69,15 @@ SAMPLERS = ("ctjb",) + tuple(GAUSS_KINDS)
 
 
 def check_grid(methods, samplers, benchmark: str = "base@ctjb") -> None:
-    """Raise ValidationError for an unknown method or sampler, or for a
-    benchmark cell outside the grid."""
-    for mth in methods:
-        if mth not in METHODS:
-            raise ValidationError(f"unknown method {mth!r}")
-    for smp in samplers:
-        if smp not in SAMPLERS:
-            raise ValidationError(f"unknown sampler {smp!r}")
+    """Raise ValidationError for an unknown or repeated method or sampler,
+    or for a benchmark cell outside the grid."""
+    for what, names, known in (("method", methods, METHODS),
+                               ("sampler", samplers, SAMPLERS)):
+        for i, name in enumerate(names):
+            if name not in known:
+                raise ValidationError(f"unknown {what} {name!r}")
+            if name in names[:i]:
+                raise ValidationError(f"repeated {what} {name!r}")
     labels = [f"{m}@{s}" for m in methods for s in samplers]
     if benchmark not in labels:
         raise ValidationError(f"benchmark {benchmark!r} not in the grid {labels}")

@@ -14,6 +14,11 @@ for the stacked observation of a single most-aggregated period: series
 major, and within each series the temporal aggregation orders from the
 largest factor (``k = m``) down to ``k = 1``, each order's values in time
 order.  ``index_of`` gives the explicit index map.
+
+The joint constraint matrix C, its transpose C' and the summation matrix
+S are held only as CSR arrays, built from the non-zeros of the small
+cross-sectional and temporal matrices (``kron_csr`` builds every sparse
+Kronecker product); their dense forms are derived when read.
 """
 
 from __future__ import annotations
@@ -43,15 +48,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _readonly_csr(a: np.ndarray) -> scipy.sparse.csr_array:
-    # from the non-zeros (found in row-major order, as CSR keeps them):
-    # half the cost of converting the dense array at the study's size
-    rows, cols = np.nonzero(a)
-    indptr = np.searchsorted(rows, np.arange(a.shape[0] + 1))
-    sparse = scipy.sparse.csr_array((a[rows, cols], cols, indptr), shape=a.shape)
+def _csr(rows, cols, vals, shape) -> scipy.sparse.csr_array:
+    """Read-only CSR array of the entries (rows, cols, vals), sorted
+    row-major: the order in which a product with it sums."""
+    order = np.argsort(rows * shape[1] + cols, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
+    sparse = scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=shape)
     for part in (sparse.data, sparse.indices, sparse.indptr):
         part.flags.writeable = False
     return sparse
+
+
+def kron_csr(A: np.ndarray, B: np.ndarray, transpose: bool = False):
+    """Read-only CSR form of the Kronecker product A (x) B of two dense
+    matrices, or of its transpose, built from their non-zeros: each
+    value is the product of a non-zero of A and one of B."""
+    ra, ca = np.nonzero(A)
+    rb, cb = np.nonzero(B)
+    rows = (ra[:, None] * B.shape[0] + rb).ravel()
+    cols = (ca[:, None] * B.shape[1] + cb).ravel()
+    vals = (A[ra, ca][:, None] * B[rb, cb]).ravel()
+    shape = (A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
+    if transpose:
+        return _csr(cols, rows, vals, shape[::-1])
+    return _csr(rows, cols, vals, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +138,7 @@ class TemporalStructure:
         """Column offset of order k inside the per-series stacked block."""
         if k not in self.factors:
             raise ValueError(f"{k} is not a factor of m={self.m}")
-        off = 0
-        for kk in self.factors:
-            if kk == k:
-                return off
-            off += self.m // kk
-        raise AssertionError("unreachable")
+        return sum(self.m // kk for kk in self.factors if kk > k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,24 +151,27 @@ class CrossTemporalStructure:
     Attributes:
         cs: cross-sectional component.
         te: temporal component.
-        summation: (n * (m + k_star), n_b * m) Kronecker product of the two
-            summation matrices; its columns span the coherent subspace.
-        constraints: full-row-rank zero-constraints matrix with
-            ``constraints @ summation = 0``.
+        summation_csr: (n * (m + k_star), n_b * m) Kronecker product of
+            the two summation matrices; its columns span the coherent
+            subspace.
+        constraints_csr: full-row-rank zero-constraints matrix C with
+            ``C @ S = 0``.
+        constraints_t_csr: its transpose C'.
         perm: index permutation encoding the commutation matrix P, the
             one with P[i, perm[i]] = 1 and P @ vec(X) = vec(X') for the
             n x (m + k_star) observation matrix X (``vec`` stacks
             columns, so vec(X') is the canonical stacked vector).
 
-    ``summation_csr``, ``constraints_csr`` and ``constraints_t_csr``
-    (the transpose C') are read-only CSR forms of the two matrices, built
-    on first use and kept with the structure.
+    The three matrices are held only as read-only CSR arrays;
+    ``summation`` and ``constraints`` are their dense forms, derived on
+    first read and kept with the structure.
     """
 
     cs: CrossSectionalStructure
     te: TemporalStructure
-    summation: np.ndarray = field(repr=False)
-    constraints: np.ndarray = field(repr=False)
+    summation_csr: scipy.sparse.csr_array = field(repr=False)
+    constraints_csr: scipy.sparse.csr_array = field(repr=False)
+    constraints_t_csr: scipy.sparse.csr_array = field(repr=False)
     perm: np.ndarray = field(repr=False)
 
     @property
@@ -187,27 +205,18 @@ class CrossTemporalStructure:
         return slice(start, start + self.te.periods_at(k))
 
     @cached_property
-    def summation_csr(self) -> scipy.sparse.csr_array:
-        return _readonly_csr(self.summation)
+    def summation(self) -> np.ndarray:
+        return _readonly(self.summation_csr.toarray())
 
     @cached_property
-    def constraints_csr(self) -> scipy.sparse.csr_array:
-        return _readonly_csr(self.constraints)
-
-    @cached_property
-    def constraints_t_csr(self) -> scipy.sparse.csr_array:
-        return _readonly_csr(self.constraints.T)
+    def constraints(self) -> np.ndarray:
+        return _readonly(self.constraints_csr.toarray())
 
     @cached_property
     def _bottom_hf(self) -> np.ndarray:
-        idx = np.asarray(
-            [
-                self.index_of(i, 1, j)
-                for i in range(self.cs.n_upper, self.n)
-                for j in range(self.te.m)
-            ],
-            dtype=np.intp,
-        )
+        te = self.te  # index_of(i, 1, j) = i * dim_te + k_star + j
+        idx = np.arange(self.cs.n_upper, self.n)[:, None] * te.dim + te.k_star
+        idx = (idx + np.arange(te.m)).ravel()
         idx.flags.writeable = False
         return idx
 
@@ -236,8 +245,8 @@ class CrossTemporalStructure:
     def coherence_gap(self, x: np.ndarray) -> float:
         """Max-norm of the constraint residual, relative to the vector scale."""
         x = np.asarray(x, dtype=float)
-        resid = self.constraints @ x
-        return float(np.max(np.abs(resid)) / (1.0 + np.max(np.abs(x))))
+        resid = self.constraints_csr @ x
+        return float(np.max(np.abs(resid), initial=0.0) / (1.0 + np.max(np.abs(x))))
 
     def is_coherent(self, x: np.ndarray, tol: float = 1e-8) -> bool:
         return self.coherence_gap(x) <= tol
@@ -304,36 +313,33 @@ def build_cross_temporal(
     and temporal summation matrices.  The constraint matrix stacks the
     cross-sectional constraints applied at each high-frequency position on
     top of the per-series temporal constraints; constraints at aggregated
-    orders are implied and omitted, keeping full row rank.
+    orders are implied and omitted, keeping full row rank.  All three are
+    built as CSR by index arithmetic on the two structures' non-zeros.
     """
-    n, dim_te = cs.n, te.dim
-    S_ct = np.kron(cs.summation, te.summation)
+    n, n_a, m, k_star, dim_te = cs.n, cs.n_upper, te.m, te.k_star, te.dim
 
     # perm[a] maps canonical (series-major) index a = i*dim_te + t to the
     # temporal-major index t*n + i of vec(X).
     a = np.arange(n * dim_te)
     perm = (a % dim_te) * n + a // dim_te
 
-    # Cross-sectional constraints at the m high-frequency positions,
-    # written directly in canonical column order; equals
-    # [0 | I_m (x) C_cs] @ P' on the temporal-major layout.
-    n_a = cs.n_upper
-    hf_off = dim_te - te.m
-    C_star = np.zeros((n_a * te.m, n * dim_te))
-    for t in range(te.m):
-        rows = slice(t * n_a, (t + 1) * n_a)
-        for i in range(n):
-            C_star[rows, i * dim_te + hf_off + t] = cs.constraints[:, i]
-    C_te_block = np.kron(np.eye(n), te.constraints)
-    C_ct = np.vstack([C_star, C_te_block])
-
+    # C_star = C_cs (x) [0 | I_m] with row (a, t) moved to t*n_a + a: the
+    # cross-sectional constraints at each high-frequency position t, in
+    # canonical column order (column i*dim_te + k_star + t); below it the
+    # per-series temporal constraints I_n (x) C_te
+    ra, ca = np.nonzero(cs.constraints)
+    rk, ck = np.nonzero(te.constraints)
+    t, i = np.arange(m)[:, None], np.arange(n)[:, None]
+    rows = np.concatenate([(t * n_a + ra).ravel(),
+                           (n_a * m + i * k_star + rk).ravel()])
+    cols = np.concatenate([(ca * dim_te + k_star + t).ravel(),
+                           (i * dim_te + ck).ravel()])
+    vals = np.concatenate([np.tile(cs.constraints[ra, ca], m),
+                           np.tile(te.constraints[rk, ck], n)])
+    shape = (n_a * m + n * k_star, n * dim_te)
     return CrossTemporalStructure(
-        cs=cs,
-        te=te,
-        summation=_readonly(S_ct),
-        constraints=_readonly(C_ct),
-        perm=perm,
-    )
+        cs, te, kron_csr(cs.summation, te.summation),
+        _csr(rows, cols, vals, shape), _csr(cols, rows, vals, shape[::-1]), perm)
 
 
 def stack_window(structure: CrossTemporalStructure, hf: np.ndarray) -> np.ndarray:
@@ -347,14 +353,9 @@ def stack_window(structure: CrossTemporalStructure, hf: np.ndarray) -> np.ndarra
         raise ValueError(
             f"expected shape {(structure.n, structure.te.m)}, got {hf.shape}"
         )
-    X = np.empty((structure.n, structure.te.dim))
-    for i in range(structure.n):
-        off = 0
-        for k in structure.te.factors:
-            Mk = structure.te.periods_at(k)
-            X[i, off : off + Mk] = temporally_aggregate(hf[i], k)
-            off += Mk
-    return structure.stack(X)
+    # per series, the non-overlapping k-sums of every order k, largest first
+    return np.hstack([hf.reshape(structure.n, -1, k).sum(axis=2)
+                      for k in structure.te.factors]).ravel()
 
 
 def temporally_aggregate(series: np.ndarray, k: int) -> np.ndarray:

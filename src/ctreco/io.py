@@ -72,11 +72,14 @@ def load_hierarchy(path: str | Path) -> tuple[CrossTemporalStructure, list[str]]
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     if "agg_matrix" not in payload or "m" not in payload:
         raise ValidationError(f"{path}: needs 'agg_matrix' and 'm' fields")
+    m = payload["m"]
+    if type(m) not in (int, float) or not float(m).is_integer():  # bool too
+        raise ValidationError(f"{path}: 'm' must be a whole number, got {m!r}")
     agg = np.asarray(payload["agg_matrix"], dtype=float)
     if agg.ndim == 1:
         agg = agg[None, :]
     structure = build_cross_temporal(
-        build_cross_sectional(agg), build_temporal(int(payload["m"]))
+        build_cross_sectional(agg), build_temporal(int(m))
     )
     names = payload.get("series_names")
     if names is None:

@@ -74,7 +74,7 @@ class PipelineResult:
     # CRPS of every origin: (origins, methods, samplers, n, p)
     origin_crps: np.ndarray = field(repr=False, default=None)
 
-    def rank_comparison(self, alpha: float = 0.05) -> dict:
+    def rank_comparison(self) -> dict:
         """Friedman / Nemenyi comparison across origins, per order level.
 
         Returns {level: mcb result} where the score of each method@sampler
@@ -96,8 +96,8 @@ class PipelineResult:
             self.origin_crps.shape[0], n_cells, -1, len(self.orders)
         )
         for kk, level in enumerate(self.orders):
-            out[level] = mcb_nemenyi(flat[:, :, :, kk].mean(axis=2), alpha)
-        out["all"] = mcb_nemenyi(flat.mean(axis=(2, 3)), alpha)
+            out[level] = mcb_nemenyi(flat[:, :, :, kk].mean(axis=2))
+        out["all"] = mcb_nemenyi(flat.mean(axis=(2, 3)))
         for res in out.values():
             res["labels"] = labels
         return out

@@ -65,9 +65,9 @@ class ForecastSample:
         if not np.all(np.isfinite(D)):
             raise ValueError("draws contain non-finite values")
         if self.coherent:
-            resid = np.abs(D @ self.structure.constraints.T)
+            resid = np.abs(self.structure.constraints_csr @ D.T)
             scale = 1.0 + np.abs(D).max(axis=1)
-            if np.any(resid.max(axis=1) > _COHERENCE_TOL * scale):
+            if np.any(resid.max(axis=0, initial=0.0) > _COHERENCE_TOL * scale):
                 raise ValueError("coherent=True but some draw violates the constraints")
         D.flags.writeable = False
         object.__setattr__(self, "draws", D)

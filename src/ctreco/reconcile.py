@@ -44,7 +44,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from ctreco.covariance import (
     STRUCTURED_KINDS,
@@ -55,7 +54,7 @@ from ctreco.covariance import (
     _shrunk,
 )
 from ctreco.exceptions import NumericalError, ValidationError
-from ctreco.hierarchy import CrossTemporalStructure
+from ctreco.hierarchy import CrossTemporalStructure, kron_csr
 from ctreco.residuals import ResidualSet
 
 __all__ = [
@@ -154,9 +153,11 @@ def build_projection(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
     """Optimal projection map for a given covariance, held as G = G_Q F^+
-    (module docstring).  A full kind uses the cached CSR forms of C; a
-    structured kind reads Q from ``omega.core`` and raises ValidationError
-    when it holds none, as a covariance read from a JSON cache does.
+    (module docstring).  A full kind uses the structure's CSR forms of C.
+    A structured kind builds F^+ and C_r as CSR Kronecker products
+    (``kron_csr``; ``hb``'s G = F^+ is formed dense), reads Q from
+    ``omega.core`` and raises ValidationError when it holds none, as a
+    covariance read from a JSON cache does.
     Each call computes a new map; callers that apply one covariance more
     than once keep it.
     """
@@ -171,20 +172,20 @@ def build_projection(
                               f"core, and this covariance holds none")
     te, n_b = st.te, st.cs.n_bottom
     S_cs, S_te = _factor_blocks(kind, st)
-    F_pinv = scipy.sparse.kron(
-        np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs),
-        np.eye(te.dim) if S_te is None else np.linalg.pinv(S_te), format="csr",
-    )
+    P_cs = np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs)
+    P_te = np.eye(te.dim) if S_te is None else np.linalg.pinv(S_te)
     if S_cs is None:  # h: cells (series, period) under C_cs (x) I_m
-        C = scipy.sparse.kron(st.cs.constraints, np.eye(te.m), format="csr")
+        A, B = st.cs.constraints, np.eye(te.m)
         keep = np.arange(st.cs.n_upper * te.m, st.n * te.m)
     elif S_te is None:  # b: cells (bottom series, temporal cell) under I (x) C_te
-        C = scipy.sparse.kron(np.eye(n_b), te.constraints, format="csr")
+        A, B = np.eye(n_b), te.constraints
         keep = (np.arange(n_b)[:, None] * te.dim + np.arange(te.k_star, te.dim)).ravel()
-    else:  # hb: T = I, G_Q = I; G = S^+ stays C-ordered, which fixes how G x sums
-        return ReconciliationMap(st, omega, F_pinv.toarray())
-    G_Q = _zero_constrained(C, C.T.tocsr(), omega.core.values, keep, "C Q C'", kind)
-    return ReconciliationMap(st, omega, (F_pinv.T @ G_Q.T).T)
+    else:  # hb: T = I, G_Q = I; G = S^+, dense and C-ordered, which fixes how
+        # G x sums; + 0.0 turns each -0.0 product into the +0.0 of a sparse form
+        return ReconciliationMap(st, omega, np.kron(P_cs, P_te) + 0.0)
+    G_Q = _zero_constrained(kron_csr(A, B), kron_csr(A, B, transpose=True),
+                            omega.core.values, keep, "C Q C'", kind)
+    return ReconciliationMap(st, omega, (kron_csr(P_cs, P_te).T @ G_Q.T).T)
 
 
 def _apply_unchecked(rec_map: ReconciliationMap, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ benchmark method, with the overall exponents 1/(n (k* + m)) and
 
 Method comparison uses the Friedman rank test (average ranks on ties,
 with the usual tie correction) and the Nemenyi critical distance from
-the studentized range distribution.
+the studentized range distribution at level ``MCB_ALPHA`` = 0.05.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ __all__ = [
     "frobenius_gap",
     "mcb_nemenyi",
 ]
+
+MCB_ALPHA = 0.05  # level of the Nemenyi critical distance
 
 
 def _crps_columns(D: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -217,12 +219,11 @@ def frobenius_gap(estimated, truth) -> float:
     return float(np.linalg.norm(A - B, ord="fro"))
 
 
-def mcb_nemenyi(score_matrix: np.ndarray, alpha: float = 0.05) -> dict:
+def mcb_nemenyi(score_matrix: np.ndarray) -> dict:
     """Friedman test plus Nemenyi critical-distance comparison.
 
     Args:
         score_matrix: (replicates, methods) scores, lower is better.
-        alpha: level for the critical distance.
 
     Returns:
         dict with ``friedman_stat``, ``friedman_p``, ``mean_ranks``,
@@ -255,7 +256,7 @@ def mcb_nemenyi(score_matrix: np.ndarray, alpha: float = 0.05) -> dict:
         friedman_p = float(stats.chi2.sf(friedman_stat, df=k - 1))
 
     cd = float(
-        stats.studentized_range.ppf(1.0 - alpha, k, np.inf)
+        stats.studentized_range.ppf(1.0 - MCB_ALPHA, k, np.inf)
         * np.sqrt(k * (k + 1) / (12.0 * n_rep))
     )
     best = int(np.argmin(mean_ranks))

@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 Each one is a slower or differently built form of a package routine:
-the commutation matrix as a dense d x d matrix, the residual-built
+the cross-temporal summation and constraint matrices built dense, a
+window stacked series by series and order by order, the
+commutation matrix as a dense d x d matrix, the residual-built
 covariances as F core F' (the package holds the unshrunk ones as a
 root), the projection as a dense d x d matrix (also at a ridged Omega,
 the form the structured kinds had before their exact limit) and in
@@ -20,6 +22,7 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from ctreco.exceptions import NumericalError
+from ctreco.hierarchy import temporally_aggregate
 from ctreco.reconcile import (
     ReconciliationMap,
     _checked_cho_factor,
@@ -27,6 +30,35 @@ from ctreco.reconcile import (
     bottom_up,
 )
 from ctreco.residuals import ResidualSet, _check_inputs, overlapping_series
+
+
+def dense_cross_temporal(cs, te):
+    """The dense summation and constraint matrices (S, C) of the joint
+    structure: S = S_cs (x) S_te, and C stacks the cross-sectional
+    constraints at each high-frequency position (rows time-major), written
+    in canonical column order, on top of I_n (x) C_te."""
+    n, n_a, dim_te = cs.n, cs.n_upper, te.dim
+    S = np.kron(cs.summation, te.summation)
+    hf_off = dim_te - te.m
+    C_star = np.zeros((n_a * te.m, n * dim_te))
+    for t in range(te.m):
+        rows = slice(t * n_a, (t + 1) * n_a)
+        for i in range(n):
+            C_star[rows, i * dim_te + hf_off + t] = cs.constraints[:, i]
+    C = np.vstack([C_star, np.kron(np.eye(n), te.constraints)])
+    return S, C
+
+
+def stack_window_loop(structure, hf) -> np.ndarray:
+    """``hierarchy.stack_window`` as a loop over series and orders."""
+    X = np.empty((structure.n, structure.te.dim))
+    for i in range(structure.n):
+        off = 0
+        for k in structure.te.factors:
+            Mk = structure.te.periods_at(k)
+            X[i, off : off + Mk] = temporally_aggregate(hf[i], k)
+            off += Mk
+    return X.ravel()
 
 
 def commutation_dense(structure) -> np.ndarray:

@@ -344,6 +344,16 @@ class TestSimulate:
         assert rc == 2
         assert "unknown method 'magic'" in capsys.readouterr().err
 
+    def test_repeated_grid_sampler_exits_2(self, toy_files, capsys):
+        grid = toy_files["tmp"] / "grid.json"
+        grid.write_text(json.dumps({"samplers": ["ctjb", "gauss-hb", "ctjb"]}))
+        rc = run(
+            ["--output-dir", toy_files["tmp"] / "sim", "simulate",
+             "--replicates", 1, "--years", 40, "--L", 20, "--grid", grid]
+        )
+        assert rc == 2
+        assert "repeated sampler 'ctjb'" in capsys.readouterr().err
+
 
 class TestPipelineCommand:
     def test_report_and_manifest(self, toy_files):
@@ -400,3 +410,25 @@ class TestPipelineCommand:
         )
         assert rc == 2
         assert "not divisible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [4.7, True, "2"])
+    def test_non_integer_m_exits_2(self, toy_files, capsys, m):
+        hierarchy = toy_files["tmp"] / "bad_m.json"
+        hierarchy.write_text(json.dumps({"agg_matrix": [[1.0, 1.0]], "m": m}))
+        rc = run(
+            ["--output-dir", toy_files["tmp"] / "pipe", "pipeline",
+             toy_files["data"], "--hierarchy", hierarchy,
+             "--methods", "base,ct-bu", "--samplers", "ctjb"]
+        )
+        assert rc == 2
+        assert f"'m' must be a whole number, got {m!r}" in capsys.readouterr().err
+
+    def test_repeated_method_exits_2(self, toy_files, capsys):
+        rc = run(
+            ["--output-dir", toy_files["tmp"] / "pipe", "pipeline",
+             toy_files["data"], "--hierarchy", toy_files["hierarchy"],
+             "--methods", "base,base,oct-wlsv", "--samplers", "ctjb"]
+        )
+        assert rc == 2
+        assert "repeated method 'base'" in capsys.readouterr().err
+        assert not (toy_files["tmp"] / "pipe" / "mcb_nemenyi.csv").exists()

@@ -1,7 +1,10 @@
 """Tests for the hierarchy matrices and the canonical stacked layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +13,10 @@ from ctreco.hierarchy import (
     build_cross_temporal,
     build_temporal,
     factors_of,
+    stack_window,
     temporally_aggregate,
 )
-from reference import commutation_dense
+from reference import commutation_dense, dense_cross_temporal, stack_window_loop
 
 
 def fig1_structure():
@@ -247,3 +251,93 @@ def test_constraint_summation_product_property(n_a, n_b, m, seed):
     assert np.max(np.abs(ct.constraints @ ct.summation)) <= tol
     assert ct.constraints.shape[0] == n_a * m + ct.n * ct.te.k_star
     assert ct.summation.shape[1] == n_b * m
+
+
+@st.composite
+def real_hierarchies(draw):
+    """A real-valued (n_a, n_b) aggregation matrix, with fractional,
+    negative and zero entries (n_a = 0 included), and a seasonal period."""
+    n_a, n_b = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    entry = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25, 0.1, 3.7, -2.3])
+    agg = draw(st.lists(entry, min_size=n_a * n_b, max_size=n_a * n_b))
+    m = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    return np.array(agg).reshape(n_a, n_b), m
+
+
+def _assert_csr_equals(sparse, dense):
+    """The same non-zeros, in the same order, as the CSR form of ``dense``."""
+    ref = scipy.sparse.csr_array(dense)
+    assert sparse.shape == ref.shape
+    np.testing.assert_array_equal(sparse.indptr, ref.indptr)
+    np.testing.assert_array_equal(sparse.indices, ref.indices)
+    assert sparse.data.tobytes() == ref.data.tobytes()
+    for part in (sparse.data, sparse.indices, sparse.indptr):
+        assert not part.flags.writeable
+
+
+@given(case=real_hierarchies(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sparse_build_matches_the_dense_oracle(case, seed):
+    agg, m = case
+    cs, te = build_cross_sectional(agg), build_temporal(m)
+    ct = build_cross_temporal(cs, te)
+    S, C = dense_cross_temporal(cs, te)
+    _assert_csr_equals(ct.summation_csr, S)
+    _assert_csr_equals(ct.constraints_csr, C)
+    _assert_csr_equals(ct.constraints_t_csr, C.T)
+    assert abs(ct.constraints_csr @ ct.summation_csr).sum() == 0.0
+
+    # the dense forms are derived from the CSR ones and read-only
+    assert "summation" not in vars(ct) and "constraints" not in vars(ct)
+    for dense, sparse in ((ct.summation, ct.summation_csr),
+                          (ct.constraints, ct.constraints_csr)):
+        np.testing.assert_array_equal(dense, sparse.toarray())
+        assert not dense.flags.writeable
+        with pytest.raises(ValueError):
+            dense[0, 0] = 1.0
+
+    # index_of is a bijection onto the stacked vector, block by block
+    cells = [ct.index_of(i, k, j) for i in range(ct.n) for k in te.factors
+             for j in range(te.periods_at(k))]
+    assert cells == list(range(ct.dim))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=ct.dim)
+    X = ct.unstack(x)
+    np.testing.assert_array_equal(ct.stack(X), x)
+    np.testing.assert_array_equal(ct.unstack(ct.stack(X)), X)
+    for i in range(ct.n):
+        for k in te.factors:
+            np.testing.assert_array_equal(
+                x[ct.block_slice(i, k)],
+                X[i, te.offset_of(k) : te.offset_of(k) + te.periods_at(k)])
+
+    # a stacked window is the coherent vector of its bottom cells
+    hf = rng.normal(size=(ct.n, m))
+    hf[: cs.n_upper] = agg @ hf[cs.n_upper :]
+    y = stack_window(ct, hf)
+    assert y.tobytes() == stack_window_loop(ct, hf).tobytes()
+    bottom_hf = [ct.index_of(i, 1, j) for i in range(cs.n_upper, ct.n) for j in range(m)]
+    np.testing.assert_array_equal(ct.bottom_hf_indices(), bottom_hf)
+    np.testing.assert_array_equal(y[bottom_hf], hf[cs.n_upper :].ravel())
+    assert ct.coherence_gap(y) <= 1e-12 * max(1.0, np.abs(agg).sum())
+
+
+def test_tourism_shape_builds_sparse():
+    # n_b = 304 bottoms under n_a = 221 uppers (a total, 76 groups of 4
+    # and 144 groups cutting across them), m = 12: dim 525 * 28 = 14 700
+    n_b = 304
+    j = np.arange(n_b)
+    agg = np.vstack([np.ones((1, n_b)),
+                     (j // 4 == np.arange(76)[:, None]).astype(float),
+                     (j % 144 == np.arange(144)[:, None]).astype(float)])
+    cs, te = build_cross_sectional(agg), build_temporal(12)
+    tracemalloc.start()
+    try:
+        ct = build_cross_temporal(cs, te)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ct.n, ct.dim, ct.bottom_dim) == (525, 14_700, 3648)
+    assert ct.constraints_csr.shape == (221 * 12 + 525 * 16, 14_700)
+    assert peak < 200e6
+    assert "summation" not in vars(ct) and "constraints" not in vars(ct)

@@ -55,6 +55,12 @@ class TestHierarchyFile:
         with pytest.raises(ValidationError, match="JSON"):
             load_hierarchy(path)
 
+    def test_whole_float_m_is_accepted(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"agg_matrix": [[1, 1]], "m": 4.0}))
+        st, _ = load_hierarchy(path)
+        assert st.te.m == 4
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"m": 4}))

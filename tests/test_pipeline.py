@@ -52,6 +52,12 @@ class TestPipelineConfig:
             with pytest.raises(ValidationError, match=f"unknown sampler '{name}'"):
                 PipelineConfig(samplers=("ctjb", name))
 
+    def test_repeated_names(self):
+        with pytest.raises(ValidationError, match="repeated method 'base'"):
+            PipelineConfig(methods=("base", "oct-wlsv", "base"))
+        with pytest.raises(ValidationError, match="repeated sampler 'ctjb'"):
+            PipelineConfig(samplers=("ctjb", "ctjb"))
+
     def test_benchmark_must_be_in_grid(self):
         with pytest.raises(ValidationError, match="benchmark"):
             PipelineConfig(benchmark="oct-bdshr@ctjb")
