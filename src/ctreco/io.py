@@ -73,7 +73,8 @@ def load_hierarchy(path: str | Path) -> tuple[CrossTemporalStructure, list[str]]
     if "agg_matrix" not in payload or "m" not in payload:
         raise ValidationError(f"{path}: needs 'agg_matrix' and 'm' fields")
     m = payload["m"]
-    if type(m) not in (int, float) or not float(m).is_integer():  # bool too
+    # exact types: a JSON true is a bool, which would pass as the int 1
+    if not (type(m) is int or type(m) is float and m.is_integer()):
         raise ValidationError(f"{path}: 'm' must be a whole number, got {m!r}")
     agg = np.asarray(payload["agg_matrix"], dtype=float)
     if agg.ndim == 1:
