@@ -75,6 +75,7 @@ RUNS = {
         "--seed", "8", "--output-dir", "{out}/sample-gaussian", "sample",
         "{in}/train.csv", "--hierarchy", "{in}/hierarchy.json",
         "--method", "gaussian", "--cov", "shr", "--L", "30",
+        "--export-residuals",
     ],
     "score": [
         "--output-dir", "{out}/score", "score",
@@ -91,6 +92,32 @@ RUNS = {
         "--residual-kind", "one-step", "--export-omega",
     ],
 }
+
+# one reconcile run per method family and per residual-based weighting,
+# each reconciling the ctjb draws: run name -> its method arguments
+_ONE_STEP = ["--residuals", "{out}/sample-ctjb/residuals.csv",
+             "--residual-kind", "one-step"]
+_MULTI_STEP = ["--residuals", "{out}/sample-gaussian/residuals.csv",
+               "--residual-kind", "multi-step"]
+_RECONCILE_RUNS = {
+    "reconcile-ct-bu": ["--method", "ct-bu"],
+    "reconcile-cs-bu-te-shr": ["--method", "ct-cs-bu-te", "--omega", "shr",
+                               *_ONE_STEP],
+    "reconcile-te-bu-cs-wlsv-nonneg": ["--method", "ct-te-bu-cs",
+                                       "--omega", "wlsv", *_ONE_STEP,
+                                       "--nonneg"],
+    "reconcile-oct-wlsv": ["--method", "oct", "--omega", "wlsv", *_ONE_STEP],
+    "reconcile-oct-shr": ["--method", "oct", "--omega", "shr", *_MULTI_STEP],
+    "reconcile-oct-hb": ["--method", "oct", "--omega", "hb", *_MULTI_STEP],
+    "reconcile-oct-h-lambda": ["--method", "oct", "--omega", "h",
+                               "--lambda", "0.3", *_MULTI_STEP],
+}
+RUNS.update({
+    name: ["--output-dir", "{out}/" + name, "reconcile",
+           "{out}/sample-ctjb/samples.csv", "--hierarchy", "{in}/hierarchy.json",
+           *args]
+    for name, args in _RECONCILE_RUNS.items()
+})
 
 # the output files compared byte for byte
 KEPT = ("*.csv", "omega.json")
