@@ -19,36 +19,29 @@ import numpy as np
 
 from ctreco import __version__
 from ctreco.covariance import CovarianceSpec, build_omega
-from ctreco.evaluate import GAUSS_KINDS, base_forecasts
+from ctreco.evaluate import GAUSS_KINDS, base_forecasts, reconciler
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.io import (
     atomic_write_text,
+    covariance_to_json,
     ingest,
     load_hierarchy,
     read_residuals_csv,
     read_stacked_csv,
+    write_covariance_csv,
+    write_residuals_csv,
     write_stacked_csv,
 )
-from ctreco.pipeline import (
-    PipelineConfig,
-    build_manifest,
-    run_pipeline,
-)
+from ctreco.pipeline import PipelineConfig, build_manifest, run_pipeline
 from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
-from ctreco.reconcile import (
-    bottom_up,
-    build_projection,
-    partly_bottom_up,
-    reconcile_point,
-    set_negative_to_zero,
-)
+from ctreco.reconcile import set_negative_to_zero
 from ctreco.residuals import (
     aggregate_levels,
     assemble_multistep,
     assemble_onestep,
     fit_level_models,
 )
-from ctreco.scoring import relative_indices
+from ctreco.scoring import relative_indices, score_draws
 from ctreco.simulation import (
     DEFAULT_METHODS,
     DEFAULT_SAMPLERS,
@@ -62,6 +55,9 @@ _RESIDUAL_KINDS = {
     "multi-step": "multi_step",
     "overlapping": "overlapping_multi_step",
 }
+# reconcile --method -> the family ``evaluate.reconciler`` builds
+_FAMILIES = {"ct-bu": "ct-bu", "ct-cs-bu-te": "cs_then_te_bu",
+             "ct-te-bu-cs": "te_then_cs_bu", "oct": "oct"}
 
 
 def _fmt(x) -> str:
@@ -97,32 +93,13 @@ def _cmd_reconcile(args) -> int:
     structure, names = load_hierarchy(args.hierarchy)
     rows = read_stacked_csv(args.base, structure, names)
     residuals = _load_residuals(args, structure, names)
-    lam = _parse_lambda(args.lam)
-
-    if args.method == "ct-bu":
-        out = bottom_up(structure, rows[:, structure.bottom_hf_indices()])
-    elif args.method == "ct-cs-bu-te":
-        out = partly_bottom_up(
-            structure, "cs_then_te_bu", rows,
-            CovarianceSpec(args.omega, lam=lam), residuals,
-        )
-    elif args.method == "ct-te-bu-cs":
-        out = partly_bottom_up(
-            structure, "te_then_cs_bu", rows,
-            CovarianceSpec(args.omega, lam=lam), residuals,
-        )
-    else:  # oct
-        omega = build_omega(
-            CovarianceSpec(args.omega, lam=lam), structure, residuals
-        )
-        rec = build_projection(structure, omega)
-        out = reconcile_point(rec, rows)
+    spec = CovarianceSpec(args.omega, lam=_parse_lambda(args.lam))
+    rec = reconciler(structure, _FAMILIES[args.method], spec, residuals)
+    out = rec(rows)  # read_stacked_csv rejects non-finite cells
     if args.nonneg:
         out = set_negative_to_zero(structure, out)
 
     if args.export_omega:
-        from ctreco.io import covariance_to_json, write_covariance_csv
-
         write_covariance_csv(_out(args, "omega.csv"), rec.omega)
         atomic_write_text(_out(args, "omega.json"), covariance_to_json(rec.omega))
 
@@ -145,8 +122,6 @@ def _cmd_sample(args) -> int:
     assemble = assemble_onestep if args.method == "ctjb" else assemble_multistep
     residuals = assemble(structure, models, data)
     if args.export_residuals:
-        from ctreco.io import write_residuals_csv
-
         write_residuals_csv(_out(args, "residuals.csv"), residuals, names)
     if args.method == "ctjb":
         sample = ctjb_sample(
@@ -169,8 +144,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from ctreco.scoring import score_draws
-
     structure, names = load_hierarchy(args.hierarchy)
     obs = read_stacked_csv(args.observations, structure, names)
     if obs.shape[0] != 1:
@@ -372,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True, help="hierarchy JSON")
     p.add_argument(
         "--method",
-        choices=("ct-bu", "ct-cs-bu-te", "ct-te-bu-cs", "oct"),
+        choices=tuple(_FAMILIES),
         default="oct",
     )
     p.add_argument(

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from ctreco.exceptions import ValidationError
-from ctreco.hierarchy import CrossTemporalStructure
+from ctreco.hierarchy import CrossTemporalStructure, kron_csr
 from ctreco.residuals import ResidualSet
 
 __all__ = [
@@ -71,9 +72,9 @@ class CovarianceSpec:
 class CovarianceMatrix:
     """A built covariance Sigma with its provenance, held as ``values``
     (d x d), as a ``root`` A (d x q, Sigma = A A'), as both, or as a
-    ``factor`` F (d x r) with a ``core`` Q, an r x r CovarianceMatrix, for
-    Sigma = F Q F'.  ``factor`` and ``core`` are None for an unfactored
-    Sigma.
+    ``factor`` F (d x r, held as a CSR array) with a ``core`` Q, an r x r
+    CovarianceMatrix, for Sigma = F Q F'.  ``factor`` and ``core`` are
+    None for an unfactored Sigma.
 
     A form that was not given is derived on first read and kept:
 
@@ -105,7 +106,9 @@ class CovarianceMatrix:
         self._root = None if root is None else _checked_root(root)
         self.core = core
         self.factor = (None if core is None
-                       else _checked_root(factor, "covariance factor"))
+                       else scipy.sparse.csr_array(factor, dtype=float))
+        if core is not None and not np.isfinite(self.factor.data).all():
+            raise ValueError("covariance factor has non-finite entries")
 
     def __repr__(self) -> str:
         return (f"CovarianceMatrix(spec={self.spec!r}, "
@@ -364,8 +367,8 @@ def build_omega(
     S_cs, S_te = _factor_blocks(kind, st)
     series = range(0 if S_cs is None else st.cs.n_upper, st.n)
     data = residuals.columns(series, st.te.factors if S_te is None else [1])
-    factor = np.kron(np.eye(st.n) if S_cs is None else S_cs,
-                     np.eye(st.te.dim) if S_te is None else S_te)
+    factor = kron_csr(np.eye(st.n) if S_cs is None else S_cs,
+                      np.eye(st.te.dim) if S_te is None else S_te)
     if spec.lam == 0.0:
         core, lam = CovarianceMatrix(None, spec, root=_residual_root(data)), 0.0
     else:

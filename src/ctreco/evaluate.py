@@ -1,5 +1,10 @@
 """The method registry and the per-origin evaluation kernel.
 
+``REGISTRY`` maps every reconciliation method to a family, the covariance
+kind it weights with and the residuals that covariance is built on;
+``reconciler`` builds a family's map once, for this kernel and for the
+CLI's ``reconcile`` alike.
+
 The Monte Carlo study (``simulation.run_study``) and the expanding-window
 experiment (``pipeline.run_pipeline``) both evaluate forecast origins
 here: fit, sample, reconcile with every method and score every
@@ -16,14 +21,9 @@ from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import CrossTemporalStructure
 from ctreco.models import forecast
 from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
-from ctreco.reconcile import (
-    _apply_unchecked,
-    bottom_up,
-    build_projection,
-    composite_map,
-    set_negative_to_zero,
-)
+from ctreco.reconcile import build_projection, composite_map, set_negative_to_zero
 from ctreco.residuals import (
+    ResidualSet,
     aggregate_levels,
     assemble_multistep,
     assemble_onestep,
@@ -33,34 +33,33 @@ from ctreco.residuals import (
 from ctreco.scoring import ScoreRaw, frobenius_gap, relative_indices, score_draws
 
 __all__ = [
-    "PROJECTIONS",
-    "COMPOSITES",
+    "REGISTRY",
     "METHODS",
     "GAUSS_KINDS",
     "SAMPLERS",
     "check_grid",
+    "reconciler",
     "base_forecasts",
     "evaluate_origin",
     "relative_reports",
 ]
 
-# optimal projections: method -> (covariance kind, residuals it is built on)
-PROJECTIONS = {
-    "oct-ols": ("ols", None),
-    "oct-struc": ("struc", None),
-    "oct-wlsv": ("wlsv", "one_step"),
-    "oct-bdshr": ("bdshr", "one_step"),
-    "octh-shr": ("shr", "multi"),
-    "octh-bshr": ("b", "multi"),
-    "octh-hshr": ("h", "multi"),
-    "octh-hbshr": ("hb", "multi"),
+# method -> (family, covariance kind, residuals the covariance is built on)
+REGISTRY = {
+    "base": ("base", None, None),
+    "ct-bu": ("ct-bu", None, None),
+    "ct-shrcs-bute": ("cs_then_te_bu", "shr", "one_step"),
+    "ct-wlsvte-bucs": ("te_then_cs_bu", "wlsv", "one_step"),
+    "oct-ols": ("oct", "ols", None),
+    "oct-struc": ("oct", "struc", None),
+    "oct-wlsv": ("oct", "wlsv", "one_step"),
+    "oct-bdshr": ("oct", "bdshr", "one_step"),
+    "octh-shr": ("oct", "shr", "multi"),
+    "octh-bshr": ("oct", "b", "multi"),
+    "octh-hshr": ("oct", "h", "multi"),
+    "octh-hbshr": ("oct", "hb", "multi"),
 }
-# partly bottom-up composites: method -> (mode, inner covariance kind)
-COMPOSITES = {
-    "ct-shrcs-bute": ("cs_then_te_bu", "shr"),
-    "ct-wlsvte-bucs": ("te_then_cs_bu", "wlsv"),
-}
-METHODS = ("base", "ct-bu") + tuple(COMPOSITES) + tuple(PROJECTIONS)
+METHODS = tuple(REGISTRY)
 
 # Gaussian samplers: sampler -> unshrunk covariance kind of the multi-step
 # residuals; "ctjb" is the cross-temporal joint bootstrap
@@ -98,14 +97,25 @@ def base_forecasts(
     return xhat
 
 
-def _reconcile(mth, draws, st, maps) -> np.ndarray:
-    if mth == "base":
-        return draws
-    if mth == "ct-bu":
-        return bottom_up(st, draws[:, st.bottom_hf_indices()])
-    if mth in COMPOSITES:
-        return maps[mth](draws)
-    return _apply_unchecked(maps[mth], draws)  # sampled draws are finite
+def reconciler(
+    structure: CrossTemporalStructure,
+    family: str,
+    spec: CovarianceSpec | None = None,
+    residuals: ResidualSet | None = None,
+):
+    """The function reconciling a stacked vector or an (L, dim) block by
+    one family, built once: ``base`` is the identity, ``oct`` the
+    ``ReconciliationMap`` of the covariance ``spec`` builds from
+    ``residuals``, ``ct-bu`` bottom-up and ``cs_then_te_bu`` /
+    ``te_then_cs_bu`` the composites weighting with ``spec``.  None of
+    them checks that its input is finite."""
+    if family == "base":
+        return lambda x: x
+    if family == "oct":
+        return build_projection(structure, build_omega(spec, structure, residuals))
+    if family == "ct-bu":  # both inner steps bottom-up
+        family, spec = "cs_then_te_bu", None
+    return composite_map(structure, family, spec, residuals)
 
 
 def evaluate_origin(
@@ -146,13 +156,9 @@ def evaluate_origin(
     sources = {"one_step": one_step, "multi": multi, None: None}
     maps = {}  # built once per origin, applied to every sampler's draws
     for mth in methods:
-        if mth in PROJECTIONS:
-            kind, source = PROJECTIONS[mth]
-            omega = build_omega(CovarianceSpec(kind), st, sources[source])
-            maps[mth] = build_projection(st, omega)
-        elif mth in COMPOSITES:
-            mode, inner = COMPOSITES[mth]
-            maps[mth] = composite_map(st, mode, CovarianceSpec(inner), one_step)
+        family, kind, source = REGISTRY[mth]
+        spec = CovarianceSpec(kind) if kind else None
+        maps[mth] = reconciler(st, family, spec, sources[source])
 
     shape = (len(methods), len(samplers))
     crps = np.empty(shape + (st.n, len(st.te.factors)))
@@ -167,7 +173,7 @@ def evaluate_origin(
                 GaussianForecast(xhat, sigma), st, L, seed=seeds[s_idx]
             )
         for m_idx, mth in enumerate(methods):
-            draws = _reconcile(mth, sample.draws, st, maps)
+            draws = maps[mth](sample.draws)  # sampled draws are finite
             if nonneg and mth != "base":
                 draws = set_negative_to_zero(st, draws)
             raw = score_draws(st, draws, z)

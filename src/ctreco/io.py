@@ -8,8 +8,8 @@ one row per vector (or per draw).  Dense covariances use the same CSV
 shape without headers, plus a compact JSON form carrying only the lower
 triangle for caching.
 
-Floats are written with repr-round-tripping precision so a rerun with
-the same inputs and seed produces byte-identical files.
+Stacked vectors and covariances are written with repr-round-tripping
+precision, so reruns are byte-identical; the CLI's reports use ``%.12g``.
 """
 
 from __future__ import annotations
@@ -76,11 +76,13 @@ def load_hierarchy(path: str | Path) -> tuple[CrossTemporalStructure, list[str]]
     # exact types: a JSON true is a bool, which would pass as the int 1
     if not (type(m) is int or type(m) is float and m.is_integer()):
         raise ValidationError(f"{path}: 'm' must be a whole number, got {m!r}")
-    agg = np.asarray(payload["agg_matrix"], dtype=float)
-    if agg.ndim == 1:
-        agg = agg[None, :]
+    agg = payload["agg_matrix"]  # rows, or one row
+    rows = agg if type(agg) is list and all(type(r) is list for r in agg) else [agg]
+    if not all(type(r) is list and len(r) == len(rows[0])
+               and all(type(v) in (int, float) for v in r) for r in rows):
+        raise ValidationError(f"{path}: 'agg_matrix' must be equal-length rows of numbers")
     structure = build_cross_temporal(
-        build_cross_sectional(agg), build_temporal(int(m))
+        build_cross_sectional(np.array(rows, dtype=float)), build_temporal(int(m))
     )
     names = payload.get("series_names")
     if names is None:
@@ -183,6 +185,10 @@ def read_stacked_csv(
                 vals = np.array([float(v) for v in row])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise ValidationError(f"{path}:{lineno}: non-finite value "
+                                      f"{row[bad[0]]!r} in column {header[bad[0]]!r}")
             rows.append(vals[perm])
     if not rows:
         raise ValidationError(f"{path}: no data rows")

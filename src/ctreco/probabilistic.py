@@ -100,8 +100,9 @@ def gaussian_reconcile(
     Sigma; M is not formed, and Sigma is decomposed only if held dense."""
     mean, cov = reconcile_point(rec_map, base.mean), base.covariance
     core = CovarianceMatrix(None, cov.spec, root=rec_map.G @ cov.root)
+    S = rec_map.structure.summation_csr
     return GaussianForecast(mean, CovarianceMatrix(
-        None, cov.spec, cov.lambda_used, factor=rec_map.structure.summation, core=core))
+        None, cov.spec, cov.lambda_used, factor=S, core=core))
 
 
 def sample_gaussian(

@@ -31,10 +31,14 @@ eigenvalues of A decide: A is rejected as numerically singular, with
 eigenvalue is not positive or its eigenvalue ratio exceeds 1e12.  So a
 matrix is accepted exactly when the eigenvalue rule accepts it.
 
-Besides the optimal map, the classic composites are provided: plain
-bottom-up, the two partly-bottom-up schemes (one-dimensional
-reconciliation followed by bottom-up along the other dimension), and the
-clamp-negatives-then-aggregate heuristic for non-negative data.
+Besides the optimal map, ``composite_map`` builds the classic
+composites once: the two partly-bottom-up schemes (one-dimensional
+reconciliation followed by bottom-up along the other dimension) and, with
+no inner covariance, plain bottom-up.  A ``ReconciliationMap`` and a
+composite are both called on a stacked vector or an (L, dim) block, and
+``evaluate.reconciler`` picks one by method family.  A map's call does
+not check its input; ``reconcile_point`` does.  ``set_negative_to_zero``
+is the clamp-negatives-then-aggregate heuristic for non-negative data.
 """
 
 from __future__ import annotations
@@ -100,8 +104,10 @@ class ReconciliationMap:
         M.flags.writeable = False
         return M
 
-    def apply(self, xhat: np.ndarray) -> np.ndarray:
-        return reconcile_point(self, xhat)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The map applied to a (dim,) vector or (L, dim) block, unchecked;
+        ``reconcile_point`` checks its input first."""
+        return bottom_up(self.structure, (self.G @ x.T).T)
 
 
 def _checked_cho_factor(A: np.ndarray, what: str, kind: str) -> np.ndarray:
@@ -188,11 +194,6 @@ def build_projection(
     return ReconciliationMap(st, omega, (kron_csr(P_cs, P_te).T @ G_Q.T).T)
 
 
-def _apply_unchecked(rec_map: ReconciliationMap, x: np.ndarray) -> np.ndarray:
-    """The map applied to a (dim,) vector or (L, dim) block, unchecked."""
-    return bottom_up(rec_map.structure, (rec_map.G @ x.T).T)
-
-
 def reconcile_point(rec_map: ReconciliationMap, xhat: np.ndarray) -> np.ndarray:
     """Apply the map to a stacked vector or to rows of draws."""
     x = np.asarray(xhat, dtype=float)
@@ -201,7 +202,7 @@ def reconcile_point(rec_map: ReconciliationMap, xhat: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected trailing dimension {dim}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
-    return _apply_unchecked(rec_map, x)
+    return rec_map(x)
 
 
 def bottom_up(structure: CrossTemporalStructure, b_forecasts: np.ndarray) -> np.ndarray:
@@ -244,14 +245,18 @@ def composite_map(
     inner_spec: CovarianceSpec | None,
     residuals: ResidualSet | None = None,
 ):
-    """Build a two-step composite once; return the function applying it.
+    """Build a two-step composite once; return the function applying it
+    to a stacked vector or an (L, dim) block.
 
-    The inner map -- the bottom rows of the cross-sectional M_cs, or the
-    high-frequency rows of one temporal M_te per bottom series -- is
-    built here, so a caller reconciling several draw blocks with one
-    composite builds it once.  The returned function takes a stacked
-    vector or an (L, dim) block and returns what ``partly_bottom_up``
-    returns for it.
+    ``cs_then_te_bu``: cross-sectionally reconcile the highest-frequency
+    forecasts, then rebuild all temporal orders bottom-up.
+    ``te_then_cs_bu``: temporally reconcile each bottom series, then
+    rebuild the upper series bottom-up per order.
+    ``inner_spec=None`` replaces the inner step by bottom-up too,
+    collapsing both modes to plain ct(bu).  Either way the result is
+    cross-temporally coherent.  The inner map -- the bottom rows of the
+    cross-sectional M_cs, or the high-frequency rows of one temporal M_te
+    per bottom series -- is built here, once for every block applied.
     """
     st = structure
     n, n_a = st.n, st.cs.n_upper
@@ -312,12 +317,10 @@ def composite_map(
 
     def apply(base: np.ndarray) -> np.ndarray:
         x = np.asarray(base, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        if X.shape[-1] != st.dim:
+        if x.shape[-1:] != (st.dim,):
             raise ValueError(f"expected trailing dimension {st.dim}")
-        out = bottom_up(st, reconcile_hf(X))
-        return out[0] if single else out
+        b = reconcile_hf(x.reshape(-1, st.dim))
+        return bottom_up(st, b.reshape(x.shape[:-1] + (st.bottom_dim,)))
 
     return apply
 
@@ -329,18 +332,8 @@ def partly_bottom_up(
     inner_spec: CovarianceSpec | None,
     residuals: ResidualSet | None = None,
 ) -> np.ndarray:
-    """Two-step composite reconciliation.
-
-    ``cs_then_te_bu``: cross-sectionally reconcile the highest-frequency
-    forecasts, then rebuild all temporal orders bottom-up.
-    ``te_then_cs_bu``: temporally reconcile each bottom series, then
-    rebuild the upper series bottom-up per order.
-
-    ``inner_spec=None`` replaces the inner reconciliation by bottom-up
-    too, collapsing both modes to plain ct(bu).  Either way the result is
-    cross-temporally coherent.  Builds the composite for this one call;
-    ``composite_map`` keeps it for several.
-    """
+    """Two-step composite reconciliation of ``base`` by the composite
+    ``composite_map`` builds, built for this one call."""
     return composite_map(structure, mode, inner_spec, residuals)(base)
 
 
@@ -353,9 +346,6 @@ def set_negative_to_zero(
     the aggregation matrices are non-negative.
     """
     x = np.asarray(values, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[-1] != structure.dim:
+    if x.shape[-1:] != (structure.dim,):
         raise ValueError(f"expected trailing dimension {structure.dim}")
-    out = bottom_up(structure, np.maximum(X[:, structure.bottom_hf_indices()], 0.0))
-    return out[0] if single else out
+    return bottom_up(structure, np.maximum(x[..., structure.bottom_hf_indices()], 0.0))

@@ -109,7 +109,7 @@ def true_covariance(config: SimulationConfig) -> CovarianceMatrix:
         ]
     )
     spec = CovarianceSpec("hb", lam=0.0)
-    return CovarianceMatrix(None, spec, factor=st.summation,
+    return CovarianceMatrix(None, spec, factor=st.summation_csr,
                             core=CovarianceMatrix(Q, spec))
 
 

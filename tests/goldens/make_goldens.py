@@ -9,7 +9,8 @@ in ``RUNS``, the files of ``KEPT`` that run writes under
 ``tests/goldens/<run>/``.  With ``--compare DIR`` it writes nothing under
 ``tests/goldens/``: it reruns every golden into ``DIR`` from the kept
 inputs and prints, for each golden file, how many cells changed and the
-largest absolute and relative gap of the changed numeric cells.
+largest absolute and relative gap of the changed numeric cells; it exits
+1 unless every file is identical.
 ``tests/test_goldens.py`` repeats the runs and compares the bytes, so a
 refactor that must not change any report is checked against them.
 Regenerate only for a change that is meant to alter report bytes, and
@@ -239,8 +240,9 @@ def main_cli(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.compare is not None:
-        print("\n".join(compare(args.compare)))
-        return 0
+        lines = compare(args.compare)
+        print("\n".join(lines))
+        return 0 if all(line.endswith(": identical") for line in lines) else 1
     write_inputs()
     scratch = HERE / "_runs"
     shutil.rmtree(scratch, ignore_errors=True)

@@ -173,16 +173,16 @@ class TestReconcile:
         assert dense.shape == (9, 9)
 
     def test_export_omega_builds_the_covariance_once(self, toy_files, monkeypatch):
-        import ctreco.cli as cli
+        import ctreco.evaluate as evaluate
 
         calls = []
-        real = cli.build_omega
+        real = evaluate.build_omega
 
         def counting(*args, **kwargs):
             calls.append(args[0].kind)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_omega", counting)
+        monkeypatch.setattr(evaluate, "build_omega", counting)
         samples = self.make_samples(toy_files)
         rc = run(
             ["--output-dir", toy_files["tmp"] / "r_once", "reconcile", samples,
@@ -239,6 +239,45 @@ class TestReconcile:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """A non-finite cell is rejected where the file is read, naming its
+    file and line, for every reconcile method and for score."""
+
+    HIERARCHY = GOLDENS / "inputs" / "hierarchy.json"
+
+    @staticmethod
+    def with_nan(src, dst, line, column):
+        lines = Path(src).read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[lines[0].split(",").index(column)] = "nan"
+        lines[line - 1] = ",".join(cells)
+        dst.write_text("\n".join(lines) + "\n")
+        return dst
+
+    @pytest.mark.parametrize("method", ["ct-bu", "ct-cs-bu-te", "ct-te-bu-cs", "oct"])
+    def test_reconcile_exits_2(self, tmp_path, capsys, method):
+        base = self.with_nan(GOLDENS / "sample-ctjb" / "samples.csv",
+                             tmp_path / "base.csv", 4, "series:B1|k:1|h:1")
+        out = tmp_path / "out"
+        rc = run(["--output-dir", out, "reconcile", base,
+                  "--hierarchy", self.HIERARCHY, "--method", method])
+        assert rc == 2
+        assert f"{base}:4: non-finite value 'nan'" in capsys.readouterr().err
+        assert not (out / "reconciled.csv").exists()
+
+    def test_score_exits_2(self, tmp_path, capsys):
+        obs = self.with_nan(GOLDENS / "inputs" / "observed.csv",
+                            tmp_path / "obs.csv", 2, "series:T|k:4|h:1")
+        out = tmp_path / "out"
+        rc = run(["--output-dir", out, "score", "--samples",
+                  f"ctjb={GOLDENS / 'sample-ctjb' / 'samples.csv'}",
+                  "--observations", obs, "--hierarchy", self.HIERARCHY,
+                  "--benchmark", "ctjb"])
+        assert rc == 2
+        assert f"{obs}:2: non-finite value 'nan'" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
 
 
 class TestScore:

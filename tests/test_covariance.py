@@ -310,7 +310,7 @@ class TestRootForm:
         for kind in STRUCTURED_KINDS:
             om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
             X, F = unshrunk_blocks(kind, st, rs)
-            np.testing.assert_array_equal(om.factor, F)
+            np.testing.assert_array_equal(om.factor.toarray(), F)
             if lam == 0.0:
                 np.testing.assert_array_equal(om.core.root, _residual_root(X))
                 assert vars(om.core)["_values"] is None

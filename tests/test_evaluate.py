@@ -8,19 +8,18 @@ import scipy.linalg
 
 import ctreco.evaluate as evaluate
 from ctreco.covariance import STRUCTURED_KINDS
-from ctreco.evaluate import (
-    COMPOSITES,
-    METHODS,
-    PROJECTIONS,
-    SAMPLERS,
-    evaluate_origin,
-)
+from ctreco.evaluate import METHODS, REGISTRY, SAMPLERS, evaluate_origin
 from ctreco.hierarchy import (
     build_cross_sectional,
     build_cross_temporal,
     build_temporal,
     stack_window,
 )
+
+# the methods built as projections, and the partly bottom-up composites
+PROJECTIONS = [mth for mth, (family, _, _) in REGISTRY.items() if family == "oct"]
+COMPOSITES = {mth: family for mth, (family, _, _) in REGISTRY.items()
+              if family in ("cs_then_te_bu", "te_then_cs_bu")}
 
 
 def random_origin(seed, m=4, years=12):
@@ -69,7 +68,7 @@ def test_each_composite_is_built_once_per_origin(samplers, monkeypatch):
     monkeypatch.setattr(evaluate, "composite_map", counting)
     st, train, z = random_origin(3)
     run(st, train, z, ("base",) + tuple(COMPOSITES), samplers)
-    assert sorted(built) == sorted(mode for mode, _ in COMPOSITES.values())
+    assert sorted(built) == sorted(COMPOSITES.values())
 
 
 def test_every_method_is_applied_without_dense_maps(monkeypatch):

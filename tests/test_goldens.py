@@ -43,3 +43,16 @@ def test_reports_match_goldens_byte_for_byte(runs, name):
         got = (runs / name / file).read_bytes()
         want = (GOLDENS / name / file).read_bytes()
         assert got == want, f"{name}/{file} differs from its golden; {REGENERATE}"
+
+
+@pytest.mark.parametrize("summary,code", [
+    ("identical", 0),
+    ("3 of 9 cells changed, largest gap 1e-16 absolute, 1e-16 relative", 1),
+    ("not written", 1),
+])
+def test_compare_exits_1_unless_every_file_is_identical(
+        tmp_path, monkeypatch, capsys, summary, code):
+    lines = ["score/scores.csv: identical", f"sample-ctjb/samples.csv: {summary}"]
+    monkeypatch.setattr(make_goldens, "compare", lambda out_root: lines)
+    assert make_goldens.main_cli(["--compare", str(tmp_path)]) == code
+    assert capsys.readouterr().out.splitlines() == lines

@@ -61,6 +61,26 @@ class TestHierarchyFile:
         st, _ = load_hierarchy(path)
         assert st.te.m == 4
 
+    @pytest.mark.parametrize("agg", [
+        [[True, False, 1]],  # JSON booleans
+        [[1, 1, "1"]],  # a numeric string
+        [[1, None, 1]],  # null
+        [[1, 1, 1], [1, 1]],  # ragged rows
+        [[1, 1], 1],  # a row beside a number
+        5,
+    ])
+    def test_agg_matrix_holds_only_rows_of_numbers(self, tmp_path, agg):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"agg_matrix": agg, "m": 2}))
+        with pytest.raises(ValidationError, match="'agg_matrix' must be"):
+            load_hierarchy(path)
+
+    def test_agg_matrix_may_be_one_row(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"agg_matrix": [1, 0.5], "m": 2}))
+        st, _ = load_hierarchy(path)
+        np.testing.assert_array_equal(st.cs.agg, [[1.0, 0.5]])
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"m": 4}))
@@ -118,6 +138,18 @@ class TestStackedCsv:
         text = path.read_text().replace("0,0", "0,oops", 1)
         path.write_text(text)
         with pytest.raises(ValidationError, match=":2"):
+            read_stacked_csv(path, st, ["A", "B", "C"])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_line_and_column(self, tmp_path, bad):
+        st = make_structure()
+        path = tmp_path / "x.csv"
+        write_stacked_csv(path, st, ["A", "B", "C"], np.zeros((2, st.dim)))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("0.0", bad, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=(
+                rf":3: non-finite value '{bad}' in column 'series:A\|k:2\|h:1'")):
             read_stacked_csv(path, st, ["A", "B", "C"])
 
     def test_bad_label(self, tmp_path):

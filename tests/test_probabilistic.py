@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -71,6 +72,19 @@ class TestGaussianReconcile:
         out = gaussian_reconcile(base, rec)
         np.testing.assert_allclose(out.covariance.values, rec.M @ om.values,
                                    atol=1e-8)
+
+    def test_factor_is_the_sparse_summation_matrix(self):
+        # the reconciled covariance is held as S core S' with the CSR S, so
+        # no dense S is derived and kept on the structure
+        st = semi_annual()
+        rec = build_projection(st, spd_cov(st, 4))
+        base = GaussianForecast(np.zeros(st.dim), spd_cov(st, 5))
+        cov = gaussian_reconcile(base, rec).covariance
+        assert scipy.sparse.issparse(cov.factor)
+        np.testing.assert_array_equal(cov.factor.toarray(),
+                                      st.summation_csr.toarray())
+        cov.root, cov.values
+        assert "summation" not in vars(st)
 
     @given(data=hst.data())
     @settings(max_examples=30, deadline=None)
