@@ -32,7 +32,11 @@ from ctreco.io import (
     write_residuals_csv,
     write_stacked_csv,
 )
-from ctreco.pipeline import PipelineConfig, build_manifest, run_pipeline
+from ctreco.pipeline import (
+    PipelineConfig,
+    build_manifest,
+    run_pipeline,
+)
 from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
 from ctreco.reconcile import set_negative_to_zero
 from ctreco.residuals import (
@@ -79,20 +83,14 @@ def _out(args, name: str) -> Path:
     return out_dir / name
 
 
-def _load_residuals(args, structure, names):
-    if not args.residuals:
-        return None
-    return read_residuals_csv(
-        args.residuals, structure, names, _RESIDUAL_KINDS[args.residual_kind]
-    )
-
-
 def _cmd_reconcile(args) -> int:
     if args.export_omega and args.method != "oct":
         raise ValidationError(f"--export-omega needs --method oct, not {args.method}")
     structure, names = load_hierarchy(args.hierarchy)
     rows = read_stacked_csv(args.base, structure, names)
-    residuals = _load_residuals(args, structure, names)
+    residuals = (read_residuals_csv(args.residuals, structure, names,
+                                    _RESIDUAL_KINDS[args.residual_kind])
+                 if args.residuals else None)
     spec = CovarianceSpec(args.omega, lam=_parse_lambda(args.lam))
     rec = reconciler(structure, _FAMILIES[args.method], spec, residuals)
     out = rec(rows)  # read_stacked_csv rejects non-finite cells

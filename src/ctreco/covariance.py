@@ -177,11 +177,11 @@ def _checked_values(values) -> np.ndarray:
     return V
 
 
-def _checked_root(root, what: str = "covariance root") -> np.ndarray:
+def _checked_root(root) -> np.ndarray:
     A = np.array(root, dtype=float)
     if A.ndim != 2:
-        raise ValueError(f"{what} must be a matrix")
-    _require_finite(A, what)
+        raise ValueError("covariance root must be a matrix")
+    _require_finite(A, "covariance root")
     A.flags.writeable = False
     return A
 

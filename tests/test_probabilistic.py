@@ -83,7 +83,7 @@ class TestGaussianReconcile:
         assert scipy.sparse.issparse(cov.factor)
         np.testing.assert_array_equal(cov.factor.toarray(),
                                       st.summation_csr.toarray())
-        cov.root, cov.values
+        cov.root, cov.values  # derive both dense forms
         assert "summation" not in vars(st)
 
     @given(data=hst.data())
