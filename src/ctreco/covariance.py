@@ -92,7 +92,7 @@ class CovarianceMatrix:
     rule.  Only when it fails are the eigenvalues computed, and the rule
     decides on them, so the two steps accept and reject exactly what the
     eigenvalue rule alone would.  A given root or factor must be finite.
-    Every form is read-only.
+    Every dense form is read-only; the factor is a CSR copy of the one given.
     """
 
     def __init__(self, values, spec: CovarianceSpec,
@@ -106,7 +106,7 @@ class CovarianceMatrix:
         self._root = None if root is None else _checked_root(root)
         self.core = core
         self.factor = (None if core is None
-                       else scipy.sparse.csr_array(factor, dtype=float))
+                       else scipy.sparse.csr_array(factor, dtype=float, copy=True))
         if core is not None and not np.isfinite(self.factor.data).all():
             raise ValueError("covariance factor has non-finite entries")
 
