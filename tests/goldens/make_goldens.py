@@ -94,7 +94,7 @@ RUNS = {
     ],
 }
 
-# one reconcile run per method family and per residual-based weighting,
+# reconcile runs over the method families and the weightings they take,
 # each reconciling the ctjb draws: run name -> its method arguments
 _ONE_STEP = ["--residuals", "{out}/sample-ctjb/residuals.csv",
              "--residual-kind", "one-step"]
@@ -107,9 +107,21 @@ _RECONCILE_RUNS = {
     "reconcile-te-bu-cs-wlsv-nonneg": ["--method", "ct-te-bu-cs",
                                        "--omega", "wlsv", *_ONE_STEP,
                                        "--nonneg"],
+    "reconcile-cs-bu-te-struc": ["--method", "ct-cs-bu-te", "--omega", "struc"],
+    "reconcile-cs-bu-te-wlsv": ["--method", "ct-cs-bu-te", "--omega", "wlsv",
+                                *_ONE_STEP],
+    "reconcile-te-bu-cs-ols": ["--method", "ct-te-bu-cs", "--omega", "ols"],
+    "reconcile-te-bu-cs-struc": ["--method", "ct-te-bu-cs", "--omega", "struc"],
+    "reconcile-oct-ols": ["--method", "oct", "--omega", "ols"],
+    "reconcile-oct-struc": ["--method", "oct", "--omega", "struc"],
     "reconcile-oct-wlsv": ["--method", "oct", "--omega", "wlsv", *_ONE_STEP],
     "reconcile-oct-shr": ["--method", "oct", "--omega", "shr", *_MULTI_STEP],
+    # the sample runs keep 10 residual rows, too few for a non-singular
+    # sam at dim 35, so sam reads 60 rows written with the inputs
+    "reconcile-oct-sam": ["--method", "oct", "--omega", "sam", "--residuals",
+                          "{in}/residuals.csv", "--residual-kind", "multi-step"],
     "reconcile-oct-hb": ["--method", "oct", "--omega", "hb", *_MULTI_STEP],
+    "reconcile-oct-b": ["--method", "oct", "--omega", "b", *_MULTI_STEP],
     "reconcile-oct-h-lambda": ["--method", "oct", "--omega", "h",
                                "--lambda", "0.3", *_MULTI_STEP],
 }
@@ -139,7 +151,8 @@ def run_all(out_root: Path, inputs: Path = INPUTS) -> None:
 
 
 def write_inputs(inputs: Path = INPUTS) -> None:
-    """Quarterly data for T = B1 + B2 + B3 and X = B1 + B2, 13 years."""
+    """Quarterly data for T = B1 + B2 + B3 and X = B1 + B2, 13 years, and
+    60 rows of stacked residuals for it."""
     inputs.mkdir(parents=True, exist_ok=True)
     hierarchy = {
         "agg_matrix": [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]],
@@ -173,6 +186,11 @@ def write_inputs(inputs: Path = INPUTS) -> None:
     write_stacked_csv(
         inputs / "observed.csv", st, names, stack_window(st, values[:, -4:])
     )
+    # correlated residual rows, enough of them for a full-rank sample covariance
+    rng = np.random.default_rng(2024)
+    mix = np.eye(st.dim) + 0.3 * rng.standard_normal((st.dim, st.dim))
+    write_stacked_csv(inputs / "residuals.csv", st, names,
+                      rng.standard_normal((60, st.dim)) @ mix)
 
 
 def _cells(path: Path) -> list[str]:
