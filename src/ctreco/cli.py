@@ -107,13 +107,20 @@ def _cmd_reconcile(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
+def _load_dataset(args):
+    """The dataset of ``sample`` or ``pipeline``, its coherence warnings
+    printed, with the (criterion, max_order) that --fixed-order selects."""
     dataset = ingest(args.data, args.hierarchy)
     for line in dataset.coherence_report:
         print(f"warning: {line}", file=sys.stderr)
+    if args.fixed_order is not None:
+        return dataset, "fixed", args.fixed_order
+    return dataset, "aicc", args.max_order
+
+
+def _cmd_sample(args) -> int:
+    dataset, criterion, max_order = _load_dataset(args)
     structure, names = dataset.structure, dataset.names
-    criterion = "fixed" if args.fixed_order is not None else "aicc"
-    max_order = args.fixed_order if args.fixed_order is not None else args.max_order
     data = aggregate_levels(structure, dataset.values)
     models = fit_level_models(data, max_order=max_order, criterion=criterion)
 
@@ -261,11 +268,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     started = time.time()
-    dataset = ingest(args.data, args.hierarchy)
-    for line in dataset.coherence_report:
-        print(f"warning: {line}", file=sys.stderr)
-    criterion = "fixed" if args.fixed_order is not None else "aicc"
-    max_order = args.fixed_order if args.fixed_order is not None else args.max_order
+    dataset, criterion, max_order = _load_dataset(args)
     cfg = PipelineConfig(
         methods=tuple(args.methods.split(",")),
         samplers=tuple(args.samplers.split(",")),

@@ -19,6 +19,10 @@ The joint constraint matrix C, its transpose C' and the summation matrix
 S are held only as CSR arrays, built from the non-zeros of the small
 cross-sectional and temporal matrices (``kron_csr`` builds every sparse
 Kronecker product); their dense forms are derived when read.
+
+Cross-sectional reconciliation is the joint case at m = 1, and temporal
+reconciliation the joint case of one series with no upper series; a
+structure holds both as ``cs_only`` and ``te_only``, built on first read.
 """
 
 from __future__ import annotations
@@ -211,6 +215,17 @@ class CrossTemporalStructure:
     @cached_property
     def constraints(self) -> np.ndarray:
         return _readonly(self.constraints_csr.toarray())
+
+    @cached_property
+    def cs_only(self) -> CrossTemporalStructure:
+        """The cross-sectional structure alone: ``cs`` at m = 1, dim n."""
+        return build_cross_temporal(self.cs, build_temporal(1))
+
+    @cached_property
+    def te_only(self) -> CrossTemporalStructure:
+        """The temporal structure alone: one series with no upper series
+        under ``te``, dim m + k_star."""
+        return build_cross_temporal(build_cross_sectional(np.zeros((0, 1))), self.te)
 
     @cached_property
     def _bottom_hf(self) -> np.ndarray:

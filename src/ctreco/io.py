@@ -125,8 +125,8 @@ def write_stacked_csv(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_label(label: str, lineno: int, path) -> tuple[str, int, int]:
-    parts = label.strip().split("|")
+def _parse_label(label: str, path) -> tuple[str, int, int]:
+    parts = label.split("|")
     try:
         series = parts[0].split(":", 1)[1]
         k = int(parts[1].split(":", 1)[1])
@@ -136,43 +136,24 @@ def _parse_label(label: str, lineno: int, path) -> tuple[str, int, int]:
             raise IndexError
     except (IndexError, ValueError) as exc:
         raise ValidationError(
-            f"{path}:{lineno}: bad column label {label!r} "
+            f"{path}:1: bad column label {label!r} "
             "(expected series:<name>|k:<int>|h:<int>)"
         ) from exc
     return series, k, h
 
 
-def read_stacked_csv(
-    path: str | Path,
-    structure: CrossTemporalStructure,
-    names: list[str],
-) -> np.ndarray:
-    """Read stacked-layout rows, permuting columns into canonical order."""
+def _read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The stripped header and the (rows, columns) table of a CSV file.
+
+    Blank rows are skipped; every other row must have one value per
+    column, each a finite float, or ValidationError names ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        name_to_idx = {nm: i for i, nm in enumerate(names)}
-        perm = np.empty(structure.dim, dtype=np.intp)
-        seen = set()
-        for col, label in enumerate(header):
-            series, k, h = _parse_label(label, 1, path)
-            if series not in name_to_idx:
-                raise ValidationError(f"{path}: unknown series {series!r}")
-            try:
-                target = structure.index_of(name_to_idx[series], k, h - 1)
-            except ValueError as exc:
-                raise ValidationError(f"{path}: {exc}") from exc
-            if target in seen:
-                raise ValidationError(f"{path}: duplicate column {label!r}")
-            seen.add(target)
-            perm[target] = col
-        if len(seen) != structure.dim:
-            raise ValidationError(
-                f"{path}: {len(seen)} columns, expected {structure.dim}"
-            )
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -182,17 +163,46 @@ def read_stacked_csv(
                     f"{path}:{lineno}: {len(row)} values, expected {len(header)}"
                 )
             try:
-                vals = np.array([float(v) for v in row])
+                vals = [float(v) for v in row]
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             bad = np.flatnonzero(~np.isfinite(vals))
             if bad.size:
                 raise ValidationError(f"{path}:{lineno}: non-finite value "
                                       f"{row[bad[0]]!r} in column {header[bad[0]]!r}")
-            rows.append(vals[perm])
+            rows.append(vals)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return np.asarray(rows)
+    return header, np.asarray(rows)
+
+
+def read_stacked_csv(
+    path: str | Path,
+    structure: CrossTemporalStructure,
+    names: list[str],
+) -> np.ndarray:
+    """Read stacked-layout rows, permuting columns into canonical order."""
+    header, table = _read_csv(path)
+    name_to_idx = {nm: i for i, nm in enumerate(names)}
+    perm = np.empty(structure.dim, dtype=np.intp)
+    seen = set()
+    for col, label in enumerate(header):
+        series, k, h = _parse_label(label, path)
+        if series not in name_to_idx:
+            raise ValidationError(f"{path}: unknown series {series!r}")
+        try:
+            target = structure.index_of(name_to_idx[series], k, h - 1)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+        if target in seen:
+            raise ValidationError(f"{path}: duplicate column {label!r}")
+        seen.add(target)
+        perm[target] = col
+    if len(seen) != structure.dim:
+        raise ValidationError(
+            f"{path}: {len(seen)} columns, expected {structure.dim}"
+        )
+    return table.take(perm, axis=1)  # C-ordered, as table[:, perm] is not
 
 
 def write_residuals_csv(
@@ -279,30 +289,6 @@ class Dataset:
         return self.values.shape[1] // self.structure.te.m
 
 
-def _read_wide_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}:{lineno}: {len(row)} values, expected {len(header)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return header, np.asarray(rows)
-
-
 def ingest(csv_path: str | Path, hierarchy_path: str | Path) -> Dataset:
     """Load and validate a wide observation CSV against a hierarchy.
 
@@ -312,7 +298,7 @@ def ingest(csv_path: str | Path, hierarchy_path: str | Path) -> Dataset:
     1e-6 is recorded in the coherence report.
     """
     structure, names = load_hierarchy(hierarchy_path)
-    header, table = _read_wide_csv(csv_path)
+    header, table = _read_csv(csv_path)
     unknown = [h for h in header if h not in names]
     if unknown:
         raise ValidationError(

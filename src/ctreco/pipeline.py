@@ -19,7 +19,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -207,14 +207,9 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
 def build_manifest(
     cfg, seed: int, input_paths: list, origins: int, started: float
 ) -> RunManifest:
-    from dataclasses import asdict
-
-    config = asdict(cfg) if hasattr(cfg, "__dataclass_fields__") else dict(cfg)
-    for key, val in list(config.items()):
-        if isinstance(val, tuple):
-            config[key] = list(val)
+    """The manifest of a run of the config dataclass ``cfg``."""
     return RunManifest(
-        config=config,
+        config=asdict(cfg),
         seed=seed,
         inputs={str(p): file_digest(p) for p in input_paths},
         version=__version__,

@@ -20,8 +20,8 @@ with the core Q in the reduced space S = F T, T constrained by
 C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing (``hb``, whose
 G = S^+ is the ``ols`` map), so no d x d Omega is formed.
 
-Every linear solve factors its matrix A (``C Omega C'``, the reduced
-``C Q C'`` or a composite's inner ``C W C'``) by Cholesky, A = R'R, and
+Every linear solve factors its matrix A (``C Omega C'`` or the reduced
+``C Q C'``) by Cholesky, A = R'R, and
 accepts the factor when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is
 an upper bound on the 2-norm condition number of A (||A||_2 <= ||A||_1
 for symmetric A, and ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a
@@ -34,7 +34,9 @@ matrix is accepted exactly when the eigenvalue rule accepts it.
 Besides the optimal map, ``composite_map`` builds the classic
 composites once: the two partly-bottom-up schemes (one-dimensional
 reconciliation followed by bottom-up along the other dimension) and, with
-no inner covariance, plain bottom-up.  A ``ReconciliationMap`` and a
+no inner covariance, plain bottom-up.  The one-dimensional step is the
+optimal map of the structure's ``cs_only`` or ``te_only``, built by
+``build_omega`` and ``build_projection`` as every ``oct`` map is.  A ``ReconciliationMap`` and a
 composite are both called on a stacked vector or an (L, dim) block, and
 ``evaluate.reconciler`` picks one by method family.  A map's call does
 not check its input; ``reconcile_point`` does.  ``set_negative_to_zero``
@@ -55,7 +57,7 @@ from ctreco.covariance import (
     CovarianceSpec,
     _factor_blocks,
     _h1_matrix,
-    _shrunk,
+    build_omega,
 )
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.hierarchy import CrossTemporalStructure, kron_csr
@@ -163,7 +165,8 @@ def build_projection(
     A structured kind builds F^+ and C_r as CSR Kronecker products
     (``kron_csr``; ``hb``'s G = F^+ is formed dense), reads Q from
     ``omega.core`` and raises ValidationError when it holds none, as a
-    covariance read from a JSON cache does.
+    covariance read from a JSON cache does, or when its factor is not
+    the kind's F, as a reconciled covariance's S is not.
     Each call computes a new map; callers that apply one covariance more
     than once keep it.
     """
@@ -180,6 +183,11 @@ def build_projection(
     S_cs, S_te = _factor_blocks(kind, st)
     P_cs = np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs)
     P_te = np.eye(te.dim) if S_te is None else np.linalg.pinv(S_te)
+    width = P_cs.shape[0] * P_te.shape[0]
+    if omega.factor.shape[1] != width:  # as S, after gaussian_reconcile
+        raise ValidationError(
+            f"covariance kind {kind!r} reconciles through a factor of {width} "
+            f"columns, and this covariance's factor has {omega.factor.shape[1]}")
     if S_cs is None:  # h: cells (series, period) under C_cs (x) I_m
         A, B = st.cs.constraints, np.eye(te.m)
         keep = np.arange(st.cs.n_upper * te.m, st.n * te.m)
@@ -219,26 +227,6 @@ def bottom_up(structure: CrossTemporalStructure, b_forecasts: np.ndarray) -> np.
     return (structure.summation_csr @ b.T).T
 
 
-def _cross_sectional_weights(
-    spec: CovarianceSpec, structure: CrossTemporalStructure,
-    residuals: ResidualSet | None,
-) -> np.ndarray:
-    cs = structure.cs
-    kind = spec.kind
-    if kind == "ols":
-        return np.eye(cs.n)
-    if kind == "struc":
-        return np.diag(cs.summation @ np.ones(cs.n_bottom))
-    if residuals is None:
-        raise ValueError(f"inner covariance {kind!r} requires residuals")
-    if kind == "wlsv":  # the k = 1 cells of the wlsv covariance diagonal
-        first_hf = [structure.index_of(i, 1, 0) for i in range(cs.n)]
-        return np.diag(residuals.h1_mean_squares[first_hf])
-    if kind == "shr":
-        return _shrunk(_h1_matrix(residuals, 1), spec.lam)[0]
-    raise ValueError(f"unsupported inner cross-sectional covariance {kind!r}")
-
-
 def composite_map(
     structure: CrossTemporalStructure,
     mode: str,
@@ -254,15 +242,26 @@ def composite_map(
     rebuild the upper series bottom-up per order.
     ``inner_spec=None`` replaces the inner step by bottom-up too,
     collapsing both modes to plain ct(bu).  Either way the result is
-    cross-temporally coherent.  The inner map -- the bottom rows of the
-    cross-sectional M_cs, or the high-frequency rows of one temporal M_te
-    per bottom series -- is built here, once for every block applied.
+    cross-temporally coherent.  The inner map is the G of the optimal
+    map on a one-dimensional structure: on ``cs_only`` (n x n weights,
+    from the order-1 one-step residuals) or, one per bottom series, on
+    ``te_only`` (from that series' columns of the residuals).  It takes
+    every kind ``build_omega`` builds there and is built here, once for
+    every block applied.
     """
     st = structure
     n, n_a = st.n, st.cs.n_upper
-    m, k_star = st.te.m, st.te.k_star
+    m, dim_te = st.te.m, st.te.dim
     if mode not in ("cs_then_te_bu", "te_then_cs_bu"):
         raise ValueError(f"unknown partly-bottom-up mode {mode!r}")
+
+    def inner_map(sub, rows, kind=None):
+        """G of the optimal map on the one-dimensional structure ``sub``,
+        weighted from the residual rows ``rows(residuals)`` of ``kind``
+        (by default the residuals' own)."""
+        res = (None if residuals is None
+               else ResidualSet(sub, rows(residuals), kind or residuals.kind))
+        return build_projection(sub, build_omega(inner_spec, sub, res)).G
 
     if inner_spec is None:
         # both inner steps bottom-up, in either order: plain ct(bu)
@@ -272,11 +271,9 @@ def composite_map(
             return X[:, bottom_hf]
 
     elif mode == "cs_then_te_bu":
-        W = _cross_sectional_weights(inner_spec, st, residuals)
-        C = st.cs.constraints
-        M_b = _zero_constrained(
-            C, C.T, W, np.arange(n_a, n), "C W C'", inner_spec.kind
-        )
+        # at m = 1 every residual is a one-step one, so the pooled order-1
+        # rows are a valid multi-step set
+        M_b = inner_map(st.cs_only, lambda r: _h1_matrix(r, 1), "multi_step")
         hf_cols = np.array(
             [st.index_of(i, 1, j) for i in range(n) for j in range(m)]
         )
@@ -287,29 +284,11 @@ def composite_map(
             return (M_b @ hf).reshape(st.bottom_dim, -1).T
 
     else:  # te_then_cs_bu
-        C_te = st.te.constraints
-        if inner_spec.kind == "ols":
-            diags = np.ones((n, st.te.dim))
-        elif inner_spec.kind == "struc":
-            diags = np.tile(st.te.summation @ np.ones(m), (n, 1))
-        elif inner_spec.kind == "wlsv":
-            if residuals is None:
-                raise ValueError("inner wlsv requires residuals")
-            diags = residuals.h1_mean_squares.reshape(n, st.te.dim)
-        else:
-            raise ValueError(
-                f"unsupported inner temporal covariance {inner_spec.kind!r}"
-            )
-        hf = np.arange(k_star, st.te.dim)
-        M_te = [
-            _zero_constrained(
-                C_te, C_te.T, np.diag(diags[i]), hf, "C Omega C'", inner_spec.kind
-            )
-            for i in range(n_a, n)
-        ]
+        M_te = [inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])
+                for i in range(n_a, n)]
 
         def reconcile_hf(X):
-            Xmat = X.reshape(-1, n, st.te.dim)
+            Xmat = X.reshape(-1, n, dim_te)
             b_hf = np.empty((n - n_a, m, X.shape[0]))
             for bi, M in enumerate(M_te):
                 b_hf[bi] = M @ Xmat[:, n_a + bi, :].T

@@ -10,26 +10,43 @@ the form the structured kinds had before their exact limit) and in
 structural form, the structured kinds' limit map in structural form, the
 eigenvalue accept rules that the Cholesky-first checks must agree with,
 and the partly-bottom-up composite as one function that rebuilds its
-inner map on every call.
+inner map on every call, from weights built by kind with the dense C.
 ``spectral_matrices`` draws the symmetric matrices the accept rules are
-compared on.
+compared on, and ``gdp`` is the GDP-shaped hierarchy the
+package is compared at where a small one hides rounding.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
+from ctreco.covariance import _h1_matrix, _shrunk
 from ctreco.exceptions import NumericalError
-from ctreco.hierarchy import temporally_aggregate
-from ctreco.reconcile import (
-    ReconciliationMap,
-    _checked_cho_factor,
-    _cross_sectional_weights,
-    bottom_up,
+from ctreco.hierarchy import (
+    build_cross_sectional,
+    build_cross_temporal,
+    build_temporal,
+    temporally_aggregate,
 )
+from ctreco.reconcile import ReconciliationMap, _checked_cho_factor, bottom_up
 from ctreco.residuals import ResidualSet, _check_inputs, overlapping_series
+
+
+@lru_cache(maxsize=1)
+def gdp():
+    """The Australian-GDP shape: 62 bottoms under 24 subgroups, 8 groups
+    and a total (n = 95), m = 4, dim 665."""
+    sizes = [3] * 14 + [2] * 10
+    starts = np.cumsum([0] + sizes)
+    sub = np.zeros((24, 62))
+    for j in range(24):
+        sub[j, starts[j] : starts[j + 1]] = 1.0
+    groups = sub.reshape(8, 3, 62).sum(axis=1)
+    agg = np.vstack([np.ones(62), groups, sub])
+    return build_cross_temporal(build_cross_sectional(agg), build_temporal(4))
 
 
 def dense_cross_temporal(cs, te):
@@ -226,6 +243,26 @@ def structured_limit_map(structure, omega) -> np.ndarray:
     return np.linalg.lstsq(T.T @ Qinv_T, Qinv_T.T @ F_pinv, rcond=None)[0]
 
 
+def cross_sectional_weights(spec, structure, residuals):
+    """The n x n weights of the cross-sectional step of ``cs_then_te_bu``,
+    built by kind rather than by ``build_omega`` on ``cs_only``: ``ols``
+    I, ``struc`` diag(S_cs 1), ``wlsv`` the k = 1 cells of the wlsv
+    diagonal and ``shr`` the shrunk covariance of the order-1 one-step
+    residuals."""
+    cs = structure.cs
+    kind = spec.kind
+    if kind == "ols":
+        return np.eye(cs.n)
+    if kind == "struc":
+        return np.diag(cs.summation @ np.ones(cs.n_bottom))
+    if kind == "wlsv":
+        first_hf = [structure.index_of(i, 1, 0) for i in range(cs.n)]
+        return np.diag(residuals.h1_mean_squares[first_hf])
+    if kind == "shr":
+        return _shrunk(_h1_matrix(residuals, 1), spec.lam)[0]
+    raise ValueError(f"no reference weights for inner kind {kind!r}")
+
+
 def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None):
     """Partly-bottom-up reconciliation in one function, building the inner
     map inside the call (the form ``composite_map`` splits in two)."""
@@ -242,7 +279,7 @@ def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None)
         hf_cols = np.array(
             [st.index_of(i, 1, j) for i in range(n) for j in range(m)]
         )
-        W = _cross_sectional_weights(inner_spec, st, residuals)
+        W = cross_sectional_weights(inner_spec, st, residuals)
         C = st.cs.constraints
         CW = C @ W
         cho = scipy.linalg.cho_factor(CW @ C.T)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctreco.cli import main
-from ctreco.io import load_hierarchy, read_stacked_csv
+from ctreco.io import load_hierarchy, read_stacked_csv, write_stacked_csv
 
 
 def run(args):
@@ -213,6 +213,23 @@ class TestReconcile:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("method", ["oct", "ct-cs-bu-te"])
+    def test_struc_with_an_all_zero_aggregation_row_exits_2(
+            self, tmp_path, capsys, method):
+        # the composite's cross-sectional step weights as oct-struc does
+        hierarchy = tmp_path / "hierarchy.json"
+        hierarchy.write_text(json.dumps({"agg_matrix": [[1.0, 1.0], [0.0, 0.0]],
+                                         "m": 2, "series_names": ["A", "Z", "B", "C"]}))
+        st, names = load_hierarchy(hierarchy)
+        base = tmp_path / "base.csv"
+        write_stacked_csv(base, st, names,
+                          np.random.default_rng(0).normal(size=(3, st.dim)))
+        rc = run(["--output-dir", tmp_path / "out", "reconcile", base,
+                  "--hierarchy", hierarchy, "--method", method, "--omega", "struc"])
+        assert rc == 2
+        assert ("covariance kind 'struc' weights each cell by S 1, which is <= 0 "
+                "for series [1]") in capsys.readouterr().err
+
     def test_sam_with_too_few_residual_rows_exits_3(self, toy_files, capsys):
         import ctreco.io as io
         from ctreco.residuals import ResidualSet
@@ -243,7 +260,8 @@ class TestReconcile:
 
 class TestNonFiniteInputs:
     """A non-finite cell is rejected where the file is read, naming its
-    file and line, for every reconcile method and for score."""
+    file and line, for every reconcile method, for the dataset of sample
+    and pipeline and for score."""
 
     HIERARCHY = GOLDENS / "inputs" / "hierarchy.json"
 
@@ -266,6 +284,18 @@ class TestNonFiniteInputs:
         assert rc == 2
         assert f"{base}:4: non-finite value 'nan'" in capsys.readouterr().err
         assert not (out / "reconciled.csv").exists()
+
+    @pytest.mark.parametrize("command,data", [("sample", "train.csv"),
+                                              ("pipeline", "data.csv")])
+    def test_dataset_commands_exit_2(self, tmp_path, capfd, command, data):
+        # fd-level capture: LAPACK prints its DLASCL lines there
+        path = self.with_nan(GOLDENS / "inputs" / data, tmp_path / data, 5, "B2")
+        rc = run(["--output-dir", tmp_path / "out", command, path,
+                  "--hierarchy", self.HIERARCHY])
+        out, err = capfd.readouterr()
+        assert rc == 2
+        assert f"{path}:5: non-finite value 'nan' in column 'B2'" in err
+        assert "DLASCL" not in out + err
 
     def test_score_exits_2(self, tmp_path, capsys):
         obs = self.with_nan(GOLDENS / "inputs" / "observed.csv",

@@ -1,7 +1,5 @@
 """Tests for covariance estimators, shrinkage and parameter counts."""
 
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +21,7 @@ from ctreco.exceptions import ValidationError
 from reference import (
     covariance_eig_verdict,
     dense_covariance,
+    gdp,
     spectral_matrices,
     unshrunk_blocks,
 )
@@ -39,19 +38,6 @@ def semi_annual():
 
 def fig1():
     return make_structure([[1.0, 1.0]], 4)
-
-
-@lru_cache(maxsize=1)
-def gdp():
-    """The Australian-GDP shape: 62 bottoms under 24 subgroups, 8 groups
-    and a total (n = 95), m = 4, dim 665."""
-    sizes = [3] * 14 + [2] * 10
-    starts = np.cumsum([0] + sizes)
-    sub = np.zeros((24, 62))
-    for j in range(24):
-        sub[j, starts[j] : starts[j + 1]] = 1.0
-    groups = sub.reshape(8, 3, 62).sum(axis=1)
-    return make_structure(np.vstack([np.ones(62), groups, sub]), 4)
 
 
 def random_residuals(structure, N, seed=0, kind="multi_step"):

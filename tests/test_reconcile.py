@@ -11,18 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ctreco.covariance import (
+    FULL_KINDS,
     STRUCTURED_KINDS,
     CovarianceMatrix,
     CovarianceSpec,
+    _h1_matrix,
     build_omega,
 )
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.io import covariance_from_json, covariance_to_json
+from ctreco.probabilistic import GaussianForecast, gaussian_reconcile
 from ctreco.reconcile import (
     ReconciliationMap,
     _checked_cho_factor,
-    _cross_sectional_weights,
     bottom_up,
     build_projection,
     composite_map,
@@ -36,6 +38,7 @@ from reference import (
     build_projection_dense,
     build_projection_structural,
     cho_eig_verdict,
+    gdp,
     partly_bottom_up_per_call,
     spectral_matrices,
     structured_limit_map,
@@ -221,6 +224,18 @@ class TestStructuredKindProjections:
             build_projection(st, back)
 
     @pytest.mark.parametrize("kind", ["h", "b"])
+    def test_a_factor_other_than_the_kinds_is_rejected(self, kind):
+        # a reconciled Gaussian keeps the base kind but is factored through S
+        st = semi_annual()
+        om = build_omega(CovarianceSpec(kind), st, self.make_residuals(st, 5))
+        base = GaussianForecast(np.zeros(st.dim), om)
+        ols_map = build_projection(st, build_omega(CovarianceSpec("ols"), st))
+        rec = gaussian_reconcile(base, ols_map).covariance
+        cols = st.bottom_dim
+        with pytest.raises(ValidationError, match=rf"kind {kind!r}.* has {cols}$"):
+            build_projection(st, rec)
+
+    @pytest.mark.parametrize("kind", ["h", "b"])
     def test_h_b_differ_from_ols(self, kind):
         st = semi_annual()
         rs = self.make_residuals(st, 2)
@@ -358,27 +373,31 @@ class TestBottomUp:
 
 
 class TestPartlyBottomUp:
+    MODES = ("cs_then_te_bu", "te_then_cs_bu")
+
     def make_residuals(self, st, seed=0):
         rng = np.random.default_rng(seed)
-        return ResidualSet(st, rng.normal(size=(50, st.dim)), "one_step")
+        return ResidualSet(st, rng.normal(size=(50, st.dim)), "multi_step")
 
-    @pytest.mark.parametrize("mode", ["cs_then_te_bu", "te_then_cs_bu"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_coherent_input_unchanged(self, mode):
         st = semi_annual()
         rng = np.random.default_rng(1)
         x = st.summation @ rng.normal(size=st.bottom_dim)
-        spec = CovarianceSpec("shr") if mode == "cs_then_te_bu" else CovarianceSpec("wlsv")
-        out = partly_bottom_up(st, mode, x, spec, self.make_residuals(st))
-        np.testing.assert_allclose(out, x, atol=1e-8)
+        res = self.make_residuals(st)
+        for kind in FULL_KINDS + STRUCTURED_KINDS:
+            out = partly_bottom_up(st, mode, x, CovarianceSpec(kind), res)
+            np.testing.assert_allclose(out, x, atol=1e-8, err_msg=kind)
 
-    @pytest.mark.parametrize("mode", ["cs_then_te_bu", "te_then_cs_bu"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_output_coherent(self, mode):
         st = semi_annual()
         rng = np.random.default_rng(2)
         x = rng.normal(size=st.dim)
-        spec = CovarianceSpec("shr") if mode == "cs_then_te_bu" else CovarianceSpec("wlsv")
-        out = partly_bottom_up(st, mode, x, spec, self.make_residuals(st))
-        assert st.is_coherent(out)
+        res = self.make_residuals(st)
+        for kind in FULL_KINDS + STRUCTURED_KINDS:
+            out = partly_bottom_up(st, mode, x, CovarianceSpec(kind), res)
+            assert st.is_coherent(out), kind
 
     def test_bu_inner_collapses_to_plain_bottom_up(self):
         st = semi_annual()
@@ -399,11 +418,16 @@ class TestPartlyBottomUp:
 
     @pytest.mark.parametrize("kind", ["one_step", "multi_step"])
     def test_inner_wlsv_weights_are_the_wlsv_diagonal(self, kind):
+        # the cross-sectional step weights with the wlsv covariance of
+        # cs_only, built from the pooled order-1 rows: the k = 1 cells of
+        # the full wlsv diagonal
         st = make_structure([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], 4)
         res = ResidualSet(
             st, np.random.default_rng(12).normal(size=(40, st.dim)), kind
         )
-        W = _cross_sectional_weights(CovarianceSpec("wlsv"), st, res)
+        sub = st.cs_only
+        h1 = ResidualSet(sub, _h1_matrix(res, 1), "multi_step")
+        W = build_omega(CovarianceSpec("wlsv"), sub, h1).values
         cells = [st.index_of(i, 1, 0) for i in range(st.n)]
         assert np.array_equal(W, np.diag(np.diag(W)))
         assert np.diag(W).tobytes() == res.h1_mean_squares[cells].tobytes()
@@ -454,9 +478,15 @@ class TestCompositeMap:
         ("te_then_cs_bu", k) for k in ("ols", "struc", "wlsv")
     ]
 
-    @pytest.mark.parametrize("mode,inner", CASES)
-    def test_matches_per_call_form_byte_for_byte(self, mode, inner):
-        st = make_structure([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], 4)
+    # the golden hierarchy, and the GDP shape, big enough for the sparse
+    # C's rounding to show
+    @pytest.mark.parametrize(
+        "mode,inner,at_gdp", [(*c, False) for c in CASES] + [(*c, True) for c in CASES],
+        ids=[f"{m}-{k}" for m, k in CASES] + [f"{m}-{k}-gdp" for m, k in CASES],
+    )
+    def test_matches_per_call_form_byte_for_byte(self, mode, inner, at_gdp):
+        st = (gdp() if at_gdp
+              else make_structure([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], 4))
         rng = np.random.default_rng(9)
         res = ResidualSet(st, rng.normal(size=(40, st.dim)), "one_step")
         spec = CovarianceSpec(inner)
@@ -465,10 +495,10 @@ class TestCompositeMap:
             got = apply(x)
             assert got.shape == x.shape
             assert partly_bottom_up(st, mode, x, spec, res).tobytes() == got.tobytes()
-            # the oracle keeps the einsum and the dense S of the per-call
-            # form, so it sums in another order than the 2-D product and
-            # the CSR S; the atol floor covers cells that cancel to well
-            # under the block's scale
+            # the oracle keeps the einsum, the dense C and the dense S of
+            # the per-call form, so it sums in another order than the 2-D
+            # product and the CSR C and S; the atol floor covers cells that
+            # cancel to well under the block's scale
             want = partly_bottom_up_per_call(st, mode, x, spec, res)
             np.testing.assert_allclose(
                 got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max()
