@@ -21,11 +21,11 @@ C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing (``hb``, whose
 G = S^+ is the ``ols`` map), so no d x d Omega is formed.
 
 Every linear solve factors its matrix A (``C Omega C'`` or the reduced
-``C Q C'``) by Cholesky, A = R'R, and
-accepts the factor when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is
-an upper bound on the 2-norm condition number of A (||A||_2 <= ||A||_1
-for symmetric A, and ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a
-decade under the 1e12 limit.  When the factorisation fails or the bound is larger, the
+``C Q C'``) by Cholesky, A = R'R, and accepts the factor when
+||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on the
+2-norm condition number of A (||A||_2 <= ||A||_1 for symmetric A, and
+||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a decade under the
+1e12 limit.  When the factorisation fails or the bound is larger, the
 eigenvalues of A decide: A is rejected as numerically singular, with
 ``NumericalError`` naming the covariance kind, when its smallest
 eigenvalue is not positive or its eigenvalue ratio exceeds 1e12.  So a
@@ -36,11 +36,12 @@ composites once: the two partly-bottom-up schemes (one-dimensional
 reconciliation followed by bottom-up along the other dimension) and, with
 no inner covariance, plain bottom-up.  The one-dimensional step is the
 optimal map of the structure's ``cs_only`` or ``te_only``, built by
-``build_omega`` and ``build_projection`` as every ``oct`` map is.  A ``ReconciliationMap`` and a
-composite are both called on a stacked vector or an (L, dim) block, and
-``evaluate.reconciler`` picks one by method family.  A map's call does
-not check its input; ``reconcile_point`` does.  ``set_negative_to_zero``
-is the clamp-negatives-then-aggregate heuristic for non-negative data.
+``build_omega`` and ``build_projection`` as every ``oct`` map is.  A
+``ReconciliationMap`` and a composite are both called on a stacked
+vector or an (L, dim) block, and ``evaluate.reconciler`` picks one by
+method family.  A map's call does not check its input;
+``reconcile_point`` does.  ``set_negative_to_zero`` is the
+clamp-negatives-then-aggregate heuristic for non-negative data.
 """
 
 from __future__ import annotations
@@ -256,9 +257,8 @@ def composite_map(
         raise ValueError(f"unknown partly-bottom-up mode {mode!r}")
 
     def inner_map(sub, rows, kind=None):
-        """G of the optimal map on the one-dimensional structure ``sub``,
-        weighted from the residual rows ``rows(residuals)`` of ``kind``
-        (by default the residuals' own)."""
+        """G of the optimal map on ``sub``, weighted from the residual
+        rows ``rows(residuals)`` of ``kind`` (default: the residuals')."""
         res = (None if residuals is None
                else ResidualSet(sub, rows(residuals), kind or residuals.kind))
         return build_projection(sub, build_omega(inner_spec, sub, res)).G
