@@ -223,8 +223,7 @@ class CrossTemporalStructure:
 
     @cached_property
     def te_only(self) -> CrossTemporalStructure:
-        """The temporal structure alone: one series with no upper series
-        under ``te``, dim m + k_star."""
+        """The temporal structure alone: one bottom series, dim m + k_star."""
         return build_cross_temporal(build_cross_sectional(np.zeros((0, 1))), self.te)
 
     @cached_property

@@ -274,9 +274,8 @@ def composite_map(
         # at m = 1 every residual is a one-step one, so the pooled order-1
         # rows are a valid multi-step set
         M_b = inner_map(st.cs_only, lambda r: _h1_matrix(r, 1), "multi_step")
-        hf_cols = np.array(
-            [st.index_of(i, 1, j) for i in range(n) for j in range(m)]
-        )
+        # index_of(i, 1, j) = i * dim_te + k_star + j, series major
+        hf_cols = (np.arange(n)[:, None] * dim_te + st.te.k_star + np.arange(m)).ravel()
 
         def reconcile_hf(X):
             # the (n, m L) block of high-frequency cells: one product

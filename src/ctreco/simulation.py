@@ -16,6 +16,7 @@ its closed-form covariance, the per-replicate seeds and the averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -81,8 +82,9 @@ class SimulationConfig:
             raise ValueError("years, replicates and L must be positive")
 
 
+@cache
 def study_structure() -> CrossTemporalStructure:
-    """The fixed hierarchy of the study: A = B + C, m = 2."""
+    """The fixed hierarchy of the study, A = B + C, m = 2, built once."""
     cs = build_cross_sectional(np.array([[1.0, 1.0]]))
     return build_cross_temporal(cs, build_temporal(2))
 
