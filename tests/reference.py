@@ -12,8 +12,8 @@ eigenvalue accept rules that the Cholesky-first checks must agree with,
 and the partly-bottom-up composite as one function that rebuilds its
 inner map on every call, from weights built by kind with the dense C.
 ``spectral_matrices`` draws the symmetric matrices the accept rules are
-compared on, and ``gdp`` is the GDP-shaped hierarchy the
-package is compared at where a small one hides rounding.
+compared on, and ``gdp`` is the GDP-shaped hierarchy the package is
+compared at where a small one hides rounding.
 """
 
 import math
