@@ -284,16 +284,6 @@ def _require_kind(spec, residuals, allowed):
         )
 
 
-def _h1_matrix(residuals: ResidualSet, k: int) -> np.ndarray:
-    """One-step-only residuals of order k, one column per series."""
-    st = residuals.structure
-    if residuals.kind == "one_step":
-        return residuals.order_matrix(k)
-    return np.stack(
-        [residuals.block(i, k)[:, 0] for i in range(st.n)], axis=1
-    )
-
-
 def _factor_blocks(kind: str, structure: CrossTemporalStructure):
     """The factor F = F_cs (x) F_te of a structured kind, as its two blocks:
     the summation matrix of each dimension F aggregates, None (an identity)
@@ -339,20 +329,17 @@ def build_omega(
 
     if kind == "bdshr":
         _require_kind(spec, residuals, ("one_step",) + multi)
-        W_bd = np.zeros((dim, dim))
+        # Omega[(i, c), (j, c)] = W_k[i, j] at each position c of order k
+        te = st.te
+        Omega = np.zeros((st.n, te.dim, st.n, te.dim))
         lams = []
-        off = 0
-        n = st.n
-        for k in st.te.factors:
-            Mk = st.te.periods_at(k)
-            Wk, lam = _shrunk(_h1_matrix(residuals, k), spec.lam)
+        for k in te.factors:
+            Wk, lam = _shrunk(residuals.h1_matrix(k), spec.lam)
             lams.append(lam)
-            for _ in range(Mk):
-                W_bd[off : off + n, off : off + n] = Wk
-                off += n
-        # permute from temporal-major to the canonical series-major layout
-        Omega = W_bd[np.ix_(st.perm, st.perm)]
-        return CovarianceMatrix(Omega, spec, lambda_used=float(np.mean(lams)))
+            c = te.offset_of(k) + np.arange(te.periods_at(k))
+            Omega[:, c, :, c] = Wk
+        return CovarianceMatrix(Omega.reshape(dim, dim), spec,
+                                lambda_used=float(np.mean(lams)))
 
     if kind in ("shr", "sam"):
         _require_kind(spec, residuals, multi)

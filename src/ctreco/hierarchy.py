@@ -13,7 +13,10 @@ All vectors produced or consumed by this package use one canonical layout
 for the stacked observation of a single most-aggregated period: series
 major, and within each series the temporal aggregation orders from the
 largest factor (``k = m``) down to ``k = 1``, each order's values in time
-order.  ``index_of`` gives the explicit index map.
+order: vec(X') for the n x (m + k_star) observation matrix X.  Every
+gather of layout cells goes through ``cell_indices``, the index map of
+(series, within-series column) pairs; ``index_of`` gives one cell.  No
+commutation matrix to the temporal-major vec(X) is held.
 
 The joint constraint matrix C, its transpose C' and the summation matrix
 S are held only as CSR arrays, built from the non-zeros of the small
@@ -161,10 +164,6 @@ class CrossTemporalStructure:
         constraints_csr: full-row-rank zero-constraints matrix C with
             ``C @ S = 0``.
         constraints_t_csr: its transpose C'.
-        perm: index permutation encoding the commutation matrix P, the
-            one with P[i, perm[i]] = 1 and P @ vec(X) = vec(X') for the
-            n x (m + k_star) observation matrix X (``vec`` stacks
-            columns, so vec(X') is the canonical stacked vector).
 
     The three matrices are held only as read-only CSR arrays;
     ``summation`` and ``constraints`` are their dense forms, derived on
@@ -176,7 +175,6 @@ class CrossTemporalStructure:
     summation_csr: scipy.sparse.csr_array = field(repr=False)
     constraints_csr: scipy.sparse.csr_array = field(repr=False)
     constraints_t_csr: scipy.sparse.csr_array = field(repr=False)
-    perm: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -191,6 +189,13 @@ class CrossTemporalStructure:
     def bottom_dim(self) -> int:
         """Dimension of the coherent subspace, n_b * m."""
         return self.cs.n_bottom * self.te.m
+
+    def cell_indices(self, series, columns) -> np.ndarray:
+        """(len(series), len(columns)) array of the canonical indices of
+        every (series, column) pair, unchecked; a series' column
+        ``te.offset_of(k) + j`` holds order k, position j."""
+        return np.add.outer(np.asarray(series, dtype=np.intp) * self.te.dim,
+                            np.asarray(columns, dtype=np.intp))
 
     def index_of(self, series: int, k: int, j: int) -> int:
         """Canonical index of series ``series``, order ``k``, position ``j``.
@@ -228,9 +233,9 @@ class CrossTemporalStructure:
 
     @cached_property
     def _bottom_hf(self) -> np.ndarray:
-        te = self.te  # index_of(i, 1, j) = i * dim_te + k_star + j
-        idx = np.arange(self.cs.n_upper, self.n)[:, None] * te.dim + te.k_star
-        idx = (idx + np.arange(te.m)).ravel()
+        te = self.te  # order 1 occupies the last m columns of each series
+        idx = self.cell_indices(range(self.cs.n_upper, self.n),
+                                range(te.k_star, te.dim)).ravel()
         idx.flags.writeable = False
         return idx
 
@@ -332,28 +337,23 @@ def build_cross_temporal(
     """
     n, n_a, m, k_star, dim_te = cs.n, cs.n_upper, te.m, te.k_star, te.dim
 
-    # perm[a] maps canonical (series-major) index a = i*dim_te + t to the
-    # temporal-major index t*n + i of vec(X).
-    a = np.arange(n * dim_te)
-    perm = (a % dim_te) * n + a // dim_te
-
     # C_star = C_cs (x) [0 | I_m] with row (a, t) moved to t*n_a + a: the
     # cross-sectional constraints at each high-frequency position t, in
-    # canonical column order (column i*dim_te + k_star + t); below it the
+    # canonical column order (series i's column k_star + t); below it the
     # per-series temporal constraints I_n (x) C_te
     ra, ca = np.nonzero(cs.constraints)
     rk, ck = np.nonzero(te.constraints)
     t, i = np.arange(m)[:, None], np.arange(n)[:, None]
+    cell = np.arange(n * dim_te).reshape(n, dim_te)  # the canonical layout
     rows = np.concatenate([(t * n_a + ra).ravel(),
                            (n_a * m + i * k_star + rk).ravel()])
-    cols = np.concatenate([(ca * dim_te + k_star + t).ravel(),
-                           (i * dim_te + ck).ravel()])
+    cols = np.concatenate([cell[ca, k_star + t].ravel(), cell[i, ck].ravel()])
     vals = np.concatenate([np.tile(cs.constraints[ra, ca], m),
                            np.tile(te.constraints[rk, ck], n)])
     shape = (n_a * m + n * k_star, n * dim_te)
     return CrossTemporalStructure(
         cs, te, kron_csr(cs.summation, te.summation),
-        _csr(rows, cols, vals, shape), _csr(cols, rows, vals, shape[::-1]), perm)
+        _csr(rows, cols, vals, shape), _csr(cols, rows, vals, shape[::-1]))
 
 
 def stack_window(structure: CrossTemporalStructure, hf: np.ndarray) -> np.ndarray:

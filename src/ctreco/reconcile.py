@@ -57,7 +57,6 @@ from ctreco.covariance import (
     CovarianceMatrix,
     CovarianceSpec,
     _factor_blocks,
-    _h1_matrix,
     build_omega,
 )
 from ctreco.exceptions import NumericalError, ValidationError
@@ -194,7 +193,7 @@ def build_projection(
         keep = np.arange(st.cs.n_upper * te.m, st.n * te.m)
     elif S_te is None:  # b: cells (bottom series, temporal cell) under I (x) C_te
         A, B = np.eye(n_b), te.constraints
-        keep = (np.arange(n_b)[:, None] * te.dim + np.arange(te.k_star, te.dim)).ravel()
+        keep = st.cell_indices(range(n_b), range(te.k_star, te.dim)).ravel()
     else:  # hb: T = I, G_Q = I; G = S^+, dense and C-ordered, which fixes how
         # G x sums; + 0.0 turns each -0.0 product into the +0.0 of a sparse form
         return ReconciliationMap(st, omega, np.kron(P_cs, P_te) + 0.0)
@@ -246,13 +245,13 @@ def composite_map(
     cross-temporally coherent.  The inner map is the G of the optimal
     map on a one-dimensional structure: on ``cs_only`` (n x n weights,
     from the order-1 one-step residuals) or, one per bottom series, on
-    ``te_only`` (from that series' columns of the residuals).  It takes
-    every kind ``build_omega`` builds there and is built here, once for
-    every block applied.
+    ``te_only`` (from that series' columns of the residuals; one map for
+    every series when there are none), the per-series maps applied as
+    one stacked product.  It takes every kind ``build_omega`` builds
+    there and is built here, once for every block applied.
     """
     st = structure
-    n, n_a = st.n, st.cs.n_upper
-    m, dim_te = st.te.m, st.te.dim
+    n, n_a, dim_te = st.n, st.cs.n_upper, st.te.dim
     if mode not in ("cs_then_te_bu", "te_then_cs_bu"):
         raise ValueError(f"unknown partly-bottom-up mode {mode!r}")
 
@@ -273,9 +272,8 @@ def composite_map(
     elif mode == "cs_then_te_bu":
         # at m = 1 every residual is a one-step one, so the pooled order-1
         # rows are a valid multi-step set
-        M_b = inner_map(st.cs_only, lambda r: _h1_matrix(r, 1), "multi_step")
-        # index_of(i, 1, j) = i * dim_te + k_star + j, series major
-        hf_cols = (np.arange(n)[:, None] * dim_te + st.te.k_star + np.arange(m)).ravel()
+        M_b = inner_map(st.cs_only, lambda r: r.h1_matrix(1), "multi_step")
+        hf_cols = st.cell_indices(range(n), range(st.te.k_star, dim_te)).ravel()
 
         def reconcile_hf(X):
             # the (n, m L) block of high-frequency cells: one product
@@ -283,14 +281,14 @@ def composite_map(
             return (M_b @ hf).reshape(st.bottom_dim, -1).T
 
     else:  # te_then_cs_bu
-        M_te = [inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])
-                for i in range(n_a, n)]
+        # (n_b, m, dim_te) maps; without residuals one, broadcast over series
+        M_te = np.stack([
+            inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])
+            for i in (range(1) if residuals is None else range(n_a, n))])
 
         def reconcile_hf(X):
-            Xmat = X.reshape(-1, n, dim_te)
-            b_hf = np.empty((n - n_a, m, X.shape[0]))
-            for bi, M in enumerate(M_te):
-                b_hf[bi] = M @ Xmat[:, n_a + bi, :].T
+            # every bottom series in one product, (n_b, m, L)
+            b_hf = M_te @ X.reshape(-1, n, dim_te)[:, n_a:, :].transpose(1, 2, 0)
             return b_hf.reshape(st.bottom_dim, -1).T
 
     def apply(base: np.ndarray) -> np.ndarray:

@@ -27,6 +27,9 @@ period; overlapping ones every shift of them; one-step ones the unshifted
 windows with the one-step fitted value at every horizon.  Windows whose
 origin lacks enough history for some fitted model are dropped before any
 cell is read, so that E stays rectangular and time-aligned across blocks.
+
+``ResidualSet.columns`` and ``h1_matrix`` gather cells through the
+structure's index map ``cell_indices``.
 """
 
 from __future__ import annotations
@@ -88,15 +91,18 @@ class ResidualSet:
         """Rows-by-horizons residuals of one (series, order) block."""
         return self.E[:, self.structure.block_slice(series, k)]
 
-    def order_matrix(self, k: int) -> np.ndarray:
-        """Residuals of order k pooled over time cells, one column per series.
+    def h1_matrix(self, k: int) -> np.ndarray:
+        """One-step residuals of order k, one column per series.
 
-        Rows are (period, within-period position) pairs, aligned across
-        series, as needed by per-order cross-sectional estimators.
+        A one-step set pools every cell of the order, one row per
+        (period, position) pair; a multi-step one keeps its h = 1 cells,
+        one row per period.  Rows are aligned across series, as needed by
+        per-order cross-sectional estimators.  The array is C-ordered.
         """
-        n = self.structure.n
-        cols = [self.block(i, k) for i in range(n)]
-        return np.stack([c.reshape(-1) for c in cols], axis=1)
+        st = self.structure
+        width = st.te.periods_at(k) if self.kind == "one_step" else 1
+        idx = st.cell_indices(range(st.n), st.te.offset_of(k) + np.arange(width))
+        return self.E.take(idx.T, axis=1).reshape(-1, st.n)
 
     @cached_property
     def h1_mean_squares(self) -> np.ndarray:
@@ -119,14 +125,10 @@ class ResidualSet:
 
     def columns(self, series_indices, orders) -> np.ndarray:
         """Sub-matrix of E for given series (major) and orders (descending)."""
-        st = self.structure
-        idx = [
-            st.index_of(i, k, j)
-            for i in series_indices
-            for k in orders
-            for j in range(st.te.periods_at(k))
-        ]
-        return self.E[:, idx]
+        te = self.structure.te
+        cols = np.concatenate([te.offset_of(k) + np.arange(te.periods_at(k))
+                               for k in orders])
+        return self.E[:, self.structure.cell_indices(series_indices, cols).ravel()]
 
 
 def aggregate_levels(

@@ -161,7 +161,7 @@ def score_draws(
     diff = D - z
     cell_crps = _crps_columns(D, diff)
     # (series, order) blocks tile the stacked vector in layout order
-    starts = (np.arange(st.n)[:, None] * st.te.dim + offsets).reshape(-1)
+    starts = st.cell_indices(range(st.n), offsets).ravel()
     crps_mat = np.add.reduceat(cell_crps, starts).reshape(st.n, len(orders))
     crps_mat /= periods
 

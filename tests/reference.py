@@ -3,7 +3,9 @@
 Each one is a slower or differently built form of a package routine:
 the cross-temporal summation and constraint matrices built dense, a
 window stacked series by series and order by order, the
-commutation matrix as a dense d x d matrix, the residual-built
+commutation matrix as a dense d x d matrix, a residual set's one-step
+rows of one order stacked series by series, ``bdshr`` built
+temporal-major and permuted by the commutation matrix, the residual-built
 covariances as F core F' (the package holds the unshrunk ones as a
 root), the projection as a dense d x d matrix (also at a ridged Omega,
 the form the structured kinds had before their exact limit) and in
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from ctreco.covariance import _h1_matrix, _shrunk
+from ctreco.covariance import _shrunk
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import (
     build_cross_sectional,
@@ -79,17 +81,45 @@ def stack_window_loop(structure, hf) -> np.ndarray:
 
 
 def commutation_dense(structure) -> np.ndarray:
-    """Dense commutation matrix P with P @ vec(X) = vec(X'), from the
-    structure's index permutation ``perm``.
+    """Dense commutation matrix P with P @ vec(X) = vec(X').
 
     ``vec`` stacks columns; X is the n x (m + k_star) observation matrix,
     so vec(X) is temporal-major and vec(X') is the canonical series-major
-    stacked vector.
+    stacked vector: P[a, perm[a]] = 1, where perm maps the canonical index
+    a = i (m + k_star) + t to the temporal-major index t n + i.
     """
-    d = structure.dim
+    d, n, dim_te = structure.dim, structure.n, structure.te.dim
+    a = np.arange(d)
     P = np.zeros((d, d))
-    P[np.arange(d), structure.perm] = 1.0
+    P[a, (a % dim_te) * n + a // dim_te] = 1.0
     return P
+
+
+def h1_matrix_stacked(residuals, k) -> np.ndarray:
+    """``ResidualSet.h1_matrix`` as a stack of per-series blocks: all of
+    a one-step block's cells, or a multi-step block's h = 1 column."""
+    st = residuals.structure
+    if residuals.kind == "one_step":
+        cols = [residuals.block(i, k).reshape(-1) for i in range(st.n)]
+    else:
+        cols = [residuals.block(i, k)[:, 0] for i in range(st.n)]
+    return np.stack(cols, axis=1)
+
+
+def bdshr_commuted(structure, residuals, lam=None) -> np.ndarray:
+    """The ``bdshr`` covariance built temporal-major, one shrunk n x n
+    block per temporal position, and permuted to the canonical layout by
+    the commutation matrix: Omega = P W_bd P'."""
+    st = structure
+    W_bd = np.zeros((st.dim, st.dim))
+    off = 0
+    for k in st.te.factors:
+        Wk = _shrunk(h1_matrix_stacked(residuals, k), lam)[0]
+        for _ in range(st.te.periods_at(k)):
+            W_bd[off : off + st.n, off : off + st.n] = Wk
+            off += st.n
+    perm = np.argmax(commutation_dense(st), axis=1)
+    return W_bd[np.ix_(perm, perm)]
 
 
 def dense_factor(kind, structure) -> np.ndarray:
@@ -259,7 +289,7 @@ def cross_sectional_weights(spec, structure, residuals):
         first_hf = [structure.index_of(i, 1, 0) for i in range(cs.n)]
         return np.diag(residuals.h1_mean_squares[first_hf])
     if kind == "shr":
-        return _shrunk(_h1_matrix(residuals, 1), spec.lam)[0]
+        return _shrunk(h1_matrix_stacked(residuals, 1), spec.lam)[0]
     raise ValueError(f"no reference weights for inner kind {kind!r}")
 
 

@@ -19,9 +19,11 @@ from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_
 from ctreco.residuals import ResidualSet
 from ctreco.exceptions import ValidationError
 from reference import (
+    bdshr_commuted,
     covariance_eig_verdict,
     dense_covariance,
     gdp,
+    h1_matrix_stacked,
     spectral_matrices,
     unshrunk_blocks,
 )
@@ -169,7 +171,7 @@ class TestBdshr:
         rs = random_residuals(st, 80, seed=9, kind="one_step")
         om = build_omega(CovarianceSpec("bdshr"), st, rs)
         for k in (2, 1):
-            X = rs.order_matrix(k)
+            X = rs.h1_matrix(k)
             lam = shrinkage_intensity(X)
             cov = sample_covariance(X)
             Wk = lam * np.diag(np.diag(cov)) + (1 - lam) * cov
@@ -179,6 +181,24 @@ class TestBdshr:
                     ia = st.index_of(a, k, 0)
                     ib = st.index_of(b, k, 0)
                     assert om.values[ia, ib] == pytest.approx(Wk[a, b])
+
+    @given(n_a=hst.integers(0, 3), n_b=hst.integers(1, 4),
+           m=hst.sampled_from([1, 2, 3, 4, 12]),
+           kind=hst.sampled_from(["one_step", "multi_step"]),
+           seed=hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_commuted_temporal_major_build(self, n_a, n_b, m, kind, seed):
+        # built in place, Omega equals P W_bd P' byte for byte, W_bd the
+        # temporal-major block diagonal and P the commutation matrix
+        rng = np.random.default_rng(seed)
+        st = make_structure(rng.integers(0, 2, size=(n_a, n_b)), m)
+        rs = ResidualSet(st, rng.normal(size=(30, st.dim)), kind)
+        for k in st.te.factors:
+            assert rs.h1_matrix(k).tobytes() == h1_matrix_stacked(rs, k).tobytes()
+        for lam in (None, 0.3):
+            spec = CovarianceSpec("bdshr", lam=lam)
+            want = CovarianceMatrix(bdshr_commuted(st, rs, lam), spec).values
+            assert build_omega(spec, st, rs).values.tobytes() == want.tobytes()
 
     def test_cross_position_cells_are_zero(self):
         st = semi_annual()

@@ -321,6 +321,15 @@ def test_sparse_build_matches_the_dense_oracle(case, seed):
     np.testing.assert_array_equal(y[bottom_hf], hf[cs.n_upper :].ravel())
     assert ct.coherence_gap(y) <= 1e-12 * max(1.0, np.abs(agg).sum())
 
+    # cell_indices gives index_of of every (series, column) pair, in the
+    # order the series and the columns are given
+    series, columns = rng.permutation(ct.n), rng.permutation(te.dim)
+    want = {(i, te.offset_of(k) + j): ct.index_of(i, k, j)
+            for i in range(ct.n) for k in te.factors for j in range(te.periods_at(k))}
+    got = ct.cell_indices(series, columns)
+    assert got.shape == (ct.n, te.dim)
+    assert got.tolist() == [[want[i, c] for c in columns] for i in series]
+
 
 def test_tourism_shape_builds_sparse():
     # n_b = 304 bottoms under n_a = 221 uppers (a total, 76 groups of 4

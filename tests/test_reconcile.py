@@ -15,7 +15,6 @@ from ctreco.covariance import (
     STRUCTURED_KINDS,
     CovarianceMatrix,
     CovarianceSpec,
-    _h1_matrix,
     build_omega,
 )
 from ctreco.exceptions import NumericalError, ValidationError
@@ -426,7 +425,7 @@ class TestPartlyBottomUp:
             st, np.random.default_rng(12).normal(size=(40, st.dim)), kind
         )
         sub = st.cs_only
-        h1 = ResidualSet(sub, _h1_matrix(res, 1), "multi_step")
+        h1 = ResidualSet(sub, res.h1_matrix(1), "multi_step")
         W = build_omega(CovarianceSpec("wlsv"), sub, h1).values
         cells = [st.index_of(i, 1, 0) for i in range(st.n)]
         assert np.array_equal(W, np.diag(np.diag(W)))
@@ -510,6 +509,30 @@ class TestCompositeMap:
         want = bottom_up(st, x[:, st.bottom_hf_indices()])
         for mode in ("cs_then_te_bu", "te_then_cs_bu"):
             assert composite_map(st, mode, None)(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("inner", ["ols", "struc"])
+    def test_te_inner_map_is_built_once_without_residuals(self, inner, monkeypatch):
+        # every bottom series gets the same temporal map, so it is built
+        # once and broadcast over the series
+        import ctreco.reconcile as reconcile
+
+        calls = []
+        real = reconcile.build_projection
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].dim)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reconcile, "build_projection", counting)
+        st, spec = gdp(), CovarianceSpec(inner)
+        apply = composite_map(st, "te_then_cs_bu", spec)
+        assert calls == [st.te.dim]
+        rng = np.random.default_rng(13)
+        res = ResidualSet(st, rng.normal(size=(40, st.dim)), "one_step")
+        per_series = composite_map(st, "te_then_cs_bu", spec, res)
+        assert len(calls) == 1 + st.cs.n_bottom
+        for x in (rng.normal(size=st.dim), rng.normal(size=(7, st.dim))):
+            assert apply(x).tobytes() == per_series(x).tobytes()
 
     def test_map_is_built_at_construction(self):
         st = semi_annual()

@@ -20,6 +20,7 @@ from reference import (
     assemble_multistep_loop,
     assemble_onestep_loop,
     assemble_overlapping_loop,
+    h1_matrix_stacked,
 )
 
 
@@ -282,10 +283,20 @@ class TestResidualSetValidation:
         with pytest.raises(ValueError):
             ResidualSet(st, np.zeros((4, 8)), "multi_step")
 
-    def test_order_matrix_shape(self):
+    def test_h1_matrix_shape(self):
         st = semi_annual_structure()
-        rs = ResidualSet(st, np.arange(36.0).reshape(4, 9), "multi_step")
-        om = rs.order_matrix(1)
-        assert om.shape == (8, 3)
-        # series 0, k=1 cells sit at columns 1 and 2 of the wide matrix
-        np.testing.assert_array_equal(om[:, 0], rs.E[:, 1:3].reshape(-1))
+        E = np.arange(36.0).reshape(4, 9)
+        multi = ResidualSet(st, E, "multi_step").h1_matrix(1)
+        # series 0, k=1 cells sit at columns 1 and 2 of the wide matrix;
+        # a multi-step set keeps the h = 1 column, a one-step one pools both
+        assert multi.shape == (4, 3)
+        np.testing.assert_array_equal(multi[:, 0], E[:, 1])
+        one = ResidualSet(st, E, "one_step").h1_matrix(1)
+        assert one.shape == (8, 3)
+        np.testing.assert_array_equal(one[:, 0], E[:, 1:3].reshape(-1))
+        for kind in ("one_step", "multi_step"):
+            rs = ResidualSet(st, E, kind)
+            for k in (2, 1):
+                h1 = rs.h1_matrix(k)
+                assert h1.flags.c_contiguous
+                assert h1.tobytes() == h1_matrix_stacked(rs, k).tobytes()
