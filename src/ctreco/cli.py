@@ -160,6 +160,8 @@ def _cmd_score(args) -> int:
                 f"--samples expects label=path, got {spec!r}"
             )
         label, path = spec.split("=", 1)
+        if label in raws:
+            raise ValidationError(f"repeated --samples label {label!r}")
         draws = read_stacked_csv(path, structure, names)
         raws[label] = score_draws(structure, draws, obs[0], label=label)
     if args.benchmark not in raws:

@@ -2,9 +2,11 @@
 
 The hierarchy definition is JSON with ``agg_matrix`` (row-major array of
 arrays), ``m`` (integer) and optional ``series_names`` (uppers first,
-then bottoms).  Vectors in the canonical stacked layout travel as CSV
-with the header grammar ``series:<name>|k:<int>|h:<int>`` per column and
-one row per vector (or per draw).  Dense covariances use the same CSV
+then bottoms; each a string without surrounding blanks, ``,``, ``|``,
+``"`` or line breaks, as a column label needs).  Vectors in the
+canonical stacked layout travel as CSV with the header grammar
+``series:<name>|k:<int>|h:<int>`` per column and one row per vector (or
+per draw).  Dense covariances use the same CSV
 shape without headers, plus a compact JSON form carrying only the lower
 triangle for caching.
 
@@ -91,6 +93,10 @@ def load_hierarchy(path: str | Path) -> tuple[CrossTemporalStructure, list[str]]
         raise ValidationError(
             f"{path}: {len(names)} series names for {structure.n} series"
         )
+    for name in names:  # each must read back from a stacked CSV label
+        if type(name) is not str or name != name.strip() or set(name) & set(',|"\n\r'):
+            raise ValidationError(f"{path}: series name {name!r} must be a string without "
+                                  "surrounding blanks, ',', '|', '\"' or line breaks")
     if len(set(names)) != len(names):
         raise ValidationError(f"{path}: duplicate series names")
     return structure, list(names)

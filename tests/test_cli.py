@@ -370,6 +370,18 @@ class TestScore:
         payload = json.loads((out / "scores.json").read_text())
         assert payload["only"]["avg_rel_crps_overall"] == pytest.approx(1.0)
 
+    def test_repeated_samples_label_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(["--output-dir", out, "score",
+                  "--samples", f"a={GOLDENS / 'sample-ctjb' / 'samples.csv'}",
+                  "--samples", f"a={GOLDENS / 'sample-gaussian' / 'samples.csv'}",
+                  "--observations", GOLDENS / "inputs" / "observed.csv",
+                  "--hierarchy", GOLDENS / "inputs" / "hierarchy.json",
+                  "--benchmark", "a"])
+        assert rc == 2
+        assert "repeated --samples label 'a'" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
+
     def test_unknown_benchmark_exits_2(self, toy_files):
         rc = run(
             ["score", "--samples", "a=/nope.csv", "--observations", "/no.csv",

@@ -1,6 +1,7 @@
 """Tests for file formats and dataset ingestion."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ class TestHierarchyFile:
         path.write_text(json.dumps({"agg_matrix": [1, 0.5], "m": 2}))
         st, _ = load_hierarchy(path)
         np.testing.assert_array_equal(st.cs.agg, [[1.0, 0.5]])
+
+    @pytest.mark.parametrize("bad", [1, "a|b", "a,b", 'a"b', "a\nb", " a", "b\t"])
+    def test_names_a_stacked_csv_cannot_read_back_are_rejected(self, tmp_path, bad):
+        path = tmp_path / "h.json"
+        names = [bad, "x", "y"]
+        path.write_text(json.dumps({"agg_matrix": [[1, 1]], "m": 2,
+                                    "series_names": names}))
+        with pytest.raises(ValidationError, match=re.escape(f"series name {bad!r}")):
+            load_hierarchy(path)
+
+    def test_names_round_trip_through_a_stacked_csv(self, tmp_path):
+        path = tmp_path / "h.json"
+        names = ["New South Wales", "a:b", "x'y"]
+        path.write_text(json.dumps({"agg_matrix": [[1, 1]], "m": 2,
+                                    "series_names": names}))
+        st, loaded = load_hierarchy(path)
+        assert loaded == names
+        rows = np.arange(2.0 * st.dim).reshape(2, st.dim)
+        write_stacked_csv(tmp_path / "x.csv", st, names, rows)
+        assert read_stacked_csv(tmp_path / "x.csv", st, names).tobytes() == rows.tobytes()
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "h.json"
