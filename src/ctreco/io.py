@@ -89,10 +89,9 @@ def load_hierarchy(path: str | Path) -> tuple[CrossTemporalStructure, list[str]]
     names = payload.get("series_names")
     if names is None:
         names = [f"s{i}" for i in range(structure.n)]
-    if len(names) != structure.n:
-        raise ValidationError(
-            f"{path}: {len(names)} series names for {structure.n} series"
-        )
+    if type(names) is not list or len(names) != structure.n:
+        raise ValidationError(f"{path}: 'series_names' must be a list of "
+                              f"{structure.n} names, got {names!r}")
     for name in names:  # each must read back from a stacked CSV label
         if type(name) is not str or name != name.strip() or set(name) & set(',|"\n\r'):
             raise ValidationError(f"{path}: series name {name!r} must be a string without "

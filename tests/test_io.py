@@ -82,6 +82,14 @@ class TestHierarchyFile:
         st, _ = load_hierarchy(path)
         np.testing.assert_array_equal(st.cs.agg, [[1.0, 0.5]])
 
+    @pytest.mark.parametrize("names", ["ABC", {"A": 0, "B": 1, "C": 2}])
+    def test_series_names_must_be_a_list(self, tmp_path, names):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"agg_matrix": [[1, 1]], "m": 2,
+                                    "series_names": names}))
+        with pytest.raises(ValidationError, match="must be a list of 3 names"):
+            load_hierarchy(path)
+
     @pytest.mark.parametrize("bad", [1, "a|b", "a,b", 'a"b', "a\nb", " a", "b\t"])
     def test_names_a_stacked_csv_cannot_read_back_are_rejected(self, tmp_path, bad):
         path = tmp_path / "h.json"
