@@ -32,6 +32,7 @@ from ctreco.reconcile import (
     set_negative_to_zero,
 )
 from ctreco.residuals import ResidualSet
+from ctreco.simulation import study_structure
 from reference import (
     RIDGE,
     build_projection_dense,
@@ -158,6 +159,21 @@ class TestBuildProjection:
         om = build_omega(CovarianceSpec("sam"), st, rs)  # rank 4 < 21
         with pytest.raises(NumericalError, match="sam"):
             build_projection(st, om)
+
+    @pytest.mark.parametrize("kind", ["wlsv", "shr"])
+    def test_zero_variance_cell_passes_through(self, kind):
+        # an all-zero residual column gives the top cell zero variance: the
+        # map still builds, and keeps that cell's base forecast
+        st = study_structure()
+        rng = np.random.default_rng(5)
+        E = rng.normal(size=(40, st.dim))
+        E[:, 0] = 0.0  # the top series' most aggregated cell
+        res = ResidualSet(st, E, "multi_step")
+        rec = build_projection(st, build_omega(CovarianceSpec(kind), st, res))
+        x = 10.0 + rng.normal(size=(6, st.dim))
+        out = reconcile_point(rec, x)
+        assert np.max(np.abs(out @ st.constraints.T)) <= 1e-13 * np.abs(out).max()
+        np.testing.assert_allclose(out[:, 0], x[:, 0], rtol=1e-14)
 
     def test_dimension_mismatch(self):
         st = fig1()
