@@ -149,25 +149,27 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    structure, names = load_hierarchy(args.hierarchy)
-    obs = read_stacked_csv(args.observations, structure, names)
-    if obs.shape[0] != 1:
-        raise ValidationError("observations file must hold exactly one row")
-    raws = {}
+    paths = {}
     for spec in args.samples:
         if "=" not in spec:
             raise ValidationError(
                 f"--samples expects label=path, got {spec!r}"
             )
         label, path = spec.split("=", 1)
-        if label in raws:
+        if label in paths:
             raise ValidationError(f"repeated --samples label {label!r}")
-        draws = read_stacked_csv(path, structure, names)
-        raws[label] = score_draws(structure, draws, obs[0], label=label)
-    if args.benchmark not in raws:
+        paths[label] = path
+    if args.benchmark not in paths:
         raise ValidationError(
-            f"benchmark {args.benchmark!r} not among samples {sorted(raws)}"
+            f"benchmark {args.benchmark!r} not among samples {sorted(paths)}"
         )
+    structure, names = load_hierarchy(args.hierarchy)
+    obs = read_stacked_csv(args.observations, structure, names)
+    if obs.shape[0] != 1:
+        raise ValidationError("observations file must hold exactly one row")
+    raws = {label: score_draws(structure, read_stacked_csv(path, structure, names),
+                               obs[0], label=label)
+            for label, path in paths.items()}
     bench = raws[args.benchmark]
     reports = {label: relative_indices(raw, bench) for label, raw in raws.items()}
 

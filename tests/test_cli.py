@@ -382,12 +382,18 @@ class TestScore:
         assert "repeated --samples label 'a'" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
-    def test_unknown_benchmark_exits_2(self, toy_files):
+    def test_unknown_benchmark_exits_2(self, toy_files, capsys):
+        # the labels are checked before any sample file is read or scored
+        st, names = load_hierarchy(toy_files["hierarchy"])
+        obs_path = toy_files["tmp"] / "obs.csv"
+        write_stacked_csv(obs_path, st, names, np.ones((1, st.dim)))
         rc = run(
-            ["score", "--samples", "a=/nope.csv", "--observations", "/no.csv",
+            ["score", "--samples", f"a={toy_files['tmp'] / 'missing.csv'}",
+             "--observations", obs_path,
              "--hierarchy", toy_files["hierarchy"], "--benchmark", "zzz"]
         )
         assert rc == 2
+        assert "benchmark 'zzz' not among samples ['a']" in capsys.readouterr().err
 
 
 class TestSimulate:
