@@ -12,8 +12,10 @@ parameter count by an order of magnitude on realistic hierarchies.
 Covariances built from residuals alone -- ``sam`` = E'E/N and the
 structured cores at lambda = 0, X'X/N -- are held as a root R' (R'R =
 X'X/N, from one QR of the residual rows), which has min(N, r) columns
-for N rows of r columns.  No d x d matrix is formed or decomposed for a
-structured kind or ``sam`` unless its dense ``values`` are read.
+for N rows of r columns.  ``ols``, ``struc`` and ``wlsv`` are held as a
+diagonal delta, ``shr`` as delta = lambda var plus A = sqrt(1 - lambda) R'.
+No d x d matrix is formed or decomposed for any of these kinds unless its
+dense ``values`` are read.
 
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
@@ -71,15 +73,17 @@ class CovarianceSpec:
 
 class CovarianceMatrix:
     """A built covariance Sigma with its provenance, held as ``values``
-    (d x d), as a ``root`` A (d x q, Sigma = A A'), as both, or as a
+    (d x d), as a ``root`` A (d x q, Sigma = A A'), as both, as a
     ``factor`` F (d x r, held as a CSR array) with a ``core`` Q, an r x r
-    CovarianceMatrix, for Sigma = F Q F'.  ``factor`` and ``core`` are
-    None for an unfactored Sigma.
+    CovarianceMatrix, for Sigma = F Q F', or as a ``diag`` delta >= 0 with
+    an optional ``low_rank`` A, for Sigma = diag(delta) + A A'.  The
+    attributes of a form Sigma is not held in are None.
 
     A form that was not given is derived on first read and kept:
 
-    * ``values`` = A A', or F Q F' made exactly symmetric.  It is positive
-      semi-definite by construction and is not checked again.
+    * ``values`` = A A', diag(delta) + A A' or F Q F' made exactly
+      symmetric.  It is positive semi-definite by construction and is not
+      checked again.
     * ``root`` = F (root of Q), or else the lower Cholesky factor of
       ``values`` or, when that fails (a singular Sigma), U sqrt(max(w, 0))
       from the eigenpairs (w, U) of ``values``.
@@ -91,19 +95,28 @@ class CovarianceMatrix:
     V); since max(diag V) <= lambda_max, its success already implies the
     rule.  Only when it fails are the eigenvalues computed, and the rule
     decides on them, so the two steps accept and reject exactly what the
-    eigenvalue rule alone would.  A given root or factor must be finite.
+    eigenvalue rule alone would.  A given root, factor, diagonal or
+    low-rank part must be finite, and a diagonal non-negative.
     Every dense form is read-only; the factor is a CSR copy of the one given.
     """
 
     def __init__(self, values, spec: CovarianceSpec,
                  lambda_used: float | None = None, root=None, *,
-                 factor=None, core: CovarianceMatrix | None = None):
-        if (factor is None) != (core is None) or values is root is core is None:
-            raise ValueError("give values or a root array, or a factor and its core")
+                 factor=None, core: CovarianceMatrix | None = None,
+                 diag=None, low_rank=None):
+        if ((factor is None) != (core is None) or values is root is core is diag is None
+                or (low_rank is not None and diag is None)):
+            raise ValueError("give values or a root array, a factor and its core, "
+                             "or a diagonal and its low-rank part")
         self.spec = spec
         self.lambda_used = lambda_used
         self._values = None if values is None else _checked_values(values)
         self._root = None if root is None else _checked_root(root)
+        self.diag = None if diag is None else _checked_root([diag], "diagonal")[0]
+        if diag is not None and np.any(self.diag < 0.0):
+            raise ValueError(f"covariance diagonal is negative at "
+                             f"{np.flatnonzero(self.diag < 0.0)}")
+        self.low_rank = None if low_rank is None else _checked_root(low_rank)
         self.core = core
         self.factor = (None if core is None
                        else scipy.sparse.csr_array(factor, dtype=float, copy=True))
@@ -117,7 +130,10 @@ class CovarianceMatrix:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            if self.core is None:
+            if self.diag is not None:
+                A = self.low_rank
+                V = np.diag(self.diag) + (0.0 if A is None else A @ A.T)
+            elif self.core is None:
                 V = self._root @ self._root.T  # one syrk: exactly symmetric
             else:
                 V = self.factor @ self.core.values @ self.factor.T
@@ -130,7 +146,7 @@ class CovarianceMatrix:
     def root(self) -> np.ndarray:
         if self._root is None:
             if self.core is None:
-                A = _values_root(self._values)
+                A = _values_root(self.values)
             else:
                 A = self.factor @ self.core.root
             A.flags.writeable = False
@@ -139,8 +155,8 @@ class CovarianceMatrix:
 
     @property
     def dim(self) -> int:
-        held = self._values if self._values is not None else self._root
-        return (self.factor if held is None else held).shape[0]
+        held = (self._values, self._root, self.diag, self.factor)
+        return next(a for a in held if a is not None).shape[0]
 
 
 def _require_finite(A: np.ndarray, what: str) -> None:
@@ -177,11 +193,11 @@ def _checked_values(values) -> np.ndarray:
     return V
 
 
-def _checked_root(root) -> np.ndarray:
+def _checked_root(root, what: str = "root") -> np.ndarray:
     A = np.array(root, dtype=float)
     if A.ndim != 2:
-        raise ValueError("covariance root must be a matrix")
-    _require_finite(A, "covariance root")
+        raise ValueError(f"covariance {what} must be a matrix")
+    _require_finite(A, f"covariance {what}")
     A.flags.writeable = False
     return A
 
@@ -223,6 +239,10 @@ def shrinkage_intensity(residuals) -> float:
     lambda = sum_{i != j} var(r_ij) / sum_{i != j} r_ij^2, clamped to
     [0, 1]; an exactly diagonal sample covariance gives lambda = 1.
 
+    For Z, the rows scaled to unit mean square, sum r_ij^2 takes
+    ||Z'Z||_F^2 from the smaller Gram matrix, ZZ' when N < d, and
+    sum var(r_ij) the off-diagonal sum of (Z o Z)'(Z o Z) from row sums.
+
     Args:
         residuals: a ResidualSet or an (N, d) array, N >= 3, taken as
             mean zero (model residuals).
@@ -233,14 +253,18 @@ def shrinkage_intensity(residuals) -> float:
         raise ValueError(f"need at least 3 residual rows, got {N}")
     scale = np.sqrt(np.mean(X**2, axis=0))
     Z = np.divide(X, scale, out=np.zeros_like(X), where=scale > 0)
-    W_mean = (Z.T @ Z) / N  # sample correlations
-    var_w = (Z**2).T @ (Z**2) / N - W_mean**2
-    var_r = var_w / (N - 1.0)
-    off = ~np.eye(d, dtype=bool)
-    denom = float(np.sum(W_mean[off] ** 2))
+    Z2 = Z**2
+    if N < d:
+        gram_off = np.sum((Z @ Z.T) ** 2) - np.sum(np.sum(Z2, axis=0) ** 2)
+    else:
+        gram = Z.T @ Z
+        gram.flat[:: d + 1] = 0.0
+        gram_off = np.sum(gram**2)
+    denom = float(gram_off) / N**2  # sum_{i != j} r_ij^2
     if denom <= 0.0:
         return 1.0
-    lam = float(np.sum(var_r[off])) / denom
+    fourth_off = (np.sum(np.sum(Z2, axis=1) ** 2) - np.sum(Z2**2)) / N
+    lam = float(fourth_off - denom) / (N - 1.0) / denom
     return min(max(lam, 0.0), 1.0)
 
 
@@ -311,7 +335,7 @@ def build_omega(
     multi = ("multi_step", "overlapping_multi_step")
 
     if kind == "ols":
-        return CovarianceMatrix(np.eye(dim), spec)
+        return CovarianceMatrix(None, spec, diag=np.ones(dim))
 
     if kind == "struc":
         diag = st.summation_csr @ np.ones(st.bottom_dim)
@@ -321,11 +345,11 @@ def build_omega(
                 f"covariance kind 'struc' weights each cell by S 1, which is "
                 f"<= 0 for series {idle}"
             )
-        return CovarianceMatrix(np.diag(diag), spec)
+        return CovarianceMatrix(None, spec, diag=diag)
 
     if kind == "wlsv":
         _require_kind(spec, residuals, ("one_step",) + multi)
-        return CovarianceMatrix(np.diag(residuals.h1_mean_squares), spec)
+        return CovarianceMatrix(None, spec, diag=residuals.h1_mean_squares)
 
     if kind == "bdshr":
         _require_kind(spec, residuals, ("one_step",) + multi)
@@ -343,10 +367,14 @@ def build_omega(
 
     if kind in ("shr", "sam"):
         _require_kind(spec, residuals, multi)
+        E = residuals.E
         if kind == "sam":
-            return CovarianceMatrix(None, spec, root=_residual_root(residuals.E))
-        values, lam = _shrunk(residuals.E, spec.lam)
-        return CovarianceMatrix(values, spec, lambda_used=lam)
+            return CovarianceMatrix(None, spec, root=_residual_root(E))
+        # lam diag(E'E/N) + (1 - lam) E'E/N, its rank-min(N, d) part as a root
+        lam = shrinkage_intensity(E) if spec.lam is None else spec.lam
+        return CovarianceMatrix(None, spec, lambda_used=lam,
+                                diag=lam * np.mean(E**2, axis=0),
+                                low_rank=np.sqrt(1.0 - lam) * _residual_root(E))
 
     # structured kinds: estimate the core on the cells F spans and hold
     # Omega = F core F'; unshrunk, the core is held as its root R'

@@ -9,8 +9,13 @@ high-frequency bottom cells, carries information: it is the rows of M at
 those cells.  A map is applied as ``S (G x)`` with the sparse S, so the
 d x d matrix M is formed only when a caller reads ``ReconciliationMap.M``.
 
-``build_projection`` takes one path for every kind: G = G_Q F^+, G_Q the
-rows at the kept cells of the zero-constrained map
+A covariance held as a diagonal delta > 0 plus an optional low-rank part
+(``ols``, ``struc``, ``wlsv``, ``shr``) takes that structural form: W
+scales the rows of the CSR S (``shr`` adds a Woodbury term) and only
+S'WS, (n_b m) x (n_b m), is factored; a constant delta gives ``hb``'s
+G = S^+.  Any other (a zero in delta, ``sam``, ``bdshr``, a dense
+covariance read from JSON, a structured kind) takes the path
+G = G_Q F^+, G_Q the rows at the kept cells of the zero-constrained map
 I - Q C_r' (C_r Q C_r')^{-1} C_r of a reduced space with factor F.  A
 full kind has F = I, Q = Omega and C_r = C, the sparse C, and keeps the
 high-frequency bottom cells.  A structured covariance (``hb``, ``h``,
@@ -20,8 +25,8 @@ with the core Q in the reduced space S = F T, T constrained by
 C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing (``hb``, whose
 G = S^+ is the ``ols`` map), so no d x d Omega is formed.
 
-Every linear solve factors its matrix A (``C Omega C'`` or the reduced
-``C Q C'``) by Cholesky, A = R'R, and accepts the factor when
+Every linear solve factors its matrix A (``S'WS``, ``C Omega C'`` or the
+reduced ``C Q C'``) by Cholesky, A = R'R, and accepts the factor when
 ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on the
 2-norm condition number of A (||A||_2 <= ||A||_1 for symmetric A, and
 ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a decade under the
@@ -157,11 +162,57 @@ def _zero_constrained(C, C_t, Omega, keep, what: str, kind: str) -> np.ndarray:
     return G
 
 
+def _structural(st: CrossTemporalStructure, omega: CovarianceMatrix) -> np.ndarray:
+    """G = (S'WS)^{-1} S'W, W = Omega^{-1}, for Omega = D + A A' held as its
+    diagonal D > 0 and low-rank part A: W = D^{-1} - U K^{-1} U' with
+    U = D^{-1} A and K = I + A'U (Woodbury), so no d x d matrix is formed."""
+    S, kind, A = st.summation_csr, omega.spec.kind, omega.low_rank
+    w = 1.0 / omega.diag
+    if A is None and np.all(w == w[0]):  # a scalar W: G = S^+, formed as hb's
+        P_cs, P_te = np.linalg.pinv(st.cs.summation), np.linalg.pinv(st.te.summation)
+        return np.kron(P_cs, P_te) + 0.0
+    SWS = S.T @ (w[:, None] * S.toarray())
+    if A is not None:  # K^{-1} = R R': S'W S = S'D^{-1}S - Y Y', Y = S'U R
+        U = w[:, None] * A
+        R = _checked_cho_factor(np.eye(A.shape[1]) + A.T @ U, "I + A'U", kind)
+        Y, Z = (S.T @ U) @ R, U @ R
+        SWS -= Y @ Y.T
+    R_inv = _checked_cho_factor(SWS, "S' W S", kind)
+    P = R_inv @ R_inv.T  # (S'WS)^{-1}
+    del SWS, R_inv  # before the d x b products
+    G_t = S @ P
+    G_t *= w[:, None]
+    if A is None:
+        return G_t.T
+    # G = P S'D^{-1} - (P Y) Z', the product subtracted in place
+    return scipy.linalg.blas.dgemm(-1.0, P @ Y, Z, 1.0, G_t.T, trans_b=1, overwrite_c=1)
+
+
+def _stacked_structural(S, deltas, kind: str) -> np.ndarray:
+    """(k, b, d) maps (S'W_iS)^{-1} S'W_i for a dense S and W_i = diag(1 /
+    deltas[i]), by one batched Cholesky factorisation.  Each S'W_iS is
+    accepted as by ``_checked_cho_factor``, whose bound takes
+    ||R^{-1}||_F^2 = trace (S'W_iS)^{-1}, or else by that function."""
+    SW = S.T * (1.0 / deltas)[:, None, :]
+    A = SW @ S
+    try:
+        L_inv = np.linalg.inv(scipy.linalg.cholesky(A, lower=True))
+    except scipy.linalg.LinAlgError:
+        L_inv = np.full_like(A, np.inf)
+    P = np.swapaxes(L_inv, 1, 2) @ L_inv
+    bound = np.linalg.norm(A, 1, axis=(1, 2)) * np.trace(P, axis1=1, axis2=2)
+    for i in np.flatnonzero(~(bound <= _COND_BOUND)):
+        R_inv = _checked_cho_factor(A[i], "S' W S", kind)
+        P[i] = R_inv @ R_inv.T
+    return P @ SW
+
+
 def build_projection(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
-    """Optimal projection map for a given covariance, held as G = G_Q F^+
-    (module docstring).  A full kind uses the structure's CSR forms of C.
+    """Optimal projection map for a given covariance, in structural form or
+    held as G = G_Q F^+ (module docstring).  A full kind uses the
+    structure's CSR forms of S or C.
     A structured kind builds F^+ and C_r as CSR Kronecker products
     (``kron_csr``; ``hb``'s G = F^+ is formed dense), reads Q from
     ``omega.core`` and raises ValidationError when it holds none, as a
@@ -171,6 +222,8 @@ def build_projection(
     than once keep it.
     """
     st, kind = structure, omega.spec.kind
+    if omega.diag is not None and np.all(omega.diag > 0.0):
+        return ReconciliationMap(st, omega, _structural(st, omega))
     if kind not in STRUCTURED_KINDS:
         G = _zero_constrained(st.constraints_csr, st.constraints_t_csr,
                               omega.values, st.bottom_hf_indices(),
@@ -246,9 +299,11 @@ def composite_map(
     map on a one-dimensional structure: on ``cs_only`` (n x n weights,
     from the order-1 one-step residuals) or, one per bottom series, on
     ``te_only`` (from that series' columns of the residuals; one map for
-    every series when there are none), the per-series maps applied as
-    one stacked product.  It takes every kind ``build_omega`` builds
-    there and is built here, once for every block applied.
+    every series when there are none or the kind reads none), the
+    per-series maps applied as one stacked product; a diagonal kind's are
+    built in one stacked structural solve.  It takes every kind
+    ``build_omega`` builds there and is built here, once for every block
+    applied.
     """
     st = structure
     n, n_a, dim_te = st.n, st.cs.n_upper, st.te.dim
@@ -281,10 +336,19 @@ def composite_map(
             return (M_b @ hf).reshape(st.bottom_dim, -1).T
 
     else:  # te_then_cs_bu
-        # (n_b, m, dim_te) maps; without residuals one, broadcast over series
-        M_te = np.stack([
-            inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])
-            for i in (range(1) if residuals is None else range(n_a, n))])
+        # (n_b, m, dim_te) maps, or one broadcast over series
+        if residuals is None or inner_spec.kind in ("ols", "struc"):
+            deltas = build_omega(inner_spec, st.te_only).diag[None]
+        elif inner_spec.kind == "wlsv":
+            deltas = residuals.h1_mean_squares.reshape(n, dim_te)[n_a:]
+        else:
+            deltas = None
+        if deltas is not None and np.all(deltas > 0.0):
+            M_te = _stacked_structural(st.te.summation, deltas, inner_spec.kind)
+        else:  # one oct map per series
+            M_te = np.stack([
+                inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])
+                for i in range(n_a, n)])
 
         def reconcile_hf(X):
             # every bottom series in one product, (n_b, m, L)

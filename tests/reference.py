@@ -3,8 +3,9 @@
 Each one is a slower or differently built form of a package routine:
 the cross-temporal summation and constraint matrices built dense, a
 window stacked series by series and order by order, the
-commutation matrix as a dense d x d matrix, a residual set's one-step
-rows of one order stacked series by series, ``bdshr`` built
+commutation matrix as a dense d x d matrix, the shrinkage intensity
+from d x d products, a residual set's one-step rows of one order stacked
+series by series, ``bdshr`` built
 temporal-major and permuted by the commutation matrix, the residual-built
 covariances as F core F' (the package holds the unshrunk ones as a
 root), the projection as a dense d x d matrix (also at a ridged Omega,
@@ -135,10 +136,10 @@ def dense_factor(kind, structure) -> np.ndarray:
 def unshrunk_blocks(kind, structure, residuals):
     """The residual columns X a covariance kind is estimated on and the
     dense factor F that expands X'X/N to the stacked vector (F = I for
-    ``sam``)."""
+    ``sam`` and ``shr``)."""
     st = structure
     bottoms = range(st.cs.n_upper, st.n)
-    if kind == "sam":
+    if kind in ("sam", "shr"):
         return residuals.E, np.eye(st.dim)
     if kind == "hb":
         X = residuals.columns(bottoms, [1])
@@ -157,6 +158,22 @@ def dense_covariance(kind, structure, residuals, lam) -> np.ndarray:
     if kind != "sam":
         core = lam * np.diag(np.diag(core)) + (1.0 - lam) * core
     return F @ core @ F.T
+
+
+def shrinkage_intensity_dense(X) -> float:
+    """The Ledoit-Wolf intensity of ``covariance.shrinkage_intensity`` from
+    the d x d matrices of sample correlations and their variances, with
+    the off-diagonal entries picked by a mask."""
+    N, d = X.shape
+    scale = np.sqrt(np.mean(X**2, axis=0))
+    Z = np.divide(X, scale, out=np.zeros_like(X), where=scale > 0)
+    W_mean = (Z.T @ Z) / N  # sample correlations
+    var_r = ((Z**2).T @ (Z**2) / N - W_mean**2) / (N - 1.0)
+    off = ~np.eye(d, dtype=bool)
+    denom = float(np.sum(W_mean[off] ** 2))
+    if denom <= 0.0:
+        return 1.0
+    return min(max(float(np.sum(var_r[off])) / denom, 0.0), 1.0)
 
 
 def covariance_eig_verdict(values: np.ndarray) -> str | None:

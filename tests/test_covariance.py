@@ -24,6 +24,7 @@ from reference import (
     dense_covariance,
     gdp,
     h1_matrix_stacked,
+    shrinkage_intensity_dense,
     spectral_matrices,
     unshrunk_blocks,
 )
@@ -95,6 +96,29 @@ class TestShrinkageIntensity:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             shrinkage_intensity(np.ones((2, 3)))
+
+    @given(N=hst.integers(3, 60), d=hst.integers(2, 60),
+           zero_column=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_d_by_d_form(self, N, d, zero_column, seed):
+        # fewer rows than columns (the N x N Gram), more, and an all-zero
+        # column, on a common factor strong enough for lambda in (0, 1)
+        rng = np.random.default_rng(seed)
+        X = (rng.normal(size=(N, 1)) * 10.0 ** rng.uniform(-1, 1) * rng.normal(size=d)
+             + rng.normal(size=(N, d)) * rng.uniform(0.1, 10.0, d))
+        if zero_column:
+            X[:, rng.integers(d)] = 0.0
+        want = shrinkage_intensity_dense(X)
+        assert abs(shrinkage_intensity(X) - want) <= 1e-13 * want
+
+    def test_matches_the_d_by_d_form_at_the_gdp_width(self):
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(20, gdp().dim))
+        X[:, :300] += 3.0 * rng.normal(size=(20, 1))
+        X[:, 400] = 0.0
+        want = shrinkage_intensity_dense(X)
+        assert 0.0 < want < 1.0
+        assert abs(shrinkage_intensity(X) - want) <= 1e-13 * want
 
 
 class TestBuildOmegaBasic:
@@ -329,6 +353,51 @@ class TestRootForm:
             assert vars(om)["_values"] is None  # F core F' is formed on read
             assert _rel(om.values, F @ om.core.values @ F.T) <= 1e-14
             assert vars(om)["_values"] is not None
+
+
+class TestDiagonalPlusRootForm:
+    """ols, struc and wlsv held as their diagonal alone, and shr as the
+    diagonal lam var plus the root sqrt(1 - lam) R' of min(N, d) columns;
+    values are formed only when read."""
+
+    @pytest.mark.parametrize("N", [5, 60])
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.3, 1.0])
+    def test_shr_matches_the_dense_covariance(self, N, lam):
+        st = semi_annual()
+        rs = random_residuals(st, N, seed=25)
+        om = build_omega(CovarianceSpec("shr", lam=lam), st, rs)
+        used = shrinkage_intensity(rs.E) if lam is None else lam
+        assert om.lambda_used == used
+        assert om.low_rank.shape == (st.dim, min(N, st.dim))
+        assert vars(om)["_values"] is None
+        V = om.values
+        assert _rel(V, dense_covariance("shr", st, rs, used)) <= 1e-13
+        np.testing.assert_array_equal(V, V.T)
+        assert not V.flags.writeable and not om.diag.flags.writeable
+
+    def test_diagonal_kinds_hold_their_diagonal(self):
+        st = semi_annual()
+        rs = random_residuals(st, 30, seed=26)
+        for kind, want in (("ols", np.ones(st.dim)),
+                           ("struc", st.summation @ np.ones(st.bottom_dim)),
+                           ("wlsv", rs.h1_mean_squares)):
+            om = build_omega(CovarianceSpec(kind), st, rs)
+            assert om.low_rank is None and vars(om)["_values"] is None
+            np.testing.assert_array_equal(om.diag, want)
+            np.testing.assert_array_equal(om.values, np.diag(want))
+            np.testing.assert_array_equal(om.root, np.diag(np.sqrt(want)))
+
+    def test_rejects_a_negative_or_non_finite_diagonal(self):
+        spec = CovarianceSpec("wlsv")
+        with pytest.raises(ValueError, match=r"diagonal is negative at \[1\]"):
+            CovarianceMatrix(None, spec, diag=[1.0, -1e-300])
+        with pytest.raises(ValueError, match="diagonal has 1 non-finite"):
+            CovarianceMatrix(None, spec, diag=[np.inf, 1.0])
+        with pytest.raises(ValueError, match="root has 1 non-finite"):
+            CovarianceMatrix(None, spec, diag=[1.0, 1.0],
+                             low_rank=[[np.nan], [0.0]])
+        with pytest.raises(ValueError, match="a diagonal and its low-rank part"):
+            CovarianceMatrix(None, spec, low_rank=np.ones((2, 1)))
 
 
 class TestStructuralWeights:

@@ -2,6 +2,7 @@
 
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestStructuredKindProjections:
         M_ols = build_projection(st, build_omega(CovarianceSpec("ols"), st)).M
         np.testing.assert_allclose(M_hb, M_ols, atol=1e-12)
 
+    @pytest.mark.parametrize("make", [semi_annual, gdp])
+    def test_a_scalar_weight_is_formed_as_the_hb_map(self, make):
+        # ols, or any constant diagonal, gives G = S^+: the same bytes as
+        # hb, so the two methods score exactly alike
+        st = make()
+        G_hb = build_projection(st, build_omega(CovarianceSpec("hb"), st,
+                                                self.make_residuals(st, 1))).G
+        for diag in (np.ones(st.dim), np.full(st.dim, 2.5)):
+            om = CovarianceMatrix(None, CovarianceSpec("wlsv"), diag=diag)
+            assert build_projection(st, om).G.tobytes() == G_hb.tobytes()
+        G_ols = build_projection(st, build_omega(CovarianceSpec("ols"), st)).G
+        assert G_ols.tobytes() == G_hb.tobytes()
+
     @pytest.mark.parametrize("kind", ["hb", "h", "b"])
     def test_laws_hold(self, kind):
         st = semi_annual()
@@ -283,13 +297,18 @@ class TestBottomLevelMaps:
     @staticmethod
     def dense_or_same_error(st, omega):
         """The dense map, or None when it is rejected, after checking that
-        the package rejects the covariance with the same message."""
+        the package rejects the covariance too: with the same message on
+        the zero-constrained path, naming the kind on the structural one
+        (a diagonal with every entry > 0), which factors S'WS instead."""
         try:
             return build_projection_dense(st, omega)
         except NumericalError as exc:
             with pytest.raises(NumericalError) as got:
                 build_projection(st, omega)
-            assert str(got.value) == str(exc)
+            if omega.diag is not None and np.all(omega.diag > 0.0):
+                assert repr(omega.spec.kind) in str(got.value)
+            else:
+                assert str(got.value) == str(exc)
             return None
 
     @staticmethod
@@ -328,6 +347,8 @@ class TestBottomLevelMaps:
             assert "M" not in vars(rec)  # applied as S (G x), without M
             assert _rel(got, x @ want.T) <= tol
             G = rec.G
+            if not structured:
+                assert _rel(G, want[st.bottom_hf_indices()]) <= 1e-12
             assert np.max(np.abs(G @ st.summation - np.eye(st.bottom_dim))) <= 1e-12
             assert np.max(np.abs(got @ st.constraints.T)) <= 1e-14 * np.abs(got).max()
             M = rec.M  # derived from G on first use
@@ -348,6 +369,27 @@ class TestBottomLevelMaps:
         b = np.random.default_rng(seed).normal(size=(L, st.bottom_dim))
         for block in (b[0], b):
             assert _rel(bottom_up(st, block), block @ st.summation.T) <= 1e-15
+
+    @pytest.mark.parametrize("make", [study_structure, gdp])
+    @pytest.mark.parametrize("kind", ["ols", "struc", "wlsv", "shr"])
+    def test_structural_map_matches_the_dense_map(self, make, kind):
+        # diag(delta) + A A' with delta > 0: G from S'WS, without a d x d
+        # matrix (peak traced memory under d^2 doubles, Omega never formed)
+        st = make()
+        res = ResidualSet(st, np.random.default_rng(27).normal(size=(20, st.dim)),
+                          "multi_step")
+        tracemalloc.start()
+        try:
+            omega = build_omega(CovarianceSpec(kind), st, res)
+            rec = build_projection(st, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if make is gdp:
+            assert peak < st.dim**2 * 8
+        assert vars(omega)["_values"] is None
+        want = build_projection_dense(st, omega)[st.bottom_hf_indices()]
+        assert _rel(rec.G, want) <= 1e-12
 
     def test_map_holds_exactly_one_form(self):
         st = semi_annual()
@@ -528,27 +570,79 @@ class TestCompositeMap:
 
     @pytest.mark.parametrize("inner", ["ols", "struc"])
     def test_te_inner_map_is_built_once_without_residuals(self, inner, monkeypatch):
-        # every bottom series gets the same temporal map, so it is built
-        # once and broadcast over the series
+        # every bottom series gets the same temporal map, with residuals or
+        # without, so it is built once, by the stacked structural solve and
+        # not by an oct map, and broadcast over the series
         import ctreco.reconcile as reconcile
 
-        calls = []
-        real = reconcile.build_projection
+        def no_oct_map(*_):
+            raise AssertionError("build_projection called")
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].dim)
-            return real(*args, **kwargs)
+        stacked = []
+        real = reconcile._stacked_structural
 
-        monkeypatch.setattr(reconcile, "build_projection", counting)
+        def recording(S, deltas, kind):
+            stacked.append(deltas.shape)
+            return real(S, deltas, kind)
+
+        monkeypatch.setattr(reconcile, "build_projection", no_oct_map)
+        monkeypatch.setattr(reconcile, "_stacked_structural", recording)
         st, spec = gdp(), CovarianceSpec(inner)
         apply = composite_map(st, "te_then_cs_bu", spec)
-        assert calls == [st.te.dim]
         rng = np.random.default_rng(13)
         res = ResidualSet(st, rng.normal(size=(40, st.dim)), "one_step")
-        per_series = composite_map(st, "te_then_cs_bu", spec, res)
-        assert len(calls) == 1 + st.cs.n_bottom
+        with_residuals = composite_map(st, "te_then_cs_bu", spec, res)
+        assert stacked == [(1, st.te.dim)] * 2
         for x in (rng.normal(size=st.dim), rng.normal(size=(7, st.dim))):
-            assert apply(x).tobytes() == per_series(x).tobytes()
+            assert apply(x).tobytes() == with_residuals(x).tobytes()
+
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_te_maps_match_the_per_call_form(self, data, scoring_cases):
+        # the n_b temporal maps of a diagonal inner kind in one stacked
+        # solve; a bottom series whose order-1 block has zero variance makes
+        # every series take an oct map of its own, zero-constrained there
+        agg, m, _, seed, _, _ = data.draw(scoring_cases)
+        st = make_structure(agg, m)
+        rng = np.random.default_rng(seed)
+        E = rng.normal(size=(30, st.dim)) * rng.uniform(0.1, 10.0, st.dim)
+        if data.draw(hst.booleans()):
+            E[:, st.block_slice(int(rng.integers(st.cs.n_upper, st.n)), 1)] = 0.0
+        res = ResidualSet(st, E, data.draw(hst.sampled_from(["one_step", "multi_step"])))
+        x = rng.normal(size=(5, st.dim)) * 10.0
+        for inner in ("ols", "struc", "wlsv"):
+            spec = CovarianceSpec(inner)
+            got = composite_map(st, "te_then_cs_bu", spec, res)(x)
+            want = partly_bottom_up_per_call(st, "te_then_cs_bu", x, spec, res)
+            assert _rel(got, want) <= 1e-12, inner
+
+    def test_stacked_te_maps_check_each_series(self, monkeypatch):
+        # a batch with a well-conditioned matrix, one over the condition
+        # bound that the eigenvalue rule accepts, and one whose eigenvalue
+        # ratio exceeds 1e12: only the last two go to _checked_cho_factor
+        import ctreco.reconcile as reconcile
+
+        checked = []
+        real = reconcile._checked_cho_factor
+
+        def recording(A, what, kind):
+            checked.append(A.copy())
+            return real(A, what, kind)
+
+        monkeypatch.setattr(reconcile, "_checked_cho_factor", recording)
+        S = semi_annual().te.summation
+        deltas = np.array([[1.0, 2.0, 3.0], [1e-11, 1.0, 1.0], [1.0, 1e-13, 1e3]])
+        with pytest.raises(NumericalError, match="S' W S is numerically singular "
+                                                 "for covariance kind 'wlsv'"):
+            reconcile._stacked_structural(S, deltas, "wlsv")
+        assert len(checked) == 2
+        checked.clear()
+        G = reconcile._stacked_structural(S, deltas[:2], "wlsv")
+        assert len(checked) == 1
+        np.testing.assert_array_equal(checked[0], (S.T / deltas[1]) @ S)
+        SW = S.T / deltas[0]
+        assert _rel(G[0], np.linalg.solve(SW @ S, SW)) <= 1e-12
+        np.testing.assert_allclose(G[1] @ S, np.eye(2), atol=1e-4)
 
     def test_map_is_built_at_construction(self):
         st = semi_annual()
