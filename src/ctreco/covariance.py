@@ -13,9 +13,9 @@ Covariances built from residuals alone -- ``sam`` = E'E/N and the
 structured cores at lambda = 0, X'X/N -- are held as a root R' (R'R =
 X'X/N, from one QR of the residual rows), which has min(N, r) columns
 for N rows of r columns.  ``ols``, ``struc`` and ``wlsv`` are held as a
-diagonal delta, ``shr`` as delta = lambda var plus A = sqrt(1 - lambda) R'.
-No d x d matrix is formed or decomposed for any of these kinds unless its
-dense ``values`` are read.
+diagonal delta, and ``shr`` from N < d rows as delta = lambda var plus
+A = sqrt(1 - lambda) R'.  No d x d matrix is formed or decomposed for any
+of these kinds unless its dense ``values`` are read.
 
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
@@ -370,7 +370,10 @@ def build_omega(
         E = residuals.E
         if kind == "sam":
             return CovarianceMatrix(None, spec, root=_residual_root(E))
-        # lam diag(E'E/N) + (1 - lam) E'E/N, its rank-min(N, d) part as a root
+        if E.shape[0] >= dim:  # a root would be no narrower than Omega
+            values, lam = _shrunk(E, spec.lam)
+            return CovarianceMatrix(values, spec, lambda_used=lam)
+        # lam diag(E'E/N) + (1 - lam) E'E/N, its rank-N part as a root
         lam = shrinkage_intensity(E) if spec.lam is None else spec.lam
         return CovarianceMatrix(None, spec, lambda_used=lam,
                                 diag=lam * np.mean(E**2, axis=0),

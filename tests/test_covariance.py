@@ -356,11 +356,12 @@ class TestRootForm:
 
 
 class TestDiagonalPlusRootForm:
-    """ols, struc and wlsv held as their diagonal alone, and shr as the
-    diagonal lam var plus the root sqrt(1 - lam) R' of min(N, d) columns;
-    values are formed only when read."""
+    """ols, struc and wlsv held as their diagonal alone, and shr from
+    N < d rows as the diagonal lam var plus the root sqrt(1 - lam) R' of
+    N columns (from N >= d rows as its dense values); values are formed
+    only when read."""
 
-    @pytest.mark.parametrize("N", [5, 60])
+    @pytest.mark.parametrize("N", [5, 9, 60])
     @pytest.mark.parametrize("lam", [None, 0.0, 0.3, 1.0])
     def test_shr_matches_the_dense_covariance(self, N, lam):
         st = semi_annual()
@@ -368,12 +369,16 @@ class TestDiagonalPlusRootForm:
         om = build_omega(CovarianceSpec("shr", lam=lam), st, rs)
         used = shrinkage_intensity(rs.E) if lam is None else lam
         assert om.lambda_used == used
-        assert om.low_rank.shape == (st.dim, min(N, st.dim))
-        assert vars(om)["_values"] is None
+        if N < st.dim:
+            assert om.low_rank.shape == (st.dim, N)
+            assert vars(om)["_values"] is None
+            assert not om.diag.flags.writeable
+        else:
+            assert om.diag is None and om.low_rank is None
         V = om.values
         assert _rel(V, dense_covariance("shr", st, rs, used)) <= 1e-13
         np.testing.assert_array_equal(V, V.T)
-        assert not V.flags.writeable and not om.diag.flags.writeable
+        assert not V.flags.writeable
 
     def test_diagonal_kinds_hold_their_diagonal(self):
         st = semi_annual()

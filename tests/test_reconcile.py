@@ -375,8 +375,9 @@ class TestBottomLevelMaps:
     def test_structural_map_matches_the_dense_map(self, make, kind):
         # diag(delta) + A A' with delta > 0: G from S'WS, without a d x d
         # matrix (peak traced memory under d^2 doubles, Omega never formed)
-        st = make()
-        res = ResidualSet(st, np.random.default_rng(27).normal(size=(20, st.dim)),
+        st = make()  # fewer residual rows than cells, as shr's root form needs
+        N = min(20, st.dim - 1)
+        res = ResidualSet(st, np.random.default_rng(27).normal(size=(N, st.dim)),
                           "multi_step")
         tracemalloc.start()
         try:
