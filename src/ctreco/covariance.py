@@ -239,9 +239,10 @@ def shrinkage_intensity(residuals) -> float:
     lambda = sum_{i != j} var(r_ij) / sum_{i != j} r_ij^2, clamped to
     [0, 1]; an exactly diagonal sample covariance gives lambda = 1.
 
-    For Z, the rows scaled to unit mean square, sum r_ij^2 takes
-    ||Z'Z||_F^2 from the smaller Gram matrix, ZZ' when N < d, and
-    sum var(r_ij) the off-diagonal sum of (Z o Z)'(Z o Z) from row sums.
+    Both sums come from the d x d products of Z, the rows scaled to unit
+    mean square, or, with fewer rows than columns, from the N x N ones:
+    sum_ij (Z'Z)_ij^2 = ||ZZ'||_F^2 and the sum of (Z o Z)'(Z o Z) from
+    the row sums of Z o Z, each less its diagonal part.
 
     Args:
         residuals: a ResidualSet or an (N, d) array, N >= 3, taken as
@@ -253,18 +254,19 @@ def shrinkage_intensity(residuals) -> float:
         raise ValueError(f"need at least 3 residual rows, got {N}")
     scale = np.sqrt(np.mean(X**2, axis=0))
     Z = np.divide(X, scale, out=np.zeros_like(X), where=scale > 0)
-    Z2 = Z**2
     if N < d:
-        gram_off = np.sum((Z @ Z.T) ** 2) - np.sum(np.sum(Z2, axis=0) ** 2)
+        Z2 = Z**2
+        col, row = np.sum(Z2, axis=0), np.sum(Z2, axis=1)
+        denom = (np.sum((Z @ Z.T) ** 2) - np.sum(col**2)) / N**2
+        var_sum = ((np.sum(row**2) - np.sum(Z2**2)) / N - denom) / (N - 1.0)
     else:
-        gram = Z.T @ Z
-        gram.flat[:: d + 1] = 0.0
-        gram_off = np.sum(gram**2)
-    denom = float(gram_off) / N**2  # sum_{i != j} r_ij^2
+        W_mean = (Z.T @ Z) / N  # sample correlations
+        var_r = ((Z**2).T @ (Z**2) / N - W_mean**2) / (N - 1.0)
+        off = ~np.eye(d, dtype=bool)
+        denom, var_sum = np.sum(W_mean[off] ** 2), np.sum(var_r[off])
     if denom <= 0.0:
         return 1.0
-    fourth_off = (np.sum(np.sum(Z2, axis=1) ** 2) - np.sum(Z2**2)) / N
-    lam = float(fourth_off - denom) / (N - 1.0) / denom
+    lam = float(var_sum) / float(denom)
     return min(max(lam, 0.0), 1.0)
 
 
