@@ -40,6 +40,7 @@ __all__ = [
     "shrinkage_intensity",
     "sample_covariance",
     "build_omega",
+    "series_diagonals",
     "parameter_count",
     "FULL_KINDS",
     "STRUCTURED_KINDS",
@@ -395,6 +396,20 @@ def build_omega(
         values, lam = _shrunk(data, spec.lam)
         core = CovarianceMatrix(values, spec)
     return CovarianceMatrix(None, spec, lambda_used=lam, factor=factor, core=core)
+
+
+def series_diagonals(spec: CovarianceSpec, structure, residuals=None):
+    """The diagonal delta ``build_omega`` builds on ``structure.te_only``
+    for each bottom series, from that series' residual columns: an
+    (n_b, m + k_star) array, or one row for a kind that reads no residuals,
+    and None for a kind not held as a diagonal alone."""
+    if spec.kind not in ("ols", "struc", "wlsv"):
+        return None
+    if residuals is None or spec.kind != "wlsv":  # ols and struc read none
+        return build_omega(spec, structure.te_only).diag[None]
+    # a one-series block's delta is the same on the whole structure
+    delta = build_omega(spec, structure, residuals).diag
+    return delta.reshape(structure.n, -1)[structure.cs.n_upper:]
 
 
 def parameter_count(

@@ -13,8 +13,14 @@ A covariance held as a diagonal delta > 0 plus an optional low-rank part
 (``ols``, ``struc``, ``wlsv``, ``shr``) takes that structural form: W
 scales the rows of the CSR S (``shr`` adds a Woodbury term) and only
 S'WS, (n_b m) x (n_b m), is factored; a constant delta gives ``hb``'s
-G = S^+.  Any other (a zero in delta, ``sam``, ``bdshr``, a dense
-covariance read from JSON, a structured kind) takes the path
+G = S^+.  It does so when S'WS (and the Woodbury capacitance) factors
+with a 1-norm condition number ||A||_1 ||A^{-1}||_1 <= 1e5.  A small
+delta on an aggregated cell makes S'WS ill-conditioned, and the
+structural solve then loses about that number times 5e-17 of relative
+accuracy (measured against 40-digit arithmetic), while C Omega C' stays
+well-conditioned; such a covariance, and any other (a zero in delta,
+``sam``, ``bdshr``, a dense covariance read from JSON, a structured
+kind), takes the path
 G = G_Q F^+, G_Q the rows at the kept cells of the zero-constrained map
 I - Q C_r' (C_r Q C_r')^{-1} C_r of a reduced space with factor F.  A
 full kind has F = I, Q = Omega and C_r = C, the sparse C, and keeps the
@@ -25,7 +31,7 @@ with the core Q in the reduced space S = F T, T constrained by
 C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing (``hb``, whose
 G = S^+ is the ``ols`` map), so no d x d Omega is formed.
 
-Every linear solve factors its matrix A (``S'WS``, ``C Omega C'`` or the
+Every zero-constrained solve factors its matrix A (``C Omega C'`` or the
 reduced ``C Q C'``) by Cholesky, A = R'R, and accepts the factor when
 ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on the
 2-norm condition number of A (||A||_2 <= ||A||_1 for symmetric A, and
@@ -41,7 +47,9 @@ composites once: the two partly-bottom-up schemes (one-dimensional
 reconciliation followed by bottom-up along the other dimension) and, with
 no inner covariance, plain bottom-up.  The one-dimensional step is the
 optimal map of the structure's ``cs_only`` or ``te_only``, built by
-``build_omega`` and ``build_projection`` as every ``oct`` map is.  A
+``build_omega`` and ``build_projection`` as every ``oct`` map is; the
+temporal maps of a kind ``covariance.series_diagonals`` holds as a
+diagonal are built together, by one batched inversion.  A
 ``ReconciliationMap`` and a composite are both called on a stacked
 vector or an (L, dim) block, and ``evaluate.reconciler`` picks one by
 method family.  A map's call does not check its input;
@@ -63,6 +71,7 @@ from ctreco.covariance import (
     CovarianceSpec,
     _factor_blocks,
     build_omega,
+    series_diagonals,
 )
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.hierarchy import CrossTemporalStructure, kron_csr
@@ -80,6 +89,7 @@ __all__ = [
 
 _MAX_COND = 1e12
 _COND_BOUND = 1e11  # a factor bounded by this is accepted without eigenvalues
+_STRUCTURAL_BOUND = 1e5  # a larger condition number of S'WS: zero-constrained
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +127,30 @@ class ReconciliationMap:
         return bottom_up(self.structure, (self.G @ x.T).T)
 
 
+def _cho_inverse(A: np.ndarray) -> np.ndarray | None:
+    """R^{-1} (upper triangular) for the Cholesky factor R'R = A, or None
+    when A does not factor."""
+    try:
+        R = scipy.linalg.cho_factor(A)[0]
+    except scipy.linalg.LinAlgError:
+        return None
+    R_inv, info = scipy.linalg.lapack.dtrtri(R, lower=0)
+    return np.triu(R_inv) if info == 0 else None
+
+
+def _bounded_inverse(A: np.ndarray):
+    """(A^{-1}, R^{-1}) for the Cholesky factor R'R = A, when A factors and
+    its 1-norm condition number ||A||_1 ||A^{-1}||_1 is at most
+    ``_STRUCTURAL_BOUND``; else (None, None)."""
+    R_inv = _cho_inverse(A)
+    if R_inv is None:
+        return None, None
+    A_inv = R_inv @ R_inv.T
+    if not np.linalg.norm(A, 1) * np.linalg.norm(A_inv, 1) <= _STRUCTURAL_BOUND:
+        return None, None
+    return A_inv, R_inv
+
+
 def _checked_cho_factor(A: np.ndarray, what: str, kind: str) -> np.ndarray:
     """R^{-1} (upper triangular) for the Cholesky factor R'R = A, or
     NumericalError if A is numerically singular.
@@ -126,16 +160,9 @@ def _checked_cho_factor(A: np.ndarray, what: str, kind: str) -> np.ndarray:
     ``_COND_BOUND`` is accepted as it is; otherwise the eigenvalue rule
     decides (module docstring).
     """
-    try:
-        R = scipy.linalg.cho_factor(A)[0]
-    except scipy.linalg.LinAlgError as exc:
-        R, failure = None, exc
-    if R is not None:
-        R_inv, info = scipy.linalg.lapack.dtrtri(R, lower=0)
-        R_inv = np.triu(R_inv)
-        bound = np.inf if info != 0 else np.linalg.norm(A, 1) * np.sum(R_inv**2)
-        if bound <= _COND_BOUND:
-            return R_inv
+    R_inv = _cho_inverse(A)
+    if R_inv is not None and np.linalg.norm(A, 1) * np.sum(R_inv**2) <= _COND_BOUND:
+        return R_inv
     eig = np.linalg.eigvalsh(A)
     if eig[0] <= 0 or eig[-1] / eig[0] > _MAX_COND:
         cond = np.inf if eig[0] <= 0 else eig[-1] / eig[0]
@@ -143,8 +170,8 @@ def _checked_cho_factor(A: np.ndarray, what: str, kind: str) -> np.ndarray:
             f"{what} is numerically singular for covariance kind "
             f"{kind!r} (condition number {cond:.2e})"
         )
-    if R is None:  # pragma: no cover
-        raise NumericalError(f"{what} failed to factor: {failure}") from failure
+    if R_inv is None:  # pragma: no cover
+        raise NumericalError(f"{what} failed to factor for covariance kind {kind!r}")
     return R_inv
 
 
@@ -162,24 +189,35 @@ def _zero_constrained(C, C_t, Omega, keep, what: str, kind: str) -> np.ndarray:
     return G
 
 
-def _structural(st: CrossTemporalStructure, omega: CovarianceMatrix) -> np.ndarray:
+def _kron_pinv(P_cs: np.ndarray, P_te: np.ndarray) -> np.ndarray:
+    """S^+ = S_cs^+ (x) S_te^+ from its two factors, dense and C-ordered,
+    which fixes how G x sums; + 0.0 turns each -0.0 product into the +0.0
+    of a sparse form."""
+    return np.kron(P_cs, P_te) + 0.0
+
+
+def _structural(st: CrossTemporalStructure, omega: CovarianceMatrix):
     """G = (S'WS)^{-1} S'W, W = Omega^{-1}, for Omega = D + A A' held as its
     diagonal D > 0 and low-rank part A: W = D^{-1} - U K^{-1} U' with
-    U = D^{-1} A and K = I + A'U (Woodbury), so no d x d matrix is formed."""
-    S, kind, A = st.summation_csr, omega.spec.kind, omega.low_rank
+    U = D^{-1} A and K = I + A'U (Woodbury), so no d x d matrix is formed.
+    None when K or S'WS does not pass ``_bounded_inverse``."""
+    S, A = st.summation_csr, omega.low_rank
     w = 1.0 / omega.diag
-    if A is None and np.all(w == w[0]):  # a scalar W: G = S^+, formed as hb's
+    if A is None and np.all(w == w[0]):  # a scalar W: G = S^+, as hb's
         P_cs, P_te = np.linalg.pinv(st.cs.summation), np.linalg.pinv(st.te.summation)
-        return np.kron(P_cs, P_te) + 0.0
+        return _kron_pinv(P_cs, P_te)
     SWS = S.T @ (w[:, None] * S.toarray())
     if A is not None:  # K^{-1} = R R': S'W S = S'D^{-1}S - Y Y', Y = S'U R
         U = w[:, None] * A
-        R = _checked_cho_factor(np.eye(A.shape[1]) + A.T @ U, "I + A'U", kind)
+        R = _bounded_inverse(np.eye(A.shape[1]) + A.T @ U)[1]
+        if R is None:
+            return None
         Y, Z = (S.T @ U) @ R, U @ R
         SWS -= Y @ Y.T
-    R_inv = _checked_cho_factor(SWS, "S' W S", kind)
-    P = R_inv @ R_inv.T  # (S'WS)^{-1}
-    del SWS, R_inv  # before the d x b products
+    P = _bounded_inverse(SWS)[0]  # (S'WS)^{-1}
+    if P is None:
+        return None
+    del SWS  # before the d x b products
     G_t = S @ P
     G_t *= w[:, None]
     if A is None:
@@ -188,23 +226,30 @@ def _structural(st: CrossTemporalStructure, omega: CovarianceMatrix) -> np.ndarr
     return scipy.linalg.blas.dgemm(-1.0, P @ Y, Z, 1.0, G_t.T, trans_b=1, overwrite_c=1)
 
 
-def _stacked_structural(S, deltas, kind: str) -> np.ndarray:
-    """(k, b, d) maps (S'W_iS)^{-1} S'W_i for a dense S and W_i = diag(1 /
-    deltas[i]), by one batched Cholesky factorisation.  Each S'W_iS is
-    accepted as by ``_checked_cho_factor``, whose bound takes
-    ||R^{-1}||_F^2 = trace (S'W_iS)^{-1}, or else by that function."""
-    SW = S.T * (1.0 / deltas)[:, None, :]
+def _stacked_maps(sub: CrossTemporalStructure, deltas, kind: str) -> np.ndarray:
+    """(k, b, d) maps G_i of a one-series structure ``sub`` at Omega_i =
+    diag(deltas[i]), as ``build_projection`` builds them: the rows with
+    every delta > 0 in structural form, (S'W_iS)^{-1} S'W_i, by one
+    batched inversion, and zero-constrained every row with a zero delta
+    or whose S'W_iS has a 1-norm condition number over
+    ``_STRUCTURAL_BOUND``."""
+    S = sub.te.summation
+    G = np.empty((len(deltas),) + S.T.shape)
+    positive = np.all(deltas > 0.0, axis=1)
+    SW = S.T * (1.0 / deltas[positive])[:, None, :]
     A = SW @ S
     try:
-        L_inv = np.linalg.inv(scipy.linalg.cholesky(A, lower=True))
-    except scipy.linalg.LinAlgError:
-        L_inv = np.full_like(A, np.inf)
-    P = np.swapaxes(L_inv, 1, 2) @ L_inv
-    bound = np.linalg.norm(A, 1, axis=(1, 2)) * np.trace(P, axis1=1, axis2=2)
-    for i in np.flatnonzero(~(bound <= _COND_BOUND)):
-        R_inv = _checked_cho_factor(A[i], "S' W S", kind)
-        P[i] = R_inv @ R_inv.T
-    return P @ SW
+        P = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # a numerically singular S'W_iS
+        P = np.full_like(A, np.inf)
+    G[positive] = P @ SW
+    cond = np.full(len(deltas), np.inf)
+    cond[positive] = np.linalg.norm(A, 1, axis=(1, 2)) * np.linalg.norm(P, 1, axis=(1, 2))
+    for i in np.flatnonzero(~(cond <= _STRUCTURAL_BOUND)):
+        G[i] = _zero_constrained(sub.constraints_csr, sub.constraints_t_csr,
+                                 np.diag(deltas[i]), sub.bottom_hf_indices(),
+                                 "C Omega C'", kind)
+    return G
 
 
 def build_projection(
@@ -222,8 +267,10 @@ def build_projection(
     than once keep it.
     """
     st, kind = structure, omega.spec.kind
-    if omega.diag is not None and np.all(omega.diag > 0.0):
-        return ReconciliationMap(st, omega, _structural(st, omega))
+    G = (_structural(st, omega)
+         if omega.diag is not None and np.all(omega.diag > 0.0) else None)
+    if G is not None:
+        return ReconciliationMap(st, omega, G)
     if kind not in STRUCTURED_KINDS:
         G = _zero_constrained(st.constraints_csr, st.constraints_t_csr,
                               omega.values, st.bottom_hf_indices(),
@@ -247,9 +294,8 @@ def build_projection(
     elif S_te is None:  # b: cells (bottom series, temporal cell) under I (x) C_te
         A, B = np.eye(n_b), te.constraints
         keep = st.cell_indices(range(n_b), range(te.k_star, te.dim)).ravel()
-    else:  # hb: T = I, G_Q = I; G = S^+, dense and C-ordered, which fixes how
-        # G x sums; + 0.0 turns each -0.0 product into the +0.0 of a sparse form
-        return ReconciliationMap(st, omega, np.kron(P_cs, P_te) + 0.0)
+    else:  # hb: T = I, G_Q = I; G = S^+
+        return ReconciliationMap(st, omega, _kron_pinv(P_cs, P_te))
     G_Q = _zero_constrained(kron_csr(A, B), kron_csr(A, B, transpose=True),
                             omega.core.values, keep, "C Q C'", kind)
     return ReconciliationMap(st, omega, (kron_csr(P_cs, P_te).T @ G_Q.T).T)
@@ -301,7 +347,7 @@ def composite_map(
     ``te_only`` (from that series' columns of the residuals; one map for
     every series when there are none or the kind reads none), the
     per-series maps applied as one stacked product; a diagonal kind's are
-    built in one stacked structural solve.  It takes every kind
+    built together by ``_stacked_maps``.  It takes every kind
     ``build_omega`` builds there and is built here, once for every block
     applied.
     """
@@ -336,15 +382,9 @@ def composite_map(
             return (M_b @ hf).reshape(st.bottom_dim, -1).T
 
     else:  # te_then_cs_bu
-        # (n_b, m, dim_te) maps, or one broadcast over series
-        if residuals is None or inner_spec.kind in ("ols", "struc"):
-            deltas = build_omega(inner_spec, st.te_only).diag[None]
-        elif inner_spec.kind == "wlsv":
-            deltas = residuals.h1_mean_squares.reshape(n, dim_te)[n_a:]
-        else:
-            deltas = None
-        if deltas is not None and np.all(deltas > 0.0):
-            M_te = _stacked_structural(st.te.summation, deltas, inner_spec.kind)
+        deltas = series_diagonals(inner_spec, st, residuals)
+        if deltas is not None:  # (n_b, m, dim_te) maps, or one for all
+            M_te = _stacked_maps(st.te_only, deltas, inner_spec.kind)
         else:  # one oct map per series
             M_te = np.stack([
                 inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])

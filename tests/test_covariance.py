@@ -12,6 +12,7 @@ from ctreco.covariance import (
     build_omega,
     parameter_count,
     sample_covariance,
+    series_diagonals,
     shrinkage_intensity,
     _residual_root,
 )
@@ -391,6 +392,24 @@ class TestDiagonalPlusRootForm:
             np.testing.assert_array_equal(om.diag, want)
             np.testing.assert_array_equal(om.values, np.diag(want))
             np.testing.assert_array_equal(om.root, np.diag(np.sqrt(want)))
+
+    def test_series_diagonals_are_each_series_te_only_diagonal(self):
+        # an upper series without bottoms (struc's S 1 = 0 there) does not
+        # stop the bottom series' diagonals
+        st = make_structure([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], 2)
+        rs = random_residuals(st, 30, seed=27)
+        sub, dim_te = st.te_only, st.te.dim
+        for kind in ("ols", "struc", "wlsv"):
+            got = series_diagonals(CovarianceSpec(kind), st, rs)
+            rows = [build_omega(CovarianceSpec(kind), sub, ResidualSet(
+                sub, rs.E[:, i * dim_te:(i + 1) * dim_te], rs.kind)).diag
+                for i in range(st.cs.n_upper, st.n)]
+            want = np.array(rows[:1] if kind != "wlsv" else rows)
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            series_diagonals(CovarianceSpec("ols"), st), np.ones((1, dim_te)))
+        for kind in ("shr", "bdshr", "sam", "hb"):
+            assert series_diagonals(CovarianceSpec(kind), st, rs) is None
 
     def test_rejects_a_negative_or_non_finite_diagonal(self):
         spec = CovarianceSpec("wlsv")

@@ -297,18 +297,13 @@ class TestBottomLevelMaps:
     @staticmethod
     def dense_or_same_error(st, omega):
         """The dense map, or None when it is rejected, after checking that
-        the package rejects the covariance too: with the same message on
-        the zero-constrained path, naming the kind on the structural one
-        (a diagonal with every entry > 0), which factors S'WS instead."""
+        the package rejects the covariance with the same message."""
         try:
             return build_projection_dense(st, omega)
         except NumericalError as exc:
             with pytest.raises(NumericalError) as got:
                 build_projection(st, omega)
-            if omega.diag is not None and np.all(omega.diag > 0.0):
-                assert repr(omega.spec.kind) in str(got.value)
-            else:
-                assert str(got.value) == str(exc)
+            assert str(got.value) == str(exc)
             return None
 
     @staticmethod
@@ -389,6 +384,23 @@ class TestBottomLevelMaps:
         if make is gdp:
             assert peak < st.dim**2 * 8
         assert vars(omega)["_values"] is None
+        want = build_projection_dense(st, omega)[st.bottom_hf_indices()]
+        assert _rel(rec.G, want) <= 1e-12
+
+    @pytest.mark.parametrize("make", [study_structure, gdp])
+    @pytest.mark.parametrize("kind", ["wlsv", "shr"])
+    @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-9, 1e-7])
+    def test_a_small_variance_on_an_aggregate_cell(self, make, kind, scale):
+        # a small but positive delta on the top annual cell leaves S'WS
+        # ill-conditioned, and C Omega C' well-conditioned: the map is the
+        # zero-constrained one
+        st = make()
+        rng = np.random.default_rng(31)
+        E = rng.normal(size=(min(20, st.dim - 1), st.dim))
+        E[:, 0] *= np.sqrt(scale)
+        omega = build_omega(CovarianceSpec(kind), st, ResidualSet(st, E, "multi_step"))
+        assert omega.diag[0] / np.max(omega.diag) < 10 * scale
+        rec = build_projection(st, omega)
         want = build_projection_dense(st, omega)[st.bottom_hf_indices()]
         assert _rel(rec.G, want) <= 1e-12
 
@@ -580,14 +592,14 @@ class TestCompositeMap:
             raise AssertionError("build_projection called")
 
         stacked = []
-        real = reconcile._stacked_structural
+        real = reconcile._stacked_maps
 
-        def recording(S, deltas, kind):
+        def recording(sub, deltas, kind):
             stacked.append(deltas.shape)
-            return real(S, deltas, kind)
+            return real(sub, deltas, kind)
 
         monkeypatch.setattr(reconcile, "build_projection", no_oct_map)
-        monkeypatch.setattr(reconcile, "_stacked_structural", recording)
+        monkeypatch.setattr(reconcile, "_stacked_maps", recording)
         st, spec = gdp(), CovarianceSpec(inner)
         apply = composite_map(st, "te_then_cs_bu", spec)
         rng = np.random.default_rng(13)
@@ -618,32 +630,32 @@ class TestCompositeMap:
             assert _rel(got, want) <= 1e-12, inner
 
     def test_stacked_te_maps_check_each_series(self, monkeypatch):
-        # a batch with a well-conditioned matrix, one over the condition
-        # bound that the eigenvalue rule accepts, and one whose eigenvalue
-        # ratio exceeds 1e12: only the last two go to _checked_cho_factor
+        # a well-conditioned S'W_iS is solved in the batch; a small delta on
+        # an aggregated cell, which leaves S'W_iS ill-conditioned but the
+        # zero-constrained C Omega_i C' well-conditioned, and a zero delta
+        # take the zero-constrained map, series by series
         import ctreco.reconcile as reconcile
 
-        checked = []
-        real = reconcile._checked_cho_factor
+        constrained = []
+        real = reconcile._zero_constrained
 
-        def recording(A, what, kind):
-            checked.append(A.copy())
-            return real(A, what, kind)
+        def recording(C, C_t, Omega, keep, what, kind):
+            constrained.append(np.diag(Omega).copy())
+            return real(C, C_t, Omega, keep, what, kind)
 
-        monkeypatch.setattr(reconcile, "_checked_cho_factor", recording)
-        S = semi_annual().te.summation
-        deltas = np.array([[1.0, 2.0, 3.0], [1e-11, 1.0, 1.0], [1.0, 1e-13, 1e3]])
-        with pytest.raises(NumericalError, match="S' W S is numerically singular "
+        monkeypatch.setattr(reconcile, "_zero_constrained", recording)
+        sub = semi_annual().te_only
+        deltas = np.array([[1.0, 2.0, 3.0], [1e-11, 1.0, 1.0],
+                           [1.0, 1e-13, 1e3], [0.0, 1.0, 1.0]])
+        G = reconcile._stacked_maps(sub, deltas, "wlsv")
+        np.testing.assert_array_equal(constrained, deltas[1:])
+        for G_i, delta in zip(G, deltas):
+            om = CovarianceMatrix(np.diag(delta), CovarianceSpec("wlsv"))
+            want = build_projection_dense(sub, om)[sub.bottom_hf_indices()]
+            assert _rel(G_i, want) <= 1e-12
+        with pytest.raises(NumericalError, match="C Omega C' is numerically singular "
                                                  "for covariance kind 'wlsv'"):
-            reconcile._stacked_structural(S, deltas, "wlsv")
-        assert len(checked) == 2
-        checked.clear()
-        G = reconcile._stacked_structural(S, deltas[:2], "wlsv")
-        assert len(checked) == 1
-        np.testing.assert_array_equal(checked[0], (S.T / deltas[1]) @ S)
-        SW = S.T / deltas[0]
-        assert _rel(G[0], np.linalg.solve(SW @ S, SW)) <= 1e-12
-        np.testing.assert_allclose(G[1] @ S, np.eye(2), atol=1e-4)
+            reconcile._stacked_maps(sub, np.zeros((1, 3)), "wlsv")
 
     def test_map_is_built_at_construction(self):
         st = semi_annual()
