@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ctreco import __version__
-from ctreco.covariance import CovarianceSpec, build_omega
+from ctreco.covariance import FULL_KINDS, STRUCTURED_KINDS, CovarianceSpec, build_omega
 from ctreco.evaluate import GAUSS_KINDS, base_forecasts, reconciler
 from ctreco.exceptions import NumericalError, ValidationError
 from ctreco.io import (
@@ -53,7 +53,6 @@ from ctreco.simulation import (
     run_study,
 )
 
-_FMT = "%.12g"
 _RESIDUAL_KINDS = {
     "one-step": "one_step",
     "multi-step": "multi_step",
@@ -65,7 +64,15 @@ _FAMILIES = {"ct-bu": "ct-bu", "ct-cs-bu-te": "cs_then_te_bu",
 
 
 def _fmt(x) -> str:
-    return _FMT % float(x)
+    return "%.12g" % float(x)
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CLI report: the header, then one line per row, its strings as
+    given and its numbers at ``%.12g``."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_lambda(text: str) -> float | None:
@@ -190,26 +197,21 @@ def _cmd_score(args) -> int:
         atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2))
     else:
         path = _out(args, "scores.csv")
-        _write_reports(path, reports, structure.te.factors)
+        _write_csv(path, *_report_table(reports, structure.te.factors))
     print(path)
     return 0
 
 
-def _write_reports(path, reports: dict, orders) -> None:
-    """One CSV row of relative indices per label, labels sorted."""
+def _report_table(reports: dict, orders):
+    """(header, rows) of the relative indices, one row per label, sorted."""
     header = ["label", "benchmark"]
     header += [f"avg_rel_crps_k{k}" for k in orders] + ["avg_rel_crps_all"]
     header += [f"rel_es_k{k}" for k in orders] + ["avg_rel_es_all"]
-    lines = [",".join(header)]
-    for label in sorted(reports):
-        rep = reports[label]
-        row = [label, rep.benchmark_id]
-        row += [_fmt(rep.avg_rel_crps[k]) for k in orders]
-        row += [_fmt(rep.avg_rel_crps_overall)]
-        row += [_fmt(rep.rel_es[k]) for k in orders]
-        row += [_fmt(rep.avg_rel_es_overall)]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [[label, rep.benchmark_id, *(rep.avg_rel_crps[k] for k in orders),
+             rep.avg_rel_crps_overall, *(rep.rel_es[k] for k in orders),
+             rep.avg_rel_es_overall]
+            for label, rep in sorted(reports.items())]
+    return header, rows
 
 
 def _grid_from_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -219,18 +221,16 @@ def _grid_from_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return methods, samplers
 
 
-def _write_table(path, values, row_labels, col_labels, level_col=None):
-    lines = []
-    if level_col is None:
-        lines.append(",".join(["method"] + list(col_labels)))
-        for lbl, row in zip(row_labels, values):
-            lines.append(",".join([lbl] + [_fmt(v) for v in row]))
-    else:
-        lines.append(",".join(["level", "method"] + list(col_labels)))
-        for level, table in level_col:
-            for lbl, row in zip(row_labels, table):
-                lines.append(",".join([str(level), lbl] + [_fmt(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _finish_run(args, tables, cfg, inputs, origins: int, started: float) -> int:
+    """Write each (name, header, rows) report of a ``simulate`` or
+    ``pipeline`` run, then its manifest.json; print every path written."""
+    paths = [_out(args, name) for name, _, _ in tables] + [_out(args, "manifest.json")]
+    for path, (_, header, rows) in zip(paths, tables):
+        _write_csv(path, header, rows)
+    manifest = build_manifest(cfg, args.seed, inputs, origins=origins, started=started)
+    atomic_write_text(paths[-1], manifest.to_json())
+    print(*paths, sep="\n")
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -249,25 +249,15 @@ def _cmd_simulate(args) -> int:
     result = run_study(config, methods=methods, samplers=samplers,
                        nonneg=args.nonneg)
 
-    paths = [_out(args, "frobenius.csv")]
-    _write_table(paths[0], result.frobenius, result.methods, result.samplers)
-    for name, tables in (("avg_rel_crps.csv", result.avg_rel_crps),
-                         ("rel_es.csv", result.rel_es)):
-        levels = [("all", tables["all"])] + [(k, tables[k]) for k in result.orders]
-        paths.append(_out(args, name))
-        _write_table(paths[-1], None, result.methods, result.samplers,
-                     level_col=levels)
-
-    manifest = build_manifest(
-        config, args.seed, [args.grid] if args.grid else [],
-        origins=config.replicates, started=started,
-    )
-    mpath = _out(args, "manifest.json")
-    atomic_write_text(mpath, manifest.to_json())
-    paths.append(mpath)
-    for p in paths:
-        print(p)
-    return 0
+    tables = [("frobenius.csv", ["method", *samplers],
+               [[m, *row] for m, row in zip(methods, result.frobenius)])]
+    tables += [(name, ["level", "method", *samplers],
+                [[level, m, *row] for level in ("all", *result.orders)
+                 for m, row in zip(methods, by_level[level])])
+               for name, by_level in (("avg_rel_crps.csv", result.avg_rel_crps),
+                                      ("rel_es.csv", result.rel_es))]
+    return _finish_run(args, tables, config, [args.grid] if args.grid else [],
+                       config.replicates, started)
 
 
 def _cmd_pipeline(args) -> int:
@@ -289,45 +279,17 @@ def _cmd_pipeline(args) -> int:
     )
     result = run_pipeline(dataset, cfg)
 
-    report_path = _out(args, "pipeline_report.csv")
-    _write_reports(report_path, result.reports, result.orders)
-    printed = [report_path]
-
-    n_cells = len(cfg.methods) * len(cfg.samplers)
-    if n_cells >= 2 and len(result.origins) >= 2:
-        mcb = result.rank_comparison()
-        mcb_lines = [
-            "level,label,mean_rank,critical_distance,friedman_p,"
-            "equivalent_to_best"
-        ]
-        for level, res in mcb.items():
-            for j, label in enumerate(res["labels"]):
-                mcb_lines.append(
-                    ",".join(
-                        [
-                            str(level),
-                            label,
-                            _fmt(res["mean_ranks"][j]),
-                            _fmt(res["critical_distance"]),
-                            _fmt(res["friedman_p"]),
-                            str(bool(res["equivalent_to_best"][j])).lower(),
-                        ]
-                    )
-                )
-        mcb_path = _out(args, "mcb_nemenyi.csv")
-        atomic_write_text(mcb_path, "\n".join(mcb_lines) + "\n")
-        printed.append(mcb_path)
-
-    manifest = build_manifest(
-        cfg, args.seed, [args.data, args.hierarchy],
-        origins=len(result.origins), started=started,
-    )
-    mpath = _out(args, "manifest.json")
-    atomic_write_text(mpath, manifest.to_json())
-    printed.append(mpath)
-    for p in printed:
-        print(p)
-    return 0
+    tables = [("pipeline_report.csv", *_report_table(result.reports, result.orders))]
+    if len(cfg.methods) * len(cfg.samplers) >= 2 and len(result.origins) >= 2:
+        header = ["level", "label", "mean_rank", "critical_distance", "friedman_p",
+                  "equivalent_to_best"]
+        rows = [[level, label, res["mean_ranks"][j], res["critical_distance"],
+                 res["friedman_p"], str(bool(res["equivalent_to_best"][j])).lower()]
+                for level, res in result.rank_comparison().items()
+                for j, label in enumerate(res["labels"])]
+        tables.append(("mcb_nemenyi.csv", header, rows))
+    return _finish_run(args, tables, cfg, [args.data, args.hierarchy],
+                       len(result.origins), started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--omega",
-        choices=("ols", "struc", "wlsv", "bdshr", "shr", "sam", "hb", "h", "b"),
+        choices=FULL_KINDS + STRUCTURED_KINDS,
         default="ols",
     )
     p.add_argument("--lambda", dest="lam", default="auto",

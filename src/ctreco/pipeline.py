@@ -115,18 +115,8 @@ class RunManifest:
     timing_s: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "seed": self.seed,
-                "inputs": self.inputs,
-                "version": self.version,
-                "origins": self.origins,
-                "timing_s": round(self.timing_s, 3),
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        payload = asdict(self) | {"timing_s": round(self.timing_s, 3)}
+        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def file_digest(path: str | Path) -> str:

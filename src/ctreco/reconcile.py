@@ -226,13 +226,12 @@ def _structural(st: CrossTemporalStructure, omega: CovarianceMatrix):
     return scipy.linalg.blas.dgemm(-1.0, P @ Y, Z, 1.0, G_t.T, trans_b=1, overwrite_c=1)
 
 
-def _stacked_maps(sub: CrossTemporalStructure, deltas, kind: str) -> np.ndarray:
+def _stacked_maps(sub: CrossTemporalStructure, deltas, spec: CovarianceSpec) -> np.ndarray:
     """(k, b, d) maps G_i of a one-series structure ``sub`` at Omega_i =
-    diag(deltas[i]), as ``build_projection`` builds them: the rows with
-    every delta > 0 in structural form, (S'W_iS)^{-1} S'W_i, by one
-    batched inversion, and zero-constrained every row with a zero delta
-    or whose S'W_iS has a 1-norm condition number over
-    ``_STRUCTURAL_BOUND``."""
+    diag(deltas[i]) of kind ``spec``: the rows with every delta > 0 in
+    structural form, (S'W_iS)^{-1} S'W_i, by one batched inversion, and
+    by ``build_projection`` every row with a zero delta or whose S'W_iS
+    has a 1-norm condition number over ``_STRUCTURAL_BOUND``."""
     S = sub.te.summation
     G = np.empty((len(deltas),) + S.T.shape)
     positive = np.all(deltas > 0.0, axis=1)
@@ -246,9 +245,7 @@ def _stacked_maps(sub: CrossTemporalStructure, deltas, kind: str) -> np.ndarray:
     cond = np.full(len(deltas), np.inf)
     cond[positive] = np.linalg.norm(A, 1, axis=(1, 2)) * np.linalg.norm(P, 1, axis=(1, 2))
     for i in np.flatnonzero(~(cond <= _STRUCTURAL_BOUND)):
-        G[i] = _zero_constrained(sub.constraints_csr, sub.constraints_t_csr,
-                                 np.diag(deltas[i]), sub.bottom_hf_indices(),
-                                 "C Omega C'", kind)
+        G[i] = build_projection(sub, CovarianceMatrix(None, spec, diag=deltas[i])).G
     return G
 
 
@@ -384,7 +381,7 @@ def composite_map(
     else:  # te_then_cs_bu
         deltas = series_diagonals(inner_spec, st, residuals)
         if deltas is not None:  # (n_b, m, dim_te) maps, or one for all
-            M_te = _stacked_maps(st.te_only, deltas, inner_spec.kind)
+            M_te = _stacked_maps(st.te_only, deltas, inner_spec)
         else:  # one oct map per series
             M_te = np.stack([
                 inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])

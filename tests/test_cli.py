@@ -397,7 +397,7 @@ class TestScore:
 
 
 class TestSimulate:
-    def test_small_run_writes_tables(self, toy_files):
+    def test_small_run_writes_tables(self, toy_files, capsys):
         out = toy_files["tmp"] / "sim"
         grid = toy_files["tmp"] / "grid.json"
         grid.write_text(
@@ -419,6 +419,8 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
         assert manifest["config"]["replicates"] == 2
+        names = ["frobenius.csv", "avg_rel_crps.csv", "rel_es.csv", "manifest.json"]
+        assert capsys.readouterr().out == "".join(f"{out / n}\n" for n in names)
 
 
     def test_unknown_grid_method_exits_2(self, toy_files, capsys):
@@ -472,6 +474,23 @@ class TestPipelineCommand:
         assert lines[0].startswith("level,label,mean_rank")
         # 3 levels (2, 1, all) x 3 cells
         assert len(lines) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("grid", [
+        ["--methods", "base", "--samplers", "ctjb", "--origin-step", 4],  # one cell
+        ["--methods", "base,ct-bu", "--samplers", "ctjb", "--origin-step", 20],  # one origin
+    ])
+    def test_no_mcb_table_below_two_cells_and_origins(self, toy_files, capsys, grid):
+        out = toy_files["tmp"] / "pipe_skip"
+        rc = run(
+            ["--seed", 4, "--output-dir", out, "pipeline", toy_files["data"],
+             "--hierarchy", toy_files["hierarchy"], *grid,
+             "--L", 20, "--first-window", 30, "--max-order", 2]
+        )
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                        "pipeline_report.csv"]
+        names = ["pipeline_report.csv", "manifest.json"]
+        assert capsys.readouterr().out == "".join(f"{out / n}\n" for n in names)
 
     def test_rerun_byte_identical(self, toy_files):
         texts = []

@@ -8,6 +8,7 @@ from ctreco.exceptions import ValidationError
 from ctreco.io import ingest
 from ctreco.pipeline import (
     PipelineConfig,
+    RunManifest,
     build_manifest,
     origin_indices,
     run_pipeline,
@@ -157,3 +158,13 @@ class TestManifest:
         # digest present and hex
         digest = list(man.inputs.values())[0]
         assert len(digest) == 64 and int(digest, 16) >= 0
+        # every field, keys sorted, indent 2, timing rounded to 3 places
+        man = RunManifest(config={"b": (1, 2), "a": "x"}, seed=3,
+                          inputs={"d.csv": "ab"}, version="0.1", origins=7,
+                          timing_s=1.23456)
+        assert man.to_json() == (
+            '{\n  "config": {\n    "a": "x",\n    "b": [\n      1,\n      2\n'
+            '    ]\n  },\n  "inputs": {\n    "d.csv": "ab"\n  },\n'
+            '  "origins": 7,\n  "seed": 3,\n  "timing_s": 1.235,\n'
+            '  "version": "0.1"\n}'
+        )

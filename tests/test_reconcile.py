@@ -594,9 +594,9 @@ class TestCompositeMap:
         stacked = []
         real = reconcile._stacked_maps
 
-        def recording(sub, deltas, kind):
+        def recording(sub, deltas, spec):
             stacked.append(deltas.shape)
-            return real(sub, deltas, kind)
+            return real(sub, deltas, spec)
 
         monkeypatch.setattr(reconcile, "build_projection", no_oct_map)
         monkeypatch.setattr(reconcile, "_stacked_maps", recording)
@@ -647,7 +647,7 @@ class TestCompositeMap:
         sub = semi_annual().te_only
         deltas = np.array([[1.0, 2.0, 3.0], [1e-11, 1.0, 1.0],
                            [1.0, 1e-13, 1e3], [0.0, 1.0, 1.0]])
-        G = reconcile._stacked_maps(sub, deltas, "wlsv")
+        G = reconcile._stacked_maps(sub, deltas, CovarianceSpec("wlsv"))
         np.testing.assert_array_equal(constrained, deltas[1:])
         for G_i, delta in zip(G, deltas):
             om = CovarianceMatrix(np.diag(delta), CovarianceSpec("wlsv"))
@@ -655,7 +655,7 @@ class TestCompositeMap:
             assert _rel(G_i, want) <= 1e-12
         with pytest.raises(NumericalError, match="C Omega C' is numerically singular "
                                                  "for covariance kind 'wlsv'"):
-            reconcile._stacked_maps(sub, np.zeros((1, 3)), "wlsv")
+            reconcile._stacked_maps(sub, np.zeros((1, 3)), CovarianceSpec("wlsv"))
 
     def test_map_is_built_at_construction(self):
         st = semi_annual()
