@@ -9,13 +9,13 @@ series -- shrink it toward its diagonal, and are held factored as
 Omega = F Q F' through the corresponding summation factor F, cutting the
 parameter count by an order of magnitude on realistic hierarchies.
 
-Covariances built from residuals alone -- ``sam`` = E'E/N and the
-structured cores at lambda = 0, X'X/N -- are held as a root R' (R'R =
-X'X/N, from one QR of the residual rows), which has min(N, r) columns
-for N rows of r columns.  ``ols``, ``struc`` and ``wlsv`` are held as a
-diagonal delta, and ``shr`` from N < d rows as delta = lambda var plus
-A = sqrt(1 - lambda) R'.  No d x d matrix is formed or decomposed for any
-of these kinds unless its dense ``values`` are read.
+Besides dense and factored, a covariance is held as diag(delta) + A A',
+either part optional: ``sam`` = E'E/N and the structured cores at lambda
+= 0, X'X/N, as A = R' alone (R'R = X'X/N from one QR of the N residual
+rows of r columns; R' has min(N, r) columns), ``ols``, ``struc`` and
+``wlsv`` as delta alone, and ``shr`` from N < d rows as delta = lambda
+var plus A = sqrt(1 - lambda) R'.  No d x d matrix is formed or
+decomposed for any of these kinds unless its dense ``values`` are read.
 
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
@@ -74,18 +74,19 @@ class CovarianceSpec:
 
 class CovarianceMatrix:
     """A built covariance Sigma with its provenance, held as ``values``
-    (d x d), as a ``root`` A (d x q, Sigma = A A'), as both, as a
-    ``factor`` F (d x r, held as a CSR array) with a ``core`` Q, an r x r
-    CovarianceMatrix, for Sigma = F Q F', or as a ``diag`` delta >= 0 with
-    an optional ``low_rank`` A, for Sigma = diag(delta) + A A'.  The
-    attributes of a form Sigma is not held in are None.
+    (d x d), as a ``factor`` F (d x r, held as a CSR array) with a
+    ``core`` Q, an r x r CovarianceMatrix, for Sigma = F Q F', or as a
+    ``diag`` delta >= 0 and a ``low_rank`` A (d x q), either one optional,
+    for Sigma = diag(delta) + A A'.  The attributes of a form Sigma is not
+    held in are None.
 
     A form that was not given is derived on first read and kept:
 
-    * ``values`` = A A', diag(delta) + A A' or F Q F' made exactly
+    * ``values`` = diag(delta) + A A', A A' or F Q F' made exactly
       symmetric.  It is positive semi-definite by construction and is not
       checked again.
-    * ``root`` = F (root of Q), or else the lower Cholesky factor of
+    * ``root``, a d x q matrix with root root' = Sigma: A when there is
+      no diagonal, F (root of Q), or else the lower Cholesky factor of
       ``values`` or, when that fails (a singular Sigma), U sqrt(max(w, 0))
       from the eigenpairs (w, U) of ``values``.
 
@@ -96,28 +97,28 @@ class CovarianceMatrix:
     V); since max(diag V) <= lambda_max, its success already implies the
     rule.  Only when it fails are the eigenvalues computed, and the rule
     decides on them, so the two steps accept and reject exactly what the
-    eigenvalue rule alone would.  A given root, factor, diagonal or
-    low-rank part must be finite, and a diagonal non-negative.
+    eigenvalue rule alone would.  A given factor, diagonal or low-rank
+    part must be finite, and a diagonal non-negative.
     Every dense form is read-only; the factor is a CSR copy of the one given.
     """
 
     def __init__(self, values, spec: CovarianceSpec,
-                 lambda_used: float | None = None, root=None, *,
+                 lambda_used: float | None = None, *,
                  factor=None, core: CovarianceMatrix | None = None,
                  diag=None, low_rank=None):
-        if ((factor is None) != (core is None) or values is root is core is diag is None
-                or (low_rank is not None and diag is None)):
-            raise ValueError("give values or a root array, a factor and its core, "
-                             "or a diagonal and its low-rank part")
+        forms = (values, core, low_rank if diag is None else diag)
+        if (factor is None) != (core is None) or sum(f is not None for f in forms) != 1:
+            raise ValueError("give values, a factor and its core, or a "
+                             "diagonal and a low-rank part")
         self.spec = spec
         self.lambda_used = lambda_used
         self._values = None if values is None else _checked_values(values)
-        self._root = None if root is None else _checked_root(root)
         self.diag = None if diag is None else _checked_root([diag], "diagonal")[0]
         if diag is not None and np.any(self.diag < 0.0):
             raise ValueError(f"covariance diagonal is negative at "
                              f"{np.flatnonzero(self.diag < 0.0)}")
         self.low_rank = None if low_rank is None else _checked_root(low_rank)
+        self._root = self.low_rank if diag is None else None
         self.core = core
         self.factor = (None if core is None
                        else scipy.sparse.csr_array(factor, dtype=float, copy=True))
@@ -131,14 +132,14 @@ class CovarianceMatrix:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            if self.diag is not None:
-                A = self.low_rank
-                V = np.diag(self.diag) + (0.0 if A is None else A @ A.T)
-            elif self.core is None:
-                V = self._root @ self._root.T  # one syrk: exactly symmetric
-            else:
+            A = self.low_rank
+            if self.core is not None:
                 V = self.factor @ self.core.values @ self.factor.T
                 V = 0.5 * (V + V.T)
+            elif self.diag is None:
+                V = A @ A.T  # one syrk: exactly symmetric
+            else:
+                V = np.diag(self.diag) + (0.0 if A is None else A @ A.T)
             V.flags.writeable = False
             self._values = V
         return self._values
@@ -156,7 +157,7 @@ class CovarianceMatrix:
 
     @property
     def dim(self) -> int:
-        held = (self._values, self._root, self.diag, self.factor)
+        held = (self._values, self.low_rank, self.diag, self.factor)
         return next(a for a in held if a is not None).shape[0]
 
 
@@ -372,7 +373,7 @@ def build_omega(
         _require_kind(spec, residuals, multi)
         E = residuals.E
         if kind == "sam":
-            return CovarianceMatrix(None, spec, root=_residual_root(E))
+            return CovarianceMatrix(None, spec, low_rank=_residual_root(E))
         if E.shape[0] >= dim:  # a root would be no narrower than Omega
             values, lam = _shrunk(E, spec.lam)
             return CovarianceMatrix(values, spec, lambda_used=lam)
@@ -391,7 +392,7 @@ def build_omega(
     factor = kron_csr(np.eye(st.n) if S_cs is None else S_cs,
                       np.eye(st.te.dim) if S_te is None else S_te)
     if spec.lam == 0.0:
-        core, lam = CovarianceMatrix(None, spec, root=_residual_root(data)), 0.0
+        core, lam = CovarianceMatrix(None, spec, low_rank=_residual_root(data)), 0.0
     else:
         values, lam = _shrunk(data, spec.lam)
         core = CovarianceMatrix(values, spec)

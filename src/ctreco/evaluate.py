@@ -114,7 +114,7 @@ def reconciler(
     if family == "oct":
         return build_projection(structure, build_omega(spec, structure, residuals))
     if family == "ct-bu":  # both inner steps bottom-up
-        family, spec = "cs_then_te_bu", None
+        family, spec = "te_then_cs_bu", None
     return composite_map(structure, family, spec, residuals)
 
 

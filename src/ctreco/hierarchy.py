@@ -83,17 +83,18 @@ def kron_csr(A: np.ndarray, B: np.ndarray, transpose: bool = False):
 
 @dataclass(frozen=True, eq=False)
 class CrossSectionalStructure:
-    """Cross-sectional aggregation, constraint and summation matrices.
+    """One-dimensional aggregation: ``n_a`` upper entries, each a linear
+    combination of the ``n_b`` bottom ones.  The structure holds only
+    ``agg``; the constraint and summation matrices are derived from it on
+    first read and kept.
 
     Attributes:
-        agg: (n_a, n_b) aggregation matrix mapping bottom to upper series.
+        agg: (n_a, n_b) aggregation matrix mapping bottom to upper entries.
         constraints: (n_a, n) matrix ``[I | -agg]`` with ``constraints @ y = 0``.
         summation: (n, n_b) matrix ``[agg; I]`` with ``y = summation @ b``.
     """
 
     agg: np.ndarray
-    constraints: np.ndarray = field(repr=False)
-    summation: np.ndarray = field(repr=False)
 
     @property
     def n_upper(self) -> int:
@@ -107,33 +108,39 @@ class CrossSectionalStructure:
     def n(self) -> int:
         return self.agg.shape[0] + self.agg.shape[1]
 
+    @cached_property
+    def constraints(self) -> np.ndarray:
+        return _readonly(np.hstack([np.eye(self.n_upper), -self.agg]))
+
+    @cached_property
+    def summation(self) -> np.ndarray:
+        return _readonly(np.vstack([self.agg, np.eye(self.n_bottom)]))
+
 
 @dataclass(frozen=True, eq=False)
-class TemporalStructure:
-    """Temporal aggregation matrices for one series with seasonal period m.
+class TemporalStructure(CrossSectionalStructure):
+    """Temporal aggregation of one series with seasonal period m: the
+    one-dimensional aggregation whose k_star upper entries are the
+    series' aggregated values and whose m bottom ones its
+    high-frequency values.
 
     Attributes:
         m: seasonal period of the highest-frequency series.
         factors: all factors of m in descending order, ending with 1.
         agg: (k_star, m) 0/1 aggregation matrix, one block per factor > 1.
-        constraints: (k_star, m + k_star) matrix ``[I | -agg]``.
-        summation: (m + k_star, m) matrix ``[agg; I]``.
     """
 
     m: int
     factors: tuple[int, ...]
-    agg: np.ndarray = field(repr=False)
-    constraints: np.ndarray = field(repr=False)
-    summation: np.ndarray = field(repr=False)
 
     @property
     def k_star(self) -> int:
-        return self.agg.shape[0]
+        return self.n_upper
 
     @property
     def dim(self) -> int:
         """Length of one series' stacked vector, m + k_star."""
-        return self.m + self.agg.shape[0]
+        return self.n
 
     def periods_at(self, k: int) -> int:
         """Number of order-k values inside one most-aggregated period."""
@@ -289,14 +296,7 @@ def build_cross_sectional(agg: np.ndarray) -> CrossSectionalStructure:
         raise ValueError("aggregation matrix must have at least one column")
     if not np.all(np.isfinite(agg)):
         raise ValueError("aggregation matrix must have finite entries")
-    n_a, n_b = agg.shape
-    constraints = np.hstack([np.eye(n_a), -agg])
-    summation = np.vstack([agg, np.eye(n_b)])
-    return CrossSectionalStructure(
-        agg=_readonly(agg),
-        constraints=_readonly(constraints),
-        summation=_readonly(summation),
-    )
+    return CrossSectionalStructure(_readonly(agg))
 
 
 def build_temporal(m: int) -> TemporalStructure:
@@ -307,20 +307,8 @@ def build_temporal(m: int) -> TemporalStructure:
     """
     facs = factors_of(int(m))
     blocks = [np.kron(np.eye(m // k), np.ones((1, k))) for k in facs if k > 1]
-    if blocks:
-        agg = np.vstack(blocks)
-    else:
-        agg = np.zeros((0, m))
-    k_star = agg.shape[0]
-    constraints = np.hstack([np.eye(k_star), -agg])
-    summation = np.vstack([agg, np.eye(m)])
-    return TemporalStructure(
-        m=int(m),
-        factors=facs,
-        agg=_readonly(agg),
-        constraints=_readonly(constraints),
-        summation=_readonly(summation),
-    )
+    agg = np.vstack(blocks) if blocks else np.zeros((0, m))
+    return TemporalStructure(_readonly(agg), int(m), facs)
 
 
 def build_cross_temporal(

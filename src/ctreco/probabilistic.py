@@ -99,7 +99,7 @@ def gaussian_reconcile(
     S (G Sigma G') S', held factored with the core root G A, A the root of
     Sigma; M is not formed, and Sigma is decomposed only if held dense."""
     mean, cov = reconcile_point(rec_map, base.mean), base.covariance
-    core = CovarianceMatrix(None, cov.spec, root=rec_map.G @ cov.root)
+    core = CovarianceMatrix(None, cov.spec, low_rank=rec_map.G @ cov.root)
     S = rec_map.structure.summation_csr
     return GaussianForecast(mean, CovarianceMatrix(
         None, cov.spec, cov.lambda_used, factor=S, core=core))

@@ -18,9 +18,9 @@ with a 1-norm condition number ||A||_1 ||A^{-1}||_1 <= 1e5.  A small
 delta on an aggregated cell makes S'WS ill-conditioned, and the
 structural solve then loses about that number times 5e-17 of relative
 accuracy (measured against 40-digit arithmetic), while C Omega C' stays
-well-conditioned; such a covariance, and any other (a zero in delta,
-``sam``, ``bdshr``, a dense covariance read from JSON, a structured
-kind), takes the path
+well-conditioned; such a covariance, and any other (a delta so small,
+zero or subnormal, that 1/delta overflows, ``sam``, ``bdshr``, a dense
+covariance read from JSON, a structured kind), takes the path
 G = G_Q F^+, G_Q the rows at the kept cells of the zero-constrained map
 I - Q C_r' (C_r Q C_r')^{-1} C_r of a reduced space with factor F.  A
 full kind has F = I, Q = Omega and C_r = C, the sparse C, and keeps the
@@ -44,17 +44,17 @@ matrix is accepted exactly when the eigenvalue rule accepts it.
 
 Besides the optimal map, ``composite_map`` builds the classic
 composites once: the two partly-bottom-up schemes (one-dimensional
-reconciliation followed by bottom-up along the other dimension) and, with
-no inner covariance, plain bottom-up.  The one-dimensional step is the
-optimal map of the structure's ``cs_only`` or ``te_only``, built by
-``build_omega`` and ``build_projection`` as every ``oct`` map is; the
-temporal maps of a kind ``covariance.series_diagonals`` holds as a
-diagonal are built together, by one batched inversion.  A
-``ReconciliationMap`` and a composite are both called on a stacked
-vector or an (L, dim) block, and ``evaluate.reconciler`` picks one by
-method family.  A map's call does not check its input;
-``reconcile_point`` does.  ``set_negative_to_zero`` is the
-clamp-negatives-then-aggregate heuristic for non-negative data.
+reconciliation followed by bottom-up along the other dimension) and, as
+the temporal one with the identity for its inner map, plain bottom-up.
+The one-dimensional step is the optimal map of the structure's
+``cs_only`` or ``te_only``, built by ``build_omega`` and
+``build_projection`` as every ``oct`` map is; the temporal maps of a
+kind ``covariance.series_diagonals`` holds as a diagonal are built
+together, by one batched inversion.  A ``ReconciliationMap`` and a
+composite are both called on a stacked vector or an (L, dim) block, and
+``evaluate.reconciler`` picks one by method family.  A map's call does
+not check its input; ``reconcile_point`` does.  ``set_negative_to_zero``
+is the clamp-negatives-then-aggregate heuristic for non-negative data.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ __all__ = [
 _MAX_COND = 1e12
 _COND_BOUND = 1e11  # a factor bounded by this is accepted without eigenvalues
 _STRUCTURAL_BOUND = 1e5  # a larger condition number of S'WS: zero-constrained
+_MIN_DELTA = 1.0 / np.finfo(float).max  # 1/delta overflows at a delta this small
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,22 +229,25 @@ def _structural(st: CrossTemporalStructure, omega: CovarianceMatrix):
 
 def _stacked_maps(sub: CrossTemporalStructure, deltas, spec: CovarianceSpec) -> np.ndarray:
     """(k, b, d) maps G_i of a one-series structure ``sub`` at Omega_i =
-    diag(deltas[i]) of kind ``spec``: the rows with every delta > 0 in
+    diag(deltas[i]) of kind ``spec``: the rows with every 1/delta finite in
     structural form, (S'W_iS)^{-1} S'W_i, by one batched inversion, and
-    by ``build_projection`` every row with a zero delta or whose S'W_iS
-    has a 1-norm condition number over ``_STRUCTURAL_BOUND``."""
+    by ``build_projection`` every other row and each whose S'W_iS has a
+    1-norm condition number over ``_STRUCTURAL_BOUND`` (every row, when
+    one S'W_iS does not invert)."""
     S = sub.te.summation
     G = np.empty((len(deltas),) + S.T.shape)
-    positive = np.all(deltas > 0.0, axis=1)
+    positive = np.all(deltas > _MIN_DELTA, axis=1)
     SW = S.T * (1.0 / deltas[positive])[:, None, :]
     A = SW @ S
+    cond = np.full(len(deltas), np.inf)
     try:
         P = np.linalg.inv(A)
-    except np.linalg.LinAlgError:  # a numerically singular S'W_iS
-        P = np.full_like(A, np.inf)
-    G[positive] = P @ SW
-    cond = np.full(len(deltas), np.inf)
-    cond[positive] = np.linalg.norm(A, 1, axis=(1, 2)) * np.linalg.norm(P, 1, axis=(1, 2))
+    except np.linalg.LinAlgError:  # a numerically singular S'W_iS: no row is kept
+        pass
+    else:
+        G[positive] = P @ SW
+        cond[positive] = (np.linalg.norm(A, 1, axis=(1, 2))
+                          * np.linalg.norm(P, 1, axis=(1, 2)))
     for i in np.flatnonzero(~(cond <= _STRUCTURAL_BOUND)):
         G[i] = build_projection(sub, CovarianceMatrix(None, spec, diag=deltas[i])).G
     return G
@@ -265,7 +269,7 @@ def build_projection(
     """
     st, kind = structure, omega.spec.kind
     G = (_structural(st, omega)
-         if omega.diag is not None and np.all(omega.diag > 0.0) else None)
+         if omega.diag is not None and np.all(omega.diag > _MIN_DELTA) else None)
     if G is not None:
         return ReconciliationMap(st, omega, G)
     if kind not in STRUCTURED_KINDS:
@@ -336,8 +340,9 @@ def composite_map(
     forecasts, then rebuild all temporal orders bottom-up.
     ``te_then_cs_bu``: temporally reconcile each bottom series, then
     rebuild the upper series bottom-up per order.
-    ``inner_spec=None`` replaces the inner step by bottom-up too,
-    collapsing both modes to plain ct(bu).  Either way the result is
+    ``inner_spec=None`` gives plain ct(bu) in either mode: the
+    ``te_then_cs_bu`` composite whose inner map keeps each series'
+    high-frequency cells, ``I[k_star:]``.  Either way the result is
     cross-temporally coherent.  The inner map is the G of the optimal
     map on a one-dimensional structure: on ``cs_only`` (n x n weights,
     from the order-1 one-step residuals) or, one per bottom series, on
@@ -360,14 +365,7 @@ def composite_map(
                else ResidualSet(sub, rows(residuals), kind or residuals.kind))
         return build_projection(sub, build_omega(inner_spec, sub, res)).G
 
-    if inner_spec is None:
-        # both inner steps bottom-up, in either order: plain ct(bu)
-        bottom_hf = st.bottom_hf_indices()
-
-        def reconcile_hf(X):
-            return X[:, bottom_hf]
-
-    elif mode == "cs_then_te_bu":
+    if inner_spec is not None and mode == "cs_then_te_bu":
         # at m = 1 every residual is a one-step one, so the pooled order-1
         # rows are a valid multi-step set
         M_b = inner_map(st.cs_only, lambda r: r.h1_matrix(1), "multi_step")
@@ -378,10 +376,11 @@ def composite_map(
             hf = X.T[hf_cols].reshape(n, -1)
             return (M_b @ hf).reshape(st.bottom_dim, -1).T
 
-    else:  # te_then_cs_bu
-        deltas = series_diagonals(inner_spec, st, residuals)
-        if deltas is not None:  # (n_b, m, dim_te) maps, or one for all
-            M_te = _stacked_maps(st.te_only, deltas, inner_spec)
+    else:  # te_then_cs_bu, or ct(bu): the identity on each series' hf cells
+        if inner_spec is None:
+            M_te = np.eye(dim_te)[st.te.k_star:]
+        elif (deltas := series_diagonals(inner_spec, st, residuals)) is not None:
+            M_te = _stacked_maps(st.te_only, deltas, inner_spec)  # n_b maps, or one
         else:  # one oct map per series
             M_te = np.stack([
                 inner_map(st.te_only, lambda r: r.E[:, i * dim_te:(i + 1) * dim_te])

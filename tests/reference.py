@@ -8,9 +8,10 @@ from d x d products, a residual set's one-step rows of one order stacked
 series by series, ``bdshr`` built
 temporal-major and permuted by the commutation matrix, the residual-built
 covariances as F core F' (the package holds the unshrunk ones as a
-root), the projection as a dense d x d matrix (also at a ridged Omega,
-the form the structured kinds had before their exact limit) and in
-structural form, the structured kinds' limit map in structural form, the
+low-rank part), the projection as a dense d x d matrix (also at a ridged
+Omega, the form the structured kinds had before their exact limit), in
+structural form and in 50-digit arithmetic, the structured kinds' limit
+map in structural form, the
 eigenvalue accept rules that the Cholesky-first checks must agree with,
 and the partly-bottom-up composite as one function that rebuilds its
 inner map on every call, from weights built by kind with the dense C.
@@ -22,6 +23,7 @@ compared at where a small one hides rounding.
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
@@ -259,6 +261,27 @@ def build_projection_dense(structure, omega, ridge=0.0) -> np.ndarray:
     return np.eye(structure.dim) - CO.T @ _cho_solve(
         CO @ C.T, C, "C Omega C'", omega.spec.kind
     )
+
+
+def build_projection_exact(structure, omega, digits=50) -> np.ndarray:
+    """G, the rows at the high-frequency bottom cells of the optimal map
+    I - Omega C' (C Omega C')^-1 C, in ``digits``-digit arithmetic, with
+    Omega formed there from its diagonal and low-rank parts when it has
+    them.  At Omega = delta I + A A' with a small delta, the double
+    precision ``build_projection_dense`` loses about 1/delta times its
+    unit roundoff, so such maps are checked against this one."""
+    with mpmath.workdps(digits):
+        C = mpmath.matrix(structure.constraints.tolist())
+        if omega.diag is None:
+            Om = mpmath.matrix(omega.values.tolist())
+        else:
+            Om = mpmath.diag(omega.diag.tolist())
+            if omega.low_rank is not None:
+                A = mpmath.matrix(omega.low_rank.tolist())
+                Om += A * A.T
+        CO = C * Om
+        M = mpmath.eye(structure.dim) - CO.T * ((CO * C.T) ** -1 * C)
+        return np.array(M.tolist(), dtype=float)[structure.bottom_hf_indices()]
 
 
 def build_projection_structural(structure, omega) -> ReconciliationMap:

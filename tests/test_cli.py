@@ -60,6 +60,18 @@ class TestSample:
         res = read_stacked_csv(out / "residuals.csv", st, names)
         assert res.shape[1] == st.dim
 
+    def test_incoherent_uppers_are_warned_on_stderr(self, toy_files, capsys):
+        full = np.loadtxt(toy_files["data"], delimiter=",", skiprows=1)
+        full[5, 0] += 10.0
+        noisy = toy_files["tmp"] / "noisy.csv"
+        noisy.write_text("\n".join(["A,B,C"] + [",".join(f"{v:.10g}" for v in row)
+                                               for row in full]) + "\n")
+        rc = run(["--output-dir", toy_files["tmp"] / "out", "sample", noisy,
+                  "--hierarchy", toy_files["hierarchy"], "--L", 5])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: series 'A': 1 of 80 observations violate")
+
     def test_seed_reproducible_bytes(self, toy_files):
         outs = []
         for name in ("a", "b"):
@@ -101,6 +113,16 @@ class TestReconcile:
         rows = read_stacked_csv(tmp_path / "reconciled.csv", st, names)
         gaps = np.abs(rows @ st.constraints.T).max(axis=1) / np.abs(rows).max(axis=1)
         assert gaps.max() <= 1e-12
+
+    def test_a_lambda_that_is_not_a_number_exits_2(self, tmp_path, capsys):
+        rc = run(["--output-dir", tmp_path, "reconcile",
+                  GOLDENS / "sample-ctjb" / "samples.csv",
+                  "--hierarchy", GOLDENS / "inputs" / "hierarchy.json",
+                  "--method", "oct", "--omega", "shr", "--lambda", "abc"])
+        assert rc == 2
+        assert ("--lambda must be 'auto' or a float, got 'abc'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "reconciled.csv").exists()
 
     def test_oct_ols_outputs_coherent_rows(self, toy_files):
         samples = self.make_samples(toy_files)
@@ -381,6 +403,31 @@ class TestScore:
         assert rc == 2
         assert "repeated --samples label 'a'" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
+
+    def test_samples_without_a_label_exits_2(self, tmp_path, capsys):
+        samples = GOLDENS / "sample-ctjb" / "samples.csv"
+        rc = run(["--output-dir", tmp_path, "score", "--samples", samples,
+                  "--observations", GOLDENS / "inputs" / "observed.csv",
+                  "--hierarchy", GOLDENS / "inputs" / "hierarchy.json",
+                  "--benchmark", "a"])
+        assert rc == 2
+        assert (f"--samples expects label=path, got {str(samples)!r}"
+                in capsys.readouterr().err)
+
+    def test_observations_with_two_rows_exits_2(self, tmp_path, capsys):
+        observed = GOLDENS / "inputs" / "observed.csv"
+        lines = observed.read_text().splitlines()
+        two = tmp_path / "two.csv"
+        two.write_text("\n".join([lines[0], lines[1], lines[1]]) + "\n")
+        rc = run(["--output-dir", tmp_path / "out", "score",
+                  "--samples", f"a={GOLDENS / 'sample-ctjb' / 'samples.csv'}",
+                  "--observations", two,
+                  "--hierarchy", GOLDENS / "inputs" / "hierarchy.json",
+                  "--benchmark", "a"])
+        assert rc == 2
+        assert ("observations file must hold exactly one row"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "scores.csv").exists()
 
     def test_unknown_benchmark_exits_2(self, toy_files, capsys):
         # the labels are checked before any sample file is read or scored

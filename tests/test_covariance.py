@@ -420,8 +420,13 @@ class TestDiagonalPlusRootForm:
         with pytest.raises(ValueError, match="root has 1 non-finite"):
             CovarianceMatrix(None, spec, diag=[1.0, 1.0],
                              low_rank=[[np.nan], [0.0]])
-        with pytest.raises(ValueError, match="a diagonal and its low-rank part"):
-            CovarianceMatrix(None, spec, low_rank=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="a diagonal and a low-rank part"):
+            CovarianceMatrix(np.eye(2), spec, diag=[1.0, 1.0])
+        # a low-rank part alone is Sigma = A A', and A is its root
+        A = np.array([[1.0], [2.0]])
+        om = CovarianceMatrix(None, spec, low_rank=A)
+        assert om.diag is None and om.root is om.low_rank and om.dim == 2
+        np.testing.assert_array_equal(om.values, A @ A.T)
 
 
 class TestStructuralWeights:
@@ -434,8 +439,11 @@ class TestStructuralWeights:
 
 class TestCovarianceMatrixValidation:
     def test_needs_values_or_a_root_array(self):
-        with pytest.raises(ValueError, match="values or a root"):
+        with pytest.raises(ValueError, match="give values, a factor"):
             CovarianceMatrix(None, CovarianceSpec("sam"))
+        with pytest.raises(ValueError, match="give values, a factor"):
+            CovarianceMatrix(np.eye(2), CovarianceSpec("sam"),
+                             low_rank=np.ones((2, 1)))
         with pytest.raises(ValueError, match="a factor and its core"):
             CovarianceMatrix(None, CovarianceSpec("hb"), factor=np.eye(2))
 
@@ -444,7 +452,7 @@ class TestCovarianceMatrixValidation:
         A[2, 1] = np.nan
         with pytest.raises(ValueError,
                            match=r"root has 1 non-finite entries: \(2, 1\)"):
-            CovarianceMatrix(None, CovarianceSpec("sam"), root=A)
+            CovarianceMatrix(None, CovarianceSpec("sam"), low_rank=A)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctreco.hierarchy import (
+    CrossSectionalStructure,
     build_cross_sectional,
     build_cross_temporal,
     build_temporal,
@@ -77,6 +78,16 @@ class TestTemporal:
         np.testing.assert_array_equal(
             te.summation, np.vstack([te.agg, np.eye(4)])
         )
+
+    def test_is_the_one_dimensional_aggregation_of_a_series(self):
+        # k_star aggregated entries over m high-frequency ones; the two
+        # matrices are derived from agg once, read-only
+        te = build_temporal(4)
+        assert isinstance(te, CrossSectionalStructure)
+        assert (te.n_upper, te.n_bottom, te.n) == (te.k_star, te.m, te.dim) == (3, 4, 7)
+        for name in ("constraints", "summation"):
+            M = getattr(te, name)
+            assert getattr(te, name) is M and not M.flags.writeable
 
     def test_m1_degenerates(self):
         te = build_temporal(1)

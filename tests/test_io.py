@@ -110,6 +110,13 @@ class TestHierarchyFile:
         write_stacked_csv(tmp_path / "x.csv", st, names, rows)
         assert read_stacked_csv(tmp_path / "x.csv", st, names).tobytes() == rows.tobytes()
 
+    def test_duplicate_series_names(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"agg_matrix": [[1, 1]], "m": 2,
+                                    "series_names": ["A", "B", "A"]}))
+        with pytest.raises(ValidationError, match="h.json: duplicate series names"):
+            load_hierarchy(path)
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"m": 4}))
@@ -186,6 +193,47 @@ class TestStackedCsv:
         path = tmp_path / "x.csv"
         path.write_text("series:A|k:2\n1\n")
         with pytest.raises(ValidationError, match="bad column label"):
+            read_stacked_csv(path, st, ["A", "B", "C"])
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        st = make_structure()
+        path = tmp_path / "x.csv"
+        rows = np.arange(2 * st.dim, dtype=float).reshape(2, st.dim)
+        write_stacked_csv(path, st, ["A", "B", "C"], rows)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[1], "", "  ", lines[2]]) + "\n")
+        np.testing.assert_array_equal(read_stacked_csv(path, st, ["A", "B", "C"]), rows)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "x.csv: empty file"),
+        ("header", "x.csv: no data rows"),
+        ("value count", "x.csv:3: 8 values, expected 9"),
+    ])
+    def test_rows_are_checked(self, tmp_path, text, message):
+        st = make_structure()
+        path = tmp_path / "x.csv"
+        write_stacked_csv(path, st, ["A", "B", "C"], np.zeros((2, st.dim)))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text({"": "", "header": lines[0] + "\n",
+                         "value count": "\n".join(lines) + "\n"}[text])
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_stacked_csv(path, st, ["A", "B", "C"])
+
+    @pytest.mark.parametrize("label,message", [
+        ("series:A|k:3|h:1", "x.csv: 3 is not a factor of m=2"),
+        ("series:A|k:1|h:3", "x.csv: position 2 out of range for k=1"),
+        ("series:A|k:2|h:1", "x.csv: duplicate column 'series:A|k:2|h:1'"),
+    ])
+    def test_a_label_outside_the_layout_or_repeated(self, tmp_path, label, message):
+        # the label replaces the last column, C's second high-frequency cell
+        st = make_structure()
+        path = tmp_path / "x.csv"
+        write_stacked_csv(path, st, ["A", "B", "C"], np.zeros((1, st.dim)))
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].rsplit(",", 1)[0] + "," + label
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(message)):
             read_stacked_csv(path, st, ["A", "B", "C"])
 
     def test_missing_columns(self, tmp_path):
@@ -288,6 +336,13 @@ class TestIngest:
         path = tmp_path / "weird.csv"
         path.write_text(text)
         with pytest.raises(ValidationError, match="not in the hierarchy"):
+            ingest(path, toy_files["hierarchy"])
+
+    def test_duplicate_series_columns_fatal(self, toy_files, tmp_path):
+        text = toy_files["data"].read_text().replace("A,B,C", "A,B,B")
+        path = tmp_path / "twice.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="twice.csv: duplicate series columns"):
             ingest(path, toy_files["hierarchy"])
 
     def test_quarterly_toy_period_count(self, tmp_path):

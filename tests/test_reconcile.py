@@ -37,6 +37,7 @@ from ctreco.simulation import study_structure
 from reference import (
     RIDGE,
     build_projection_dense,
+    build_projection_exact,
     build_projection_structural,
     cho_eig_verdict,
     gdp,
@@ -164,17 +165,32 @@ class TestBuildProjection:
     @pytest.mark.parametrize("kind", ["wlsv", "shr"])
     def test_zero_variance_cell_passes_through(self, kind):
         # an all-zero residual column gives the top cell zero variance: the
-        # map still builds, and keeps that cell's base forecast
+        # map still builds, and keeps that cell's base forecast.  So does a
+        # positive delta whose 1/delta overflows (subnormal), on the top
+        # cell or a bottom one, in diag(delta) + A A' (shr from 5 < d rows)
         st = study_structure()
         rng = np.random.default_rng(5)
         E = rng.normal(size=(40, st.dim))
-        E[:, 0] = 0.0  # the top series' most aggregated cell
-        res = ResidualSet(st, E, "multi_step")
-        rec = build_projection(st, build_omega(CovarianceSpec(kind), st, res))
         x = 10.0 + rng.normal(size=(6, st.dim))
-        out = reconcile_point(rec, x)
-        assert np.max(np.abs(out @ st.constraints.T)) <= 1e-13 * np.abs(out).max()
-        np.testing.assert_allclose(out[:, 0], x[:, 0], rtol=1e-14)
+        bottom = st.dim - 1
+        for cell, delta in [(0, 0.0), (0, 1e-310), (0, 5e-324),
+                            (bottom, 1e-310), (bottom, 5e-324)]:
+            E_0 = E.copy()
+            E_0[:, cell] = 0.0  # 0: the top series' most aggregated cell
+            res = ResidualSet(st, E_0 if delta == 0.0 else E_0[:5], "multi_step")
+            omega = build_omega(CovarianceSpec(kind), st, res)
+            if delta:
+                diag = omega.diag.copy()
+                diag[cell] = delta
+                omega = CovarianceMatrix(None, omega.spec, diag=diag,
+                                         low_rank=omega.low_rank)
+            rec = build_projection(st, omega)
+            out = reconcile_point(rec, x)
+            assert np.max(np.abs(out @ st.constraints.T)) <= 1e-13 * np.abs(out).max()
+            np.testing.assert_allclose(out[:, cell], x[:, cell], rtol=1e-14)
+            if delta:
+                want = build_projection_dense(st, omega)[st.bottom_hf_indices()]
+                assert _rel(rec.G, want) <= 1e-15
 
     def test_dimension_mismatch(self):
         st = fig1()
@@ -403,6 +419,55 @@ class TestBottomLevelMaps:
         rec = build_projection(st, omega)
         want = build_projection_dense(st, omega)[st.bottom_hf_indices()]
         assert _rel(rec.G, want) <= 1e-12
+
+    def test_an_s_w_s_that_does_not_factor_is_zero_constrained(self, monkeypatch):
+        # delta = 1e-16 on the top cell, 1 elsewhere: S'WS is singular in
+        # floating point, so _bounded_inverse rejects it when its Cholesky
+        # factorisation fails, and C Omega C' (5 x 5) factors
+        import ctreco.reconcile as reconcile
+
+        factored = []
+        real = reconcile._cho_inverse
+
+        def recording(A):
+            out = real(A)
+            factored.append((A.shape[0], out is not None))
+            return out
+
+        monkeypatch.setattr(reconcile, "_cho_inverse", recording)
+        st = study_structure()
+        delta = np.ones(st.dim)
+        delta[0] = 1e-16
+        omega = CovarianceMatrix(None, CovarianceSpec("wlsv"), diag=delta)
+        G = build_projection(st, omega).G
+        assert factored == [(st.bottom_dim, False), (5, True)]
+        assert _rel(G, build_projection_exact(st, omega)) <= 1e-14
+
+    def test_an_ill_conditioned_capacitance_is_zero_constrained(self, monkeypatch):
+        # a nearly collinear low-rank part A, 100 times the unit diagonal:
+        # the Woodbury capacitance K = I + A'D^{-1}A factors with a 1-norm
+        # condition number over 1e5, so _structural declines before S'WS
+        import ctreco.reconcile as reconcile
+
+        bounded = []
+        real = reconcile._bounded_inverse
+
+        def recording(A):
+            out = real(A)
+            bounded.append((A.shape[0], out[0] is not None))
+            return out
+
+        monkeypatch.setattr(reconcile, "_bounded_inverse", recording)
+        st = study_structure()
+        a, b = np.random.default_rng(3).normal(size=(2, st.dim))
+        A = 100.0 * np.column_stack([a, a + 1e-3 * b])
+        omega = CovarianceMatrix(None, CovarianceSpec("shr"), diag=np.ones(st.dim),
+                                 low_rank=A)
+        G = build_projection(st, omega).G
+        assert bounded == [(2, False)]
+        # the zero-constrained map at cond(C Omega C') ~ 1e6 (measured
+        # 1.0e-11 from the 50-digit map)
+        assert _rel(G, build_projection_exact(st, omega)) <= 1e-10
 
     def test_map_holds_exactly_one_form(self):
         st = semi_annual()
@@ -656,6 +721,21 @@ class TestCompositeMap:
         with pytest.raises(NumericalError, match="C Omega C' is numerically singular "
                                                  "for covariance kind 'wlsv'"):
             reconcile._stacked_maps(sub, np.zeros((1, 3)), CovarianceSpec("wlsv"))
+
+    def test_a_singular_stacked_system_builds_every_series_alone(self):
+        # delta = 1e-16 on the annual cell makes S'W_0S singular in floating
+        # point, so the batched inversion raises; every row is then built
+        # by build_projection, and no product with a failed inverse is formed
+        import ctreco.reconcile as reconcile
+
+        sub, spec = study_structure().te_only, CovarianceSpec("wlsv")
+        deltas = np.array([[1e-16, 1.0, 1.0], [1.0, 2.0, 3.0]])
+        G = reconcile._stacked_maps(sub, deltas, spec)
+        for G_i, delta in zip(G, deltas):
+            want = build_projection(sub, CovarianceMatrix(None, spec, diag=delta)).G
+            assert G_i.tobytes() == want.tobytes()
+        assert _rel(G[0], build_projection_exact(sub, CovarianceMatrix(
+            None, spec, diag=deltas[0]))) <= 1e-14
 
     def test_map_is_built_at_construction(self):
         st = semi_annual()
