@@ -130,10 +130,10 @@ class ReconciliationMap:
 
 def _cho_inverse(A: np.ndarray) -> np.ndarray | None:
     """R^{-1} (upper triangular) for the Cholesky factor R'R = A, or None
-    when A does not factor."""
+    when A does not factor, as an A with an overflowed entry does not."""
     try:
         R = scipy.linalg.cho_factor(A)[0]
-    except scipy.linalg.LinAlgError:
+    except (scipy.linalg.LinAlgError, ValueError):  # ValueError: inf or nan
         return None
     R_inv, info = scipy.linalg.lapack.dtrtri(R, lower=0)
     return np.triu(R_inv) if info == 0 else None

@@ -192,6 +192,19 @@ class TestBuildProjection:
                 want = build_projection_dense(st, omega)[st.bottom_hf_indices()]
                 assert _rel(rec.G, want) <= 1e-15
 
+    @pytest.mark.parametrize("cells", [[0, 1], [6, 7]])
+    def test_an_overflowing_s_w_s_takes_the_zero_constrained_map(self, cells):
+        # delta = 1e-308 on two cells of one series: every 1/delta is finite,
+        # but S'WS overflows to inf, so S'WS does not factor
+        st = study_structure()
+        E = np.random.default_rng(6).normal(size=(40, st.dim))
+        spec = CovarianceSpec("wlsv")
+        diag = build_omega(spec, st, ResidualSet(st, E, "one_step")).diag.copy()
+        diag[cells] = 1e-308
+        omega = CovarianceMatrix(None, spec, diag=diag)
+        rec = build_projection(st, omega)
+        assert _rel(rec.G, build_projection_exact(st, omega)) <= 1e-14
+
     def test_dimension_mismatch(self):
         st = fig1()
         rec = build_projection(st, build_omega(CovarianceSpec("ols"), st))
