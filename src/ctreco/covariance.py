@@ -293,13 +293,24 @@ def _residual_root(X: np.ndarray) -> np.ndarray:
     return R.T
 
 
-def _shrunk(X: np.ndarray, lam: float | None) -> tuple[np.ndarray, float]:
-    """Shrink the sample covariance of X toward its diagonal."""
-    cov = sample_covariance(X)
+def _estimate(X: np.ndarray, spec: CovarianceSpec) -> CovarianceMatrix:
+    """lam diag(X'X/N) + (1 - lam) X'X/N from the N residual rows of the
+    (N, r) block X, lam = ``spec.lam`` or, when None, the estimated
+    intensity (``sam`` is never shrunk), in the cheapest exact form: the
+    root R' alone at lam = 0, dense from N >= r rows, else
+    diag(lam mean X^2) + sqrt(1 - lam) R'.  Its ``lambda_used`` is lam."""
+    lam = 0.0 if spec.kind == "sam" else spec.lam
     if lam is None:
         lam = shrinkage_intensity(X)
-    out = lam * np.diag(np.diag(cov)) + (1.0 - lam) * cov
-    return out, lam
+    used = None if spec.kind == "sam" else lam
+    if lam == 0.0:
+        return CovarianceMatrix(None, spec, used, low_rank=_residual_root(X))
+    if X.shape[0] >= X.shape[1]:  # a root would be no narrower than the matrix
+        cov = sample_covariance(X)
+        return CovarianceMatrix(lam * np.diag(np.diag(cov)) + (1.0 - lam) * cov,
+                                spec, used)
+    return CovarianceMatrix(None, spec, used, diag=lam * np.mean(X**2, axis=0),
+                            low_rank=np.sqrt(1.0 - lam) * _residual_root(X))
 
 
 def _require_kind(spec, residuals, allowed):
@@ -360,43 +371,28 @@ def build_omega(
         # Omega[(i, c), (j, c)] = W_k[i, j] at each position c of order k
         te = st.te
         Omega = np.zeros((st.n, te.dim, st.n, te.dim))
-        lams = []
+        blocks = []
         for k in te.factors:
-            Wk, lam = _shrunk(residuals.h1_matrix(k), spec.lam)
-            lams.append(lam)
+            blocks.append(_estimate(residuals.h1_matrix(k), spec))
             c = te.offset_of(k) + np.arange(te.periods_at(k))
-            Omega[:, c, :, c] = Wk
-        return CovarianceMatrix(Omega.reshape(dim, dim), spec,
-                                lambda_used=float(np.mean(lams)))
+            Omega[:, c, :, c] = blocks[-1].values
+        return CovarianceMatrix(Omega.reshape(dim, dim), spec, lambda_used=float(
+            np.mean([block.lambda_used for block in blocks])))
 
     if kind in ("shr", "sam"):
         _require_kind(spec, residuals, multi)
-        E = residuals.E
-        if kind == "sam":
-            return CovarianceMatrix(None, spec, low_rank=_residual_root(E))
-        if E.shape[0] >= dim:  # a root would be no narrower than Omega
-            values, lam = _shrunk(E, spec.lam)
-            return CovarianceMatrix(values, spec, lambda_used=lam)
-        # lam diag(E'E/N) + (1 - lam) E'E/N, its rank-N part as a root
-        lam = shrinkage_intensity(E) if spec.lam is None else spec.lam
-        return CovarianceMatrix(None, spec, lambda_used=lam,
-                                diag=lam * np.mean(E**2, axis=0),
-                                low_rank=np.sqrt(1.0 - lam) * _residual_root(E))
+        return _estimate(residuals.E, spec)
 
     # structured kinds: estimate the core on the cells F spans and hold
-    # Omega = F core F'; unshrunk, the core is held as its root R'
+    # Omega = F core F'
     _require_kind(spec, residuals, multi)
     S_cs, S_te = _factor_blocks(kind, st)
     series = range(0 if S_cs is None else st.cs.n_upper, st.n)
-    data = residuals.columns(series, st.te.factors if S_te is None else [1])
+    core = _estimate(residuals.columns(series, st.te.factors if S_te is None else [1]),
+                     spec)
     factor = kron_csr(np.eye(st.n) if S_cs is None else S_cs,
                       np.eye(st.te.dim) if S_te is None else S_te)
-    if spec.lam == 0.0:
-        core, lam = CovarianceMatrix(None, spec, low_rank=_residual_root(data)), 0.0
-    else:
-        values, lam = _shrunk(data, spec.lam)
-        core = CovarianceMatrix(values, spec)
-    return CovarianceMatrix(None, spec, lambda_used=lam, factor=factor, core=core)
+    return CovarianceMatrix(None, spec, core.lambda_used, factor=factor, core=core)
 
 
 def series_diagonals(spec: CovarianceSpec, structure, residuals=None):

@@ -26,11 +26,13 @@ Kronecker product); their dense forms are derived when read.
 Cross-sectional reconciliation is the joint case at m = 1, and temporal
 reconciliation the joint case of one series with no upper series; a
 structure holds both as ``cs_only`` and ``te_only``, built on first read.
+Its ``reduced`` structures, each aggregated dimension cut to its bottom
+level, are the spaces a structured covariance's core lives on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,18 +68,16 @@ def _csr(rows, cols, vals, shape) -> scipy.sparse.csr_array:
     return sparse
 
 
-def kron_csr(A: np.ndarray, B: np.ndarray, transpose: bool = False):
+def kron_csr(A: np.ndarray, B: np.ndarray):
     """Read-only CSR form of the Kronecker product A (x) B of two dense
-    matrices, or of its transpose, built from their non-zeros: each
-    value is the product of a non-zero of A and one of B."""
+    matrices, built from their non-zeros: each value is the product of a
+    non-zero of A and one of B."""
     ra, ca = np.nonzero(A)
     rb, cb = np.nonzero(B)
     rows = (ra[:, None] * B.shape[0] + rb).ravel()
     cols = (ca[:, None] * B.shape[1] + cb).ravel()
     vals = (A[ra, ca][:, None] * B[rb, cb]).ravel()
     shape = (A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
-    if transpose:
-        return _csr(cols, rows, vals, shape[::-1])
     return _csr(rows, cols, vals, shape)
 
 
@@ -237,6 +237,25 @@ class CrossTemporalStructure:
     def te_only(self) -> CrossTemporalStructure:
         """The temporal structure alone: one bottom series, dim m + k_star."""
         return build_cross_temporal(build_cross_sectional(np.zeros((0, 1))), self.te)
+
+    @cached_property
+    def _reduced(self) -> dict:
+        return {}
+
+    def reduced(self, aggregate_cs: bool, aggregate_te: bool) -> CrossTemporalStructure:
+        """The structure in which each aggregated dimension keeps only its
+        bottom level: the n_b bottom series with no uppers, or the m
+        high-frequency values with no aggregates.  The cells are those the
+        factor S_cs (x) I, I (x) S_te or S spans; built once per structure."""
+        key = (bool(aggregate_cs), bool(aggregate_te))
+        if key not in self._reduced:
+            cs, te = self.cs, self.te
+            if aggregate_cs:
+                cs = replace(cs, agg=_readonly(np.zeros((0, cs.n_bottom))))
+            if aggregate_te:
+                te = replace(te, agg=_readonly(np.zeros((0, te.m))), factors=(1,))
+            self._reduced[key] = build_cross_temporal(cs, te)
+        return self._reduced[key]
 
     @cached_property
     def _bottom_hf(self) -> np.ndarray:

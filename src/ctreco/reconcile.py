@@ -66,7 +66,6 @@ import numpy as np
 import scipy.linalg
 
 from ctreco.covariance import (
-    STRUCTURED_KINDS,
     CovarianceMatrix,
     CovarianceSpec,
     _factor_blocks,
@@ -256,49 +255,37 @@ def _stacked_maps(sub: CrossTemporalStructure, deltas, spec: CovarianceSpec) -> 
 def build_projection(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
-    """Optimal projection map for a given covariance, in structural form or
-    held as G = G_Q F^+ (module docstring).  A full kind uses the
-    structure's CSR forms of S or C.
-    A structured kind builds F^+ and C_r as CSR Kronecker products
-    (``kron_csr``; ``hb``'s G = F^+ is formed dense), reads Q from
-    ``omega.core`` and raises ValidationError when it holds none, as a
-    covariance read from a JSON cache does, or when its factor is not
-    the kind's F, as a reconciled covariance's S is not.
-    Each call computes a new map; callers that apply one covariance more
-    than once keep it.
+    """Optimal projection map for a given covariance, dispatched on the
+    form it is held in (module docstring): a diagonal, with or without a
+    low-rank part, in structural form when that passes its bound; any
+    other unfactored covariance by the zero-constrained map on the CSR C;
+    a factored one, Omega = F Q F', as G = G_Q F^+, G_Q the map this
+    builds for its core Q on the structure's ``reduced`` space.  Raises
+    ValidationError when the factor is not the kind's F, as a reconciled
+    covariance's S is not.  Each call computes a new map; callers that
+    apply one covariance more than once keep it.
     """
     st, kind = structure, omega.spec.kind
-    G = (_structural(st, omega)
-         if omega.diag is not None and np.all(omega.diag > _MIN_DELTA) else None)
-    if G is not None:
-        return ReconciliationMap(st, omega, G)
-    if kind not in STRUCTURED_KINDS:
-        G = _zero_constrained(st.constraints_csr, st.constraints_t_csr,
-                              omega.values, st.bottom_hf_indices(),
-                              "C Omega C'", kind)
-        return ReconciliationMap(st, omega, G)
     if omega.core is None:
-        raise ValidationError(f"covariance kind {kind!r} reconciles from its "
-                              f"core, and this covariance holds none")
-    te, n_b = st.te, st.cs.n_bottom
+        G = (_structural(st, omega)
+             if omega.diag is not None and np.all(omega.diag > _MIN_DELTA) else None)
+        if G is None:
+            G = _zero_constrained(st.constraints_csr, st.constraints_t_csr,
+                                  omega.values, st.bottom_hf_indices(),
+                                  "C Omega C'", kind)
+        return ReconciliationMap(st, omega, G)
     S_cs, S_te = _factor_blocks(kind, st)
-    P_cs = np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs)
-    P_te = np.eye(te.dim) if S_te is None else np.linalg.pinv(S_te)
-    width = P_cs.shape[0] * P_te.shape[0]
-    if omega.factor.shape[1] != width:  # as S, after gaussian_reconcile
+    reduced = st.reduced(S_cs is not None, S_te is not None)
+    if omega.factor.shape[1] != reduced.dim:  # as S, after gaussian_reconcile
         raise ValidationError(
-            f"covariance kind {kind!r} reconciles through a factor of {width} "
-            f"columns, and this covariance's factor has {omega.factor.shape[1]}")
-    if S_cs is None:  # h: cells (series, period) under C_cs (x) I_m
-        A, B = st.cs.constraints, np.eye(te.m)
-        keep = np.arange(st.cs.n_upper * te.m, st.n * te.m)
-    elif S_te is None:  # b: cells (bottom series, temporal cell) under I (x) C_te
-        A, B = np.eye(n_b), te.constraints
-        keep = st.cell_indices(range(n_b), range(te.k_star, te.dim)).ravel()
-    else:  # hb: T = I, G_Q = I; G = S^+
+            f"covariance kind {kind!r} reconciles through a factor of "
+            f"{reduced.dim} columns, and this covariance's factor has "
+            f"{omega.factor.shape[1]}")
+    P_cs = np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs)
+    P_te = np.eye(st.te.dim) if S_te is None else np.linalg.pinv(S_te)
+    if reduced.constraints_csr.shape[0] == 0:  # hb: G_Q = I, so G = S^+
         return ReconciliationMap(st, omega, _kron_pinv(P_cs, P_te))
-    G_Q = _zero_constrained(kron_csr(A, B), kron_csr(A, B, transpose=True),
-                            omega.core.values, keep, "C Q C'", kind)
+    G_Q = build_projection(reduced, omega.core).G
     return ReconciliationMap(st, omega, (kron_csr(P_cs, P_te).T @ G_Q.T).T)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from ctreco.covariance import _shrunk
+from ctreco.covariance import shrinkage_intensity
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import (
     build_cross_sectional,
@@ -98,6 +98,16 @@ def commutation_dense(structure) -> np.ndarray:
     return P
 
 
+def shrunk_dense(X, lam=None) -> np.ndarray:
+    """lam diag(X'X/N) + (1 - lam) X'X/N as a dense matrix, lam estimated
+    when None, whatever the rows and lam; the package picks a cheaper
+    exact form where one exists."""
+    cov = X.T @ X / X.shape[0]
+    if lam is None:
+        lam = shrinkage_intensity(X)
+    return lam * np.diag(np.diag(cov)) + (1.0 - lam) * cov
+
+
 def h1_matrix_stacked(residuals, k) -> np.ndarray:
     """``ResidualSet.h1_matrix`` as a stack of per-series blocks: all of
     a one-step block's cells, or a multi-step block's h = 1 column."""
@@ -117,7 +127,7 @@ def bdshr_commuted(structure, residuals, lam=None) -> np.ndarray:
     W_bd = np.zeros((st.dim, st.dim))
     off = 0
     for k in st.te.factors:
-        Wk = _shrunk(h1_matrix_stacked(residuals, k), lam)[0]
+        Wk = shrunk_dense(h1_matrix_stacked(residuals, k), lam)
         for _ in range(st.te.periods_at(k)):
             W_bd[off : off + st.n, off : off + st.n] = Wk
             off += st.n
@@ -329,7 +339,7 @@ def cross_sectional_weights(spec, structure, residuals):
         first_hf = [structure.index_of(i, 1, 0) for i in range(cs.n)]
         return np.diag(residuals.h1_mean_squares[first_hf])
     if kind == "shr":
-        return _shrunk(h1_matrix_stacked(residuals, 1), spec.lam)[0]
+        return shrunk_dense(h1_matrix_stacked(residuals, 1), spec.lam)
     raise ValueError(f"no reference weights for inner kind {kind!r}")
 
 

@@ -359,8 +359,8 @@ class TestRootForm:
 class TestDiagonalPlusRootForm:
     """ols, struc and wlsv held as their diagonal alone, and shr from
     N < d rows as the diagonal lam var plus the root sqrt(1 - lam) R' of
-    N columns (from N >= d rows as its dense values); values are formed
-    only when read."""
+    N columns (from N >= d rows as its dense values, at lam = 0 as sam's
+    root alone); values are formed only when read."""
 
     @pytest.mark.parametrize("N", [5, 9, 60])
     @pytest.mark.parametrize("lam", [None, 0.0, 0.3, 1.0])
@@ -370,7 +370,10 @@ class TestDiagonalPlusRootForm:
         om = build_omega(CovarianceSpec("shr", lam=lam), st, rs)
         used = shrinkage_intensity(rs.E) if lam is None else lam
         assert om.lambda_used == used
-        if N < st.dim:
+        if used == 0.0:
+            assert om.diag is None and om.low_rank.shape == (st.dim, min(N, st.dim))
+            assert vars(om)["_values"] is None
+        elif N < st.dim:
             assert om.low_rank.shape == (st.dim, N)
             assert vars(om)["_values"] is None
             assert not om.diag.flags.writeable

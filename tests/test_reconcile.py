@@ -274,11 +274,12 @@ class TestStructuredKindProjections:
         assert np.max(np.abs(G - np.linalg.pinv(st.summation))) <= 1e-12
 
     def test_a_structured_kind_without_its_core_is_rejected(self):
-        # the JSON cache holds dense values only, not the core
+        # the JSON cache holds dense values only, not the core: a singular
+        # dense Omega, rejected as any is
         st = semi_annual()
         om = build_omega(CovarianceSpec("h"), st, self.make_residuals(st, 4))
         back = covariance_from_json(covariance_to_json(om))
-        with pytest.raises(ValidationError, match=r"kind 'h'.*holds none"):
+        with pytest.raises(NumericalError, match=r"singular for covariance kind 'h'"):
             build_projection(st, back)
 
     @pytest.mark.parametrize("kind", ["h", "b"])
