@@ -5,17 +5,21 @@ Two families are provided.  The classic approximations (``ols``,
 error covariance directly.  The structured estimators (``hb``, ``h``,
 ``b``) estimate a smaller core Q on a sub-block of the residuals -- the
 high-frequency bottom cells, all high-frequency cells, or all bottom
-series -- shrink it toward its diagonal, and are held factored as
-Omega = F Q F' through the corresponding summation factor F, cutting the
-parameter count by an order of magnitude on realistic hierarchies.
+series, the cells of the structure's ``reduced`` space -- and are held
+factored as Omega = F Q F' through the corresponding summation factor F,
+cutting the parameter count by an order of magnitude on realistic
+hierarchies.
 
 Besides dense and factored, a covariance is held as diag(delta) + A A',
-either part optional: ``sam`` = E'E/N and the structured cores at lambda
-= 0, X'X/N, as A = R' alone (R'R = X'X/N from one QR of the N residual
-rows of r columns; R' has min(N, r) columns), ``ols``, ``struc`` and
-``wlsv`` as delta alone, and ``shr`` from N < d rows as delta = lambda
-var plus A = sqrt(1 - lambda) R'.  No d x d matrix is formed or
-decomposed for any of these kinds unless its dense ``values`` are read.
+either part optional; ``ols``, ``struc`` and ``wlsv`` are delta alone.
+Every residual-built estimate (``sam``, ``shr``, each ``bdshr`` order
+block, the structured cores) is lambda diag(X'X/N) + (1 - lambda) X'X/N
+of a block X of N residual rows and r columns, built by one estimator in
+the cheapest exact form: at lambda = 0 (``sam`` always) A = R' alone,
+R'R = X'X/N from one QR, R' of min(N, r) columns; dense from N >= r
+rows; else delta = lambda mean X^2 plus A = sqrt(1 - lambda) R'.  No
+d x d matrix is formed or decomposed for a root or a diagonal unless its
+dense ``values`` are read.
 
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
@@ -299,9 +303,8 @@ def _estimate(X: np.ndarray, spec: CovarianceSpec) -> CovarianceMatrix:
     intensity (``sam`` is never shrunk), in the cheapest exact form: the
     root R' alone at lam = 0, dense from N >= r rows, else
     diag(lam mean X^2) + sqrt(1 - lam) R'.  Its ``lambda_used`` is lam."""
-    lam = 0.0 if spec.kind == "sam" else spec.lam
-    if lam is None:
-        lam = shrinkage_intensity(X)
+    lam = (0.0 if spec.kind == "sam" else
+           shrinkage_intensity(X) if spec.lam is None else spec.lam)
     used = None if spec.kind == "sam" else lam
     if lam == 0.0:
         return CovarianceMatrix(None, spec, used, low_rank=_residual_root(X))

@@ -238,24 +238,17 @@ class CrossTemporalStructure:
         """The temporal structure alone: one bottom series, dim m + k_star."""
         return build_cross_temporal(build_cross_sectional(np.zeros((0, 1))), self.te)
 
-    @cached_property
-    def _reduced(self) -> dict:
-        return {}
-
     def reduced(self, aggregate_cs: bool, aggregate_te: bool) -> CrossTemporalStructure:
         """The structure in which each aggregated dimension keeps only its
-        bottom level: the n_b bottom series with no uppers, or the m
-        high-frequency values with no aggregates.  The cells are those the
-        factor S_cs (x) I, I (x) S_te or S spans; built once per structure."""
-        key = (bool(aggregate_cs), bool(aggregate_te))
-        if key not in self._reduced:
-            cs, te = self.cs, self.te
-            if aggregate_cs:
-                cs = replace(cs, agg=_readonly(np.zeros((0, cs.n_bottom))))
-            if aggregate_te:
-                te = replace(te, agg=_readonly(np.zeros((0, te.m))), factors=(1,))
-            self._reduced[key] = build_cross_temporal(cs, te)
-        return self._reduced[key]
+        bottom level: n_b bottom series with no uppers, or the m
+        high-frequency values with no aggregates.  Built once per structure."""
+        cache = self.__dict__.setdefault("_reduced", {})
+        if (aggregate_cs, aggregate_te) not in cache:
+            cs = replace(self.cs, agg=_readonly(np.zeros((0, self.cs.n_bottom))))
+            te = replace(self.te, agg=_readonly(np.zeros((0, self.te.m))), factors=(1,))
+            cache[aggregate_cs, aggregate_te] = build_cross_temporal(
+                cs if aggregate_cs else self.cs, te if aggregate_te else self.te)
+        return cache[aggregate_cs, aggregate_te]
 
     @cached_property
     def _bottom_hf(self) -> np.ndarray:

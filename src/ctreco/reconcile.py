@@ -9,31 +9,33 @@ high-frequency bottom cells, carries information: it is the rows of M at
 those cells.  A map is applied as ``S (G x)`` with the sparse S, so the
 d x d matrix M is formed only when a caller reads ``ReconciliationMap.M``.
 
-A covariance held as a diagonal delta > 0 plus an optional low-rank part
-(``ols``, ``struc``, ``wlsv``, ``shr``) takes that structural form: W
-scales the rows of the CSR S (``shr`` adds a Woodbury term) and only
-S'WS, (n_b m) x (n_b m), is factored; a constant delta gives ``hb``'s
-G = S^+.  It does so when S'WS (and the Woodbury capacitance) factors
-with a 1-norm condition number ||A||_1 ||A^{-1}||_1 <= 1e5.  A small
-delta on an aggregated cell makes S'WS ill-conditioned, and the
-structural solve then loses about that number times 5e-17 of relative
-accuracy (measured against 40-digit arithmetic), while C Omega C' stays
-well-conditioned; such a covariance, and any other (a delta so small,
-zero or subnormal, that 1/delta overflows, ``sam``, ``bdshr``, a dense
-covariance read from JSON, a structured kind), takes the path
-G = G_Q F^+, G_Q the rows at the kept cells of the zero-constrained map
-I - Q C_r' (C_r Q C_r')^{-1} C_r of a reduced space with factor F.  A
-full kind has F = I, Q = Omega and C_r = C, the sparse C, and keeps the
-high-frequency bottom cells.  A structured covariance (``hb``, ``h``,
-``b``) is held factored, Omega = F Q F', and is singular; its map is the
-limit of the map at Omega + eps I as eps -> 0.  G_Q reconciles a = F^+ x
-with the core Q in the reduced space S = F T, T constrained by
-C_cs (x) I_m (``h``), I (x) C_te (``b``) or nothing (``hb``, whose
-G = S^+ is the ``ols`` map), so no d x d Omega is formed.
+``build_projection`` dispatches on the form a covariance is held in.  A
+diagonal delta > 0, alone or plus a low-rank part (``ols``, ``struc``,
+``wlsv``, ``shr`` from few rows), takes the structural form: W scales
+the rows of the CSR S (a low-rank part adds a Woodbury term) and only
+S'WS, (n_b m) x (n_b m), is factored; a constant delta gives G = S^+.
+It does so when S'WS (and the Woodbury capacitance) factors with a
+1-norm condition number ||A||_1 ||A^{-1}||_1 <= 1e5.  A small delta on
+an aggregated cell makes S'WS ill-conditioned, and the structural solve
+then loses about that number times 5e-17 of relative accuracy (measured
+against 40-digit arithmetic), while C Omega C' stays well-conditioned.
+Such a covariance, one whose 1/delta or S'WS overflows, and any other
+unfactored one (``sam``, ``bdshr``, a dense covariance read from JSON)
+take the rows at the high-frequency bottom cells of the zero-constrained
+map I - Omega C' (C Omega C')^{-1} C, with the sparse C.
 
-Every zero-constrained solve factors its matrix A (``C Omega C'`` or the
-reduced ``C Q C'``) by Cholesky, A = R'R, and accepts the factor when
-||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on the
+A structured covariance (``hb``, ``h``, ``b``) is held factored,
+Omega = F Q F', and is singular; its map is the limit of the map at
+Omega + eps I as eps -> 0: G = G_Q F^+, G_Q the optimal map of the core Q
+on the structure's ``reduced`` space, the cells F spans (S = F S_r).
+That space keeps the m high-frequency values of every series (``h``),
+the n_b bottom series (``b``) or both (``hb``, whose reduced space has no
+constraints, so G = S^+, the ``ols`` map), and its map takes the same
+structural-or-zero-constrained choice as any covariance.  No d x d Omega
+is formed.
+
+Every zero-constrained solve factors A = C Omega C' by Cholesky, A = R'R,
+and accepts the factor when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on the
 2-norm condition number of A (||A||_2 <= ||A||_1 for symmetric A, and
 ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a decade under the
 1e12 limit.  When the factorisation fails or the bound is larger, the
@@ -175,16 +177,17 @@ def _checked_cho_factor(A: np.ndarray, what: str, kind: str) -> np.ndarray:
     return R_inv
 
 
-def _zero_constrained(C, C_t, Omega, keep, what: str, kind: str) -> np.ndarray:
-    """Rows ``keep`` of I - Omega C' (C Omega C')^{-1} C, computed as
-    E_keep - (C Omega)'[keep] R^{-1} R^{-T} C with R'R = C Omega C'; C and
-    its transpose ``C_t`` may be sparse, ``what`` names C Omega C'."""
+def _zero_constrained(st: CrossTemporalStructure, Omega, kind: str) -> np.ndarray:
+    """Rows ``keep``, the high-frequency bottom cells, of
+    I - Omega C' (C Omega C')^{-1} C, computed with the CSR C of ``st`` as
+    E_keep - (C Omega)'[keep] R^{-1} R^{-T} C with R'R = C Omega C'."""
+    C, keep = st.constraints_csr, st.bottom_hf_indices()
     if C.shape[0] == 0:  # no constraints: every vector is coherent
         return np.eye(Omega.shape[0])[keep]
     CO = C @ Omega
-    R_inv = _checked_cho_factor(C @ CO.T, what, kind)
+    R_inv = _checked_cho_factor(C @ CO.T, "C Omega C'", kind)
     W = (CO[:, keep].T @ R_inv) @ R_inv.T  # (C Omega)'[keep] (C Omega C')^{-1}
-    G = -(C_t @ W.T).T
+    G = -(st.constraints_t_csr @ W.T).T
     G[np.arange(keep.size), keep] += 1.0
     return G
 
@@ -256,23 +259,18 @@ def build_projection(
     structure: CrossTemporalStructure, omega: CovarianceMatrix
 ) -> ReconciliationMap:
     """Optimal projection map for a given covariance, dispatched on the
-    form it is held in (module docstring): a diagonal, with or without a
-    low-rank part, in structural form when that passes its bound; any
-    other unfactored covariance by the zero-constrained map on the CSR C;
-    a factored one, Omega = F Q F', as G = G_Q F^+, G_Q the map this
-    builds for its core Q on the structure's ``reduced`` space.  Raises
-    ValidationError when the factor is not the kind's F, as a reconciled
-    covariance's S is not.  Each call computes a new map; callers that
-    apply one covariance more than once keep it.
+    form it is held in (module docstring); a factored Omega = F Q F' gives
+    G = G_Q F^+, G_Q this map for the core Q on the ``reduced`` structure.
+    Raises ValidationError when the factor is not the kind's F, as a
+    reconciled covariance's S is not.  Each call computes a new map;
+    callers that apply one covariance more than once keep it.
     """
     st, kind = structure, omega.spec.kind
     if omega.core is None:
         G = (_structural(st, omega)
              if omega.diag is not None and np.all(omega.diag > _MIN_DELTA) else None)
         if G is None:
-            G = _zero_constrained(st.constraints_csr, st.constraints_t_csr,
-                                  omega.values, st.bottom_hf_indices(),
-                                  "C Omega C'", kind)
+            G = _zero_constrained(st, omega.values, kind)
         return ReconciliationMap(st, omega, G)
     S_cs, S_te = _factor_blocks(kind, st)
     reduced = st.reduced(S_cs is not None, S_te is not None)

@@ -718,9 +718,9 @@ class TestCompositeMap:
         constrained = []
         real = reconcile._zero_constrained
 
-        def recording(C, C_t, Omega, keep, what, kind):
+        def recording(st, Omega, kind):
             constrained.append(np.diag(Omega).copy())
-            return real(C, C_t, Omega, keep, what, kind)
+            return real(st, Omega, kind)
 
         monkeypatch.setattr(reconcile, "_zero_constrained", recording)
         sub = semi_annual().te_only
