@@ -41,14 +41,18 @@ def toy_files(tmp_path):
 
 @st.composite
 def _scoring_case(draw):
-    """A random 0/1 hierarchy, a seasonal period, a draw count and the
-    shape of the draws: ties (values on an integer grid) and constant
-    columns."""
+    """A random hierarchy, 0/1 or with real aggregation entries, a seasonal
+    period, a draw count and the shape of the draws: ties (values on an
+    integer grid) and constant columns."""
     n_upper = draw(st.integers(1, 4))
     n_bottom = draw(st.integers(2, 6))
+    entries = draw(st.sampled_from([
+        st.integers(0, 1),
+        st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25, 0.1, 3.7, -2.3]),
+    ]))
     agg = draw(
         st.lists(
-            st.lists(st.integers(0, 1), min_size=n_bottom, max_size=n_bottom),
+            st.lists(entries, min_size=n_bottom, max_size=n_bottom),
             min_size=n_upper,
             max_size=n_upper,
         )
@@ -63,7 +67,8 @@ def _scoring_case(draw):
 @pytest.fixture(scope="session")
 def scoring_cases():
     """The hypothesis strategy of random cross-temporal cases: 1-4 upper
-    over 2-6 bottom series, m in {1, 2, 3, 4, 6, 12}.  A test takes it
+    over 2-6 bottom series, with 0/1 or real (positive, negative or zero)
+    aggregation entries, m in {1, 2, 3, 4, 6, 12}.  A test takes it
     with ``st.data()`` and draws ``(agg, m, L, seed, ties, constant)``.
 
     It is a fixture because test modules cannot import this conftest by

@@ -26,6 +26,7 @@ from reference import (
     gdp,
     h1_matrix_stacked,
     shrinkage_intensity_dense,
+    shrunk_dense,
     spectral_matrices,
     unshrunk_blocks,
 )
@@ -288,8 +289,8 @@ class TestStructuredKinds:
 
 class TestRootForm:
     """sam held as a root R' and the structured kinds as a factor F and a
-    core, itself a root R' when unshrunk and values when shrunk; A A' is
-    the covariance F core F' either way."""
+    core, itself a root R' when unshrunk and, when shrunk, dense values or
+    a diagonal plus a root; A A' is the covariance F core F' either way."""
 
     UNSHRUNK = ("sam", "hb", "h", "b")
 
@@ -354,6 +355,33 @@ class TestRootForm:
             assert vars(om)["_values"] is None  # F core F' is formed on read
             assert _rel(om.values, F @ om.core.values @ F.T) <= 1e-14
             assert vars(om)["_values"] is not None
+
+
+    @pytest.mark.parametrize("make", [semi_annual, gdp])
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_a_shrunk_core_from_fewer_rows_than_cells_is_diagonal_plus_root(
+        self, make, lam
+    ):
+        # N < r rows: delta + A, no r x r matrix until read; N >= r rows:
+        # the dense estimate, byte for byte
+        st = make()
+        for N in (3, 60):
+            rs = random_residuals(st, N, seed=28)
+            for kind in STRUCTURED_KINDS:
+                om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
+                X = unshrunk_blocks(kind, st, rs)[0]
+                used = shrinkage_intensity(X) if lam is None else lam
+                assert om.lambda_used == used
+                core = om.core
+                if N < X.shape[1]:
+                    assert core.diag.shape == (X.shape[1],)
+                    assert core.low_rank.shape == (X.shape[1], N)
+                    assert vars(core)["_values"] is None
+                    want = dense_covariance(kind, st, rs, used)
+                    assert _rel(om.values, want) <= 1e-13
+                else:
+                    assert core.diag is None and core.low_rank is None
+                    assert core.values.tobytes() == shrunk_dense(X, used).tobytes()
 
 
 class TestDiagonalPlusRootForm:

@@ -196,6 +196,38 @@ class TestCrossTemporal:
         hf = ct.bottom_hf_indices()
         np.testing.assert_array_equal(x[hf], b)
 
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_reduced_structures_keep_the_bottom_level(self, m):
+        # h's space (aggregate_te): C_cs (x) I_m on n x m cells; b's
+        # (aggregate_cs): I (x) C_te on n_b x (m + k_star) cells; hb's: no
+        # constraints; S = F S_r with F the factor whose columns they are
+        cs = build_cross_sectional(np.array([[1.0, 1.0, 1.0], [0.5, -2.0, 0.0]]))
+        te = build_temporal(m)
+        ct = build_cross_temporal(cs, te)
+        n, n_b = cs.n, cs.n_bottom
+        cases = {
+            (False, True): (np.kron(cs.constraints, np.eye(m)),
+                            np.kron(np.eye(n), te.summation), n, m),
+            (True, False): (np.kron(np.eye(n_b), te.constraints),
+                            np.kron(cs.summation, np.eye(te.dim)), n_b, te.dim),
+            (True, True): (np.zeros((0, n_b * m)), ct.summation, n_b, m),
+        }
+        for flags, (C, F, rows, cols) in cases.items():
+            red = ct.reduced(*flags)
+            assert ct.reduced(*flags) is red  # built once
+            assert (red.n, red.te.dim, red.dim) == (rows, cols, rows * cols)
+            assert red.bottom_dim == ct.bottom_dim
+            np.testing.assert_array_equal(
+                red.bottom_hf_indices(),
+                np.arange(rows * cols).reshape(rows, cols)[rows - n_b:, cols - m:].ravel())
+            C_r = red.constraints
+            assert C_r.shape == C.shape
+            if C.size:  # the same row space: stacked, the rank does not grow
+                rank = np.linalg.matrix_rank(C)
+                assert np.linalg.matrix_rank(C_r) == rank
+                assert np.linalg.matrix_rank(np.vstack([C, C_r])) == rank
+            np.testing.assert_array_equal(F @ red.summation, ct.summation)
+
     def test_stack_scalar(self):
         cs = build_cross_sectional(np.empty((0, 1)))
         te = build_temporal(1)

@@ -242,6 +242,36 @@ class TestStructuredKindProjections:
         G_ols = build_projection(st, build_omega(CovarianceSpec("ols"), st)).G
         assert G_ols.tobytes() == G_hb.tobytes()
 
+    @pytest.mark.parametrize("kind", ["h", "b"])
+    def test_the_core_is_reconciled_on_the_reduced_structure(self, kind, monkeypatch):
+        # 8 residual rows, under the 12 (h) or 14 (b) cells of the core:
+        # shrunk, the core is delta + A and solves in structural form on the
+        # reduced structure; unshrunk, it is a singular root and is
+        # zero-constrained there, G = G_Q F^+ with the dense G_Q
+        import ctreco.reconcile as reconcile
+
+        calls = []
+        for name in ("_structural", "_zero_constrained"):
+            def recording(st, *args, _real=getattr(reconcile, name), _name=name):
+                calls.append((_name, st))
+                return _real(st, *args)
+            monkeypatch.setattr(reconcile, name, recording)
+        st = fig1()
+        rs = ResidualSet(st, np.random.default_rng(9).normal(size=(8, st.dim)),
+                         "multi_step")
+        reduced = st.reduced(kind == "b", kind == "h")
+        for lam, path in ((0.3, "_structural"), (0.0, "_zero_constrained")):
+            calls.clear()
+            om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
+            G = build_projection(st, om).G
+            assert calls == [(path, reduced)]
+            if lam:
+                want = structured_limit_map(st, om)
+            else:
+                G_Q = build_projection_dense(reduced, om.core)[reduced.bottom_hf_indices()]
+                want = G_Q @ np.linalg.pinv(om.factor.toarray())
+            assert _rel(G, want) <= 1e-12
+
     @pytest.mark.parametrize("kind", ["hb", "h", "b"])
     def test_laws_hold(self, kind):
         st = semi_annual()
