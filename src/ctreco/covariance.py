@@ -302,17 +302,18 @@ def _estimate(X: np.ndarray, spec: CovarianceSpec) -> CovarianceMatrix:
     (N, r) block X, lam = ``spec.lam`` or, when None, the estimated
     intensity (``sam`` is never shrunk), in the cheapest exact form: the
     root R' alone at lam = 0, dense from N >= r rows, else
-    diag(lam mean X^2) + sqrt(1 - lam) R'.  Its ``lambda_used`` is lam."""
+    diag(lam mean X^2) + sqrt(1 - lam) R'.  Its ``lambda_used`` is lam,
+    None for ``sam``."""
     lam = (0.0 if spec.kind == "sam" else
            shrinkage_intensity(X) if spec.lam is None else spec.lam)
-    used = None if spec.kind == "sam" else lam
     if lam == 0.0:
-        return CovarianceMatrix(None, spec, used, low_rank=_residual_root(X))
+        return CovarianceMatrix(None, spec, None if spec.kind == "sam" else lam,
+                                low_rank=_residual_root(X))
     if X.shape[0] >= X.shape[1]:  # a root would be no narrower than the matrix
         cov = sample_covariance(X)
         return CovarianceMatrix(lam * np.diag(np.diag(cov)) + (1.0 - lam) * cov,
-                                spec, used)
-    return CovarianceMatrix(None, spec, used, diag=lam * np.mean(X**2, axis=0),
+                                spec, lam)
+    return CovarianceMatrix(None, spec, lam, diag=lam * np.mean(X**2, axis=0),
                             low_rank=np.sqrt(1.0 - lam) * _residual_root(X))
 
 

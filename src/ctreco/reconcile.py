@@ -35,10 +35,10 @@ structural-or-zero-constrained choice as any covariance.  No d x d Omega
 is formed.
 
 Every zero-constrained solve factors A = C Omega C' by Cholesky, A = R'R,
-and accepts the factor when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product is an upper bound on the
-2-norm condition number of A (||A||_2 <= ||A||_1 for symmetric A, and
-||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a decade under the
-1e12 limit.  When the factorisation fails or the bound is larger, the
+and accepts the factor when ||A||_1 ||R^{-1}||_F^2 <= 1e11.  That product
+is an upper bound on the 2-norm condition number of A (||A||_2 <= ||A||_1
+for symmetric A, and ||A^{-1}||_2 = ||R^{-1}||_2^2 <= ||R^{-1}||_F^2), a
+decade under the 1e12 limit.  When the factorisation fails or the bound is larger, the
 eigenvalues of A decide: A is rejected as numerically singular, with
 ``NumericalError`` naming the covariance kind, when its smallest
 eigenvalue is not positive or its eigenvalue ratio exceeds 1e12.  So a
@@ -281,7 +281,7 @@ def build_projection(
             f"{omega.factor.shape[1]}")
     P_cs = np.eye(st.n) if S_cs is None else np.linalg.pinv(S_cs)
     P_te = np.eye(st.te.dim) if S_te is None else np.linalg.pinv(S_te)
-    if reduced.constraints_csr.shape[0] == 0:  # hb: G_Q = I, so G = S^+
+    if reduced.constraints_csr.shape[0] == 0:  # hb's: G_Q = I, so G = S^+
         return ReconciliationMap(st, omega, _kron_pinv(P_cs, P_te))
     G_Q = build_projection(reduced, omega.core).G
     return ReconciliationMap(st, omega, (kron_csr(P_cs, P_te).T @ G_Q.T).T)
