@@ -15,11 +15,12 @@ either part optional; ``ols``, ``struc`` and ``wlsv`` are delta alone.
 Every residual-built estimate (``sam``, ``shr``, each ``bdshr`` order
 block, the structured cores) is lambda diag(X'X/N) + (1 - lambda) X'X/N
 of a block X of N residual rows and r columns, built by one estimator in
-the cheapest exact form: at lambda = 0 (``sam`` always) A = R' alone,
-R'R = X'X/N from one QR, R' of min(N, r) columns; dense from N >= r
-rows; else delta = lambda mean X^2 plus A = sqrt(1 - lambda) R'.  No
-d x d matrix is formed or decomposed for a root or a diagonal unless its
-dense ``values`` are read.
+the cheapest exact form: at lambda = 0 (``sam`` always) a root A alone,
+A A' = X'X/N with min(N, r) columns (X'/sqrt(N) itself from N <= r
+rows, R' from one QR of X from more); dense from N >= r rows; else
+delta = lambda mean X^2 plus sqrt(1 - lambda) A.  No d x d matrix is
+formed or decomposed for a root or a diagonal unless its dense
+``values`` are read.
 
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
@@ -286,12 +287,17 @@ def sample_covariance(residuals) -> np.ndarray:
 
 
 def _residual_root(X: np.ndarray) -> np.ndarray:
-    """R' with R'R = X'X/N, for the rows of the (N, r) array X.
+    """An (r, min(N, r)) root A with A A' = X'X/N, for the rows of the
+    (N, r) array X.
 
-    R is the upper factor of the economic QR of X/sqrt(N), its rows
-    signed to a non-negative diagonal, so R' is (r, min(N, r)); for
-    N >= r it is the Cholesky factor of X'X/N.
+    From N <= r rows A = X'/sqrt(N) itself: exact, factorisation-free and
+    continuous in X, where an unpivoted QR of a wide X is not once its
+    leading columns are dependent.  From N > r rows A = R', R the upper
+    factor of the economic QR of X/sqrt(N), its rows signed to a
+    non-negative diagonal: the Cholesky factor of X'X/N.
     """
+    if X.shape[0] <= X.shape[1]:
+        return X.T / np.sqrt(X.shape[0])
     R = np.linalg.qr(X / np.sqrt(X.shape[0]), mode="r")
     R *= np.where(np.diagonal(R) < 0.0, -1.0, 1.0)[:, None]
     return R.T
@@ -301,8 +307,8 @@ def _estimate(X: np.ndarray, spec: CovarianceSpec) -> CovarianceMatrix:
     """lam diag(X'X/N) + (1 - lam) X'X/N from the N residual rows of the
     (N, r) block X, lam = ``spec.lam`` or, when None, the estimated
     intensity (``sam`` is never shrunk), in the cheapest exact form: the
-    root R' alone at lam = 0, dense from N >= r rows, else
-    diag(lam mean X^2) + sqrt(1 - lam) R'.  Its ``lambda_used`` is lam,
+    root A = ``_residual_root(X)`` alone at lam = 0, dense from N >= r
+    rows, else diag(lam mean X^2) + sqrt(1 - lam) A.  Its ``lambda_used`` is lam,
     None for ``sam``."""
     lam = (0.0 if spec.kind == "sam" else
            shrinkage_intensity(X) if spec.lam is None else spec.lam)

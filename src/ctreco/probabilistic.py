@@ -7,8 +7,8 @@ distribution.  Two base samplers are provided:
 * Gaussian: draws mean + A z from N(mean, A A') through the covariance's
   root A (d x q).  A covariance built from N residual rows of r columns
   is held as that root with q = min(N, r), so no d x d matrix is
-  decomposed; for the structured kinds it is held factored, A = F R',
-  and lies in the span of the summation factor F.
+  decomposed; for the structured kinds it is held factored, A = F B with
+  B the core's root, and lies in the span of the summation factor F.
 * Cross-temporal joint block bootstrap (ctjb): one most-aggregated period
   index is drawn per replicate and the residual blocks of that period for
   every series and every aggregation order, jointly, drive simulated

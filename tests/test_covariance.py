@@ -17,6 +17,7 @@ from ctreco.covariance import (
     _residual_root,
 )
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
+from ctreco.probabilistic import GaussianForecast, sample_gaussian
 from ctreco.residuals import ResidualSet
 from ctreco.exceptions import ValidationError
 from reference import (
@@ -288,8 +289,8 @@ class TestStructuredKinds:
 
 
 class TestRootForm:
-    """sam held as a root R' and the structured kinds as a factor F and a
-    core, itself a root R' when unshrunk and, when shrunk, dense values or
+    """sam held as a root A and the structured kinds as a factor F and a
+    core, itself a root when unshrunk and, when shrunk, dense values or
     a diagonal plus a root; A A' is the covariance F core F' either way."""
 
     UNSHRUNK = ("sam", "hb", "h", "b")
@@ -321,6 +322,24 @@ class TestRootForm:
                 om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
                 want = dense_covariance(kind, st, rs, lam)
                 assert _rel(om.root @ om.root.T, want) <= 1e-12
+
+    def test_root_is_continuous_at_dependent_leading_columns(self):
+        # an AR-order-0 level makes leading residual columns exactly
+        # dependent; a 1e-14 change of E must then move the root and the
+        # fixed-seed Gaussian draws by rounding only, not by a new basis
+        st = fig1()
+        rng = np.random.default_rng(31)
+        E = rng.normal(size=(6, st.dim))
+        E[:, 1] = E[:, 0]
+        near = E * (1.0 + 1e-14 * rng.normal(size=E.shape))
+        roots, draws = [], []
+        for X in (E, near):
+            om = build_omega(CovarianceSpec("sam"), st, ResidualSet(st, X, "multi_step"))
+            roots.append(om.root)
+            base = GaussianForecast(np.zeros(st.dim), om)
+            draws.append(sample_gaussian(base, st, 50, seed=4).draws)
+        assert _rel(roots[1], roots[0]) <= 1e-12
+        assert _rel(draws[1], draws[0]) <= 1e-12
 
     @pytest.mark.parametrize("N", [3, 60])
     def test_unshrunk_root_has_min_rows_columns_and_lazy_values(self, N):
