@@ -287,15 +287,11 @@ def sample_covariance(residuals) -> np.ndarray:
 
 
 def _residual_root(X: np.ndarray) -> np.ndarray:
-    """An (r, min(N, r)) root A with A A' = X'X/N, for the rows of the
-    (N, r) array X.
-
-    From N <= r rows A = X'/sqrt(N) itself: exact, factorisation-free and
-    continuous in X, where an unpivoted QR of a wide X is not once its
-    leading columns are dependent.  From N > r rows A = R', R the upper
-    factor of the economic QR of X/sqrt(N), its rows signed to a
-    non-negative diagonal: the Cholesky factor of X'X/N.
-    """
+    """An (r, min(N, r)) root A, A A' = X'X/N, of the (N, r) array X:
+    X'/sqrt(N) from N <= r rows, exact and continuous in X (an unpivoted
+    QR of a wide X is not, at dependent leading columns); from more, R',
+    R the economic QR factor of X/sqrt(N) with its rows signed to a
+    non-negative diagonal: the Cholesky factor of X'X/N."""
     if X.shape[0] <= X.shape[1]:
         return X.T / np.sqrt(X.shape[0])
     R = np.linalg.qr(X / np.sqrt(X.shape[0]), mode="r")
@@ -308,8 +304,8 @@ def _estimate(X: np.ndarray, spec: CovarianceSpec) -> CovarianceMatrix:
     (N, r) block X, lam = ``spec.lam`` or, when None, the estimated
     intensity (``sam`` is never shrunk), in the cheapest exact form: the
     root A = ``_residual_root(X)`` alone at lam = 0, dense from N >= r
-    rows, else diag(lam mean X^2) + sqrt(1 - lam) A.  Its ``lambda_used`` is lam,
-    None for ``sam``."""
+    rows, else diag(lam mean X^2) + sqrt(1 - lam) A.  Its
+    ``lambda_used`` is lam, None for ``sam``."""
     lam = (0.0 if spec.kind == "sam" else
            shrinkage_intensity(X) if spec.lam is None else spec.lam)
     if lam == 0.0:

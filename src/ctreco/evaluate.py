@@ -19,8 +19,8 @@ import numpy as np
 from ctreco.covariance import CovarianceSpec, build_omega
 from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import CrossTemporalStructure
-from ctreco.models import forecast
-from ctreco.probabilistic import GaussianForecast, ctjb_sample, sample_gaussian
+from ctreco.probabilistic import (GaussianForecast, _stacked_paths, ctjb_sample,
+                                  sample_gaussian)
 from ctreco.reconcile import build_projection, composite_map, set_negative_to_zero
 from ctreco.residuals import (
     ResidualSet,
@@ -87,14 +87,7 @@ def base_forecasts(
 ) -> np.ndarray:
     """Stacked point forecasts of every (series, order) model, one
     most-aggregated period ahead of its training data."""
-    st = structure
-    xhat = np.empty(st.dim)
-    for i in range(st.n):
-        for k in st.te.factors:
-            xhat[st.block_slice(i, k)] = forecast(
-                models[(i, k)], data[(i, k)], st.te.periods_at(k)
-            )
-    return xhat
+    return _stacked_paths(structure, models, data, np.zeros((1, structure.dim)))[0]
 
 
 def reconciler(

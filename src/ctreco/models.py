@@ -5,6 +5,10 @@ with AICc order selection, multi-step in-sample fitted values, point
 forecasts, and shock-driven path simulation.  Callers with their own
 forecasting stack can skip this module and supply base forecasts and
 residuals directly.
+
+Equal-length series are fitted by one stacked QR, and models of one AR
+order run the recursion as one stack; ``fit_ar`` and ``simulate_path``
+are the one-series cases, so a series has the same bits in a batch.
 """
 
 from __future__ import annotations
@@ -37,16 +41,6 @@ class ARModel:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _lagged_design(y: np.ndarray, p: int, t0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Regression target y[t0:] on intercept and lags 1..p."""
-    T = y.size
-    X = np.empty((T - t0, p + 1))
-    X[:, 0] = 1.0
-    for lag in range(1, p + 1):
-        X[:, lag] = y[t0 - lag : T - lag]
-    return X, y[t0:]
-
-
 def fit_ar(series: np.ndarray, max_order: int, criterion: str = "aicc") -> ARModel:
     """Fit an AR(p) model by least squares on the lagged regression.
 
@@ -57,56 +51,76 @@ def fit_ar(series: np.ndarray, max_order: int, criterion: str = "aicc") -> ARMod
     not fitted (p = 0 always is), so short series select among the rest.
     With ``criterion="fixed"`` the order is exactly ``max_order``.
 
+    The candidates are nested regressions on one sample, so one
+    Householder QR, X = QR, of the design of the largest candidate order
+    gives them all: RSS_p = ||y - QQ'y||^2 + sum_{j>p} (Q'y)_j^2, and the
+    coefficients solve the leading (p + 1) x (p + 1) block of R.  The
+    design's rank is read from the singular values of R, which are X's,
+    by ``np.linalg.lstsq``'s rule (s > eps max(rows, columns) s_max); a
+    smaller order's design is a leading block of columns, so it is
+    singular only if the largest one is.
+
     Raises:
         ValueError: series shorter than max_order + 3, or a singular
             design matrix (constant series).
     """
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("series must be one-dimensional")
+    (model,) = _fit_rows(np.asarray(series, dtype=float)[None], max_order, criterion)
+    if model is None:
+        raise ValueError("singular design matrix (constant series?)")
+    return model
+
+
+def _fit_rows(Y: np.ndarray, max_order: int, criterion: str) -> list[ARModel | None]:
+    """``fit_ar`` of every row of the (B, T) array Y in one batched QR;
+    None for a row whose design is singular.  A row's model has the same
+    bits whichever rows it is fitted with."""
     if criterion not in ("aicc", "fixed"):
         raise ValueError(f"unknown criterion {criterion!r}")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if y.size <= max_order + 2:
-        raise ValueError(
-            f"series of length {y.size} too short for max_order={max_order}"
-        )
-
+    if Y.ndim != 2:
+        raise ValueError("series must be one-dimensional")
+    B, T = Y.shape
+    if T <= max_order + 2:
+        raise ValueError(f"series of length {T} too short for max_order={max_order}")
     t0 = max_order  # common sample so AICc values are comparable
-    T_eff = y.size - t0
+    T_eff = T - t0
     if criterion == "fixed":
         orders = [max_order]
     else:  # p = 0 plus every order whose AICc is defined
         orders = [p for p in range(max_order + 1) if p == 0 or T_eff - p - 3 > 0]
+    top = orders[-1]
+    if T_eff < top + 1:  # fewer rows than coefficients: rank-deficient
+        return [None] * B
+    X = np.empty((B, T_eff, top + 1))
+    X[:, :, 0] = 1.0
+    for lag in range(1, top + 1):
+        X[:, :, lag] = Y[:, t0 - lag : T - lag]
+    target = Y[:, t0:, None]
+    Q, R = np.linalg.qr(X)
+    qty = np.matmul(Q.transpose(0, 2, 1), target)
+    rss_full = np.sum((target - Q @ qty)[:, :, 0] ** 2, axis=1)
+    # sigma2[:, p] = RSS_p / T_eff, RSS_p = rss_full + sum_{j>p} qty_j^2
+    tail = np.cumsum(qty[:, :0:-1, 0] ** 2, axis=1)[:, ::-1]
+    sigma2 = (rss_full[:, None] + np.pad(tail, ((0, 0), (0, 1)))) / T_eff
+    s = np.linalg.svd(R, compute_uv=False)
+    singular = s[:, -1] <= np.finfo(float).eps * T_eff * s[:, 0]
 
-    best: tuple[float, int, np.ndarray, float] | None = None
-    for p in orders:
-        X, target = _lagged_design(y, p, t0)
-        beta, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
-        if rank < p + 1:
-            raise ValueError(
-                f"singular design matrix at order {p} (constant series?)"
-            )
-        rss = float(np.sum((target - X @ beta) ** 2))
-        sigma2 = rss / T_eff
-        if T_eff - p - 3 <= 0:
-            aicc = np.inf
-        else:
-            aicc = T_eff * np.log(max(sigma2, 1e-300)) + (
-                2.0 * (p + 2) * T_eff / (T_eff - p - 3)
-            )
-        if best is None or aicc < best[0] - 1e-12:
-            best = (aicc, p, beta, sigma2)
+    best, choice = np.full(B, np.inf), np.full(B, orders[0])
+    for p in orders:  # an order with no AICc is never better
+        if T_eff - p - 3 > 0:
+            aicc = T_eff * np.log(np.maximum(sigma2[:, p], 1e-300)) + (
+                2.0 * (p + 2) * T_eff / (T_eff - p - 3))
+            better = aicc < best - 1e-12
+            best, choice = np.where(better, aicc, best), np.where(better, p, choice)
 
-    assert best is not None
-    _, p, beta, sigma2 = best
-    return ARModel(
-        order=p,
-        coefficients=beta[1:],
-        intercept=float(beta[0]),
-        innovation_variance=sigma2,
-    )
+    models: list[ARModel | None] = [None] * B
+    for p in np.unique(choice[~singular]):
+        rows = np.flatnonzero((choice == p) & ~singular)
+        beta = np.linalg.solve(R[rows, : p + 1, : p + 1], qty[rows, : p + 1])[:, :, 0]
+        for r, b in zip(rows, beta):
+            models[r] = ARModel(int(p), b[1:], float(b[0]), float(sigma2[r, p]))
+    return models
 
 
 def forecast(model: ARModel, history: np.ndarray, h: int) -> np.ndarray:
@@ -124,23 +138,38 @@ def simulate_path(
     Deterministic given the shocks; with zero shocks this is the point
     forecast.  ``history`` must hold at least ``order`` values.
     """
-    y = np.asarray(history, dtype=float)
     e = np.asarray(shocks, dtype=float)
     if e.ndim not in (1, 2) or e.shape[-1] != h:
         raise ValueError(f"shocks must have shape ({h},) or (L, {h})")
-    p = model.order
-    if y.size < p:
-        raise ValueError(f"history of length {y.size} < order {p}")
-    E = np.atleast_2d(e)
-    buf = np.empty((E.shape[0], p + h))
-    buf[:, :p] = y[y.size - p :]
-    phi = model.coefficients
-    for step in range(h):
-        val = model.intercept + E[:, step]
-        for lag in range(1, p + 1):
-            val = val + phi[lag - 1] * buf[:, p + step - lag]
-        buf[:, p + step] = val
-    return buf[:, p:] if e.ndim == 2 else buf[0, p:]
+    paths = _simulate_paths([model], [history], np.atleast_2d(e)[None])[0]
+    return paths if e.ndim == 2 else paths[0]
+
+
+def _simulate_paths(models, histories, shocks: np.ndarray) -> np.ndarray:
+    """``simulate_path`` of B models at once: the (B, L, h) shocks give
+    the (B, L, h) paths.  The models of one order run as one stacked
+    recursion, in ``simulate_path``'s operations, so each path has the
+    bits it has alone."""
+    B, L, h = shocks.shape
+    orders = np.array([model.order for model in models], dtype=int)
+    out = np.empty((B, L, h))
+    for p in np.unique(orders):
+        rows = np.flatnonzero(orders == p)
+        buf = np.empty((rows.size, L, p + h))
+        for j, r in enumerate(rows):
+            y = np.asarray(histories[r], dtype=float)
+            if y.size < p:
+                raise ValueError(f"history of length {y.size} < order {p}")
+            buf[j, :, :p] = y[y.size - p :]
+        phi = np.array([models[r].coefficients for r in rows]).reshape(rows.size, p, 1)
+        intercept = np.array([models[r].intercept for r in rows])[:, None]
+        for step in range(h):
+            val = intercept + shocks[rows, :, step]
+            for lag in range(1, p + 1):
+                val = val + phi[:, lag - 1] * buf[:, :, p + step - lag]
+            buf[:, :, p + step] = val
+        out[rows] = buf[:, :, p:]
+    return out
 
 
 def fitted_multistep(model: ARModel, series: np.ndarray, h: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ctreco.covariance import CovarianceMatrix
 from ctreco.hierarchy import CrossTemporalStructure
-from ctreco.models import ARModel, simulate_path
+from ctreco.models import ARModel, _simulate_paths
 from ctreco.reconcile import ReconciliationMap, reconcile_point
 from ctreco.residuals import ResidualSet
 
@@ -161,16 +161,29 @@ def ctjb_sample(
         raise ValueError("empty residual set")
     rng = np.random.default_rng(seed)
     taus = rng.integers(0, N, size=L)
-    draws = np.empty((L, st.dim))
-    for i in range(st.n):
-        for k in st.te.factors:
-            block = residuals.block(i, k)  # (N, M_k)
-            draws[:, st.block_slice(i, k)] = simulate_path(
-                models[(i, k)], histories[(i, k)], block.shape[1], block[taus]
-            )
+    draws = _stacked_paths(st, models, histories, residuals.E[taus])
     return ForecastSample(
         structure=st, draws=draws, coherent=False, provenance="ctjb"
     )
+
+
+def _stacked_paths(structure, models, histories, shocks: np.ndarray) -> np.ndarray:
+    """Simulated paths of every (series, order) model, one most-aggregated
+    period past its history, driven by the (L, dim) ``shocks`` and laid
+    out as they are; zero shocks give the point forecasts.  Each temporal
+    order's models run in one batched recursion, each path with the bits
+    ``simulate_path`` gives it."""
+    st = structure
+    out = np.empty(shocks.shape)
+    for k in st.te.factors:
+        keys = [(i, k) for i in range(st.n)]
+        cols = st.te.offset_of(k) + np.arange(st.te.periods_at(k))
+        idx = st.cell_indices(range(st.n), cols)  # (n, M_k)
+        paths = _simulate_paths([models[key] for key in keys],
+                                [histories[key] for key in keys],
+                                shocks[:, idx].transpose(1, 0, 2))
+        out[:, idx] = paths.transpose(1, 0, 2)
+    return out
 
 
 def reconcile_sample(

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from ctreco.hierarchy import CrossTemporalStructure, temporally_aggregate
-from ctreco.models import ARModel, _fitted_horizons, fit_ar
+from ctreco.models import ARModel, _fit_rows, _fitted_horizons
 
 __all__ = [
     "ResidualSet",
@@ -157,11 +157,25 @@ def fit_level_models(
     max_order: int = 5,
     criterion: str = "aicc",
 ) -> dict[LevelKey, ARModel]:
-    """Fit one AR model per (series, order) series."""
-    return {
-        key: fit_ar(series, max_order=max_order, criterion=criterion)
-        for key, series in data.items()
-    }
+    """Fit one AR model per (series, order) series as ``fit_ar`` does,
+    with the same bits, the series of one length (one temporal order's)
+    in one batched QR.
+
+    Raises:
+        ValueError: as ``fit_ar``, once, naming every singular (series, order).
+    """
+    by_length: dict[int, list[LevelKey]] = {}
+    for key, series in data.items():
+        by_length.setdefault(np.size(series), []).append(key)
+    fitted = {}
+    for keys in by_length.values():
+        Y = np.array([data[key] for key in keys], dtype=float)
+        fitted.update(zip(keys, _fit_rows(Y, max_order, criterion)))
+    singular = [key for key in data if fitted[key] is None]
+    if singular:
+        raise ValueError(f"singular design matrix (constant series?) at "
+                         f"(series, order) {', '.join(map(str, singular))}")
+    return {key: fitted[key] for key in data}
 
 
 def _check_inputs(structure, models, data):

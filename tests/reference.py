@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 Each one is a slower or differently built form of a package routine:
-the cross-temporal summation and constraint matrices built dense, a
+the AR fit as one least-squares solve per candidate order, the AR
+recursion of one model at a time, the cross-temporal summation and
+constraint matrices built dense, a
 window stacked series by series and order by order, the
 commutation matrix as a dense d x d matrix, the shrinkage intensity
 from d x d products, a residual set's one-step rows of one order stacked
@@ -36,6 +38,7 @@ from ctreco.hierarchy import (
     build_temporal,
     temporally_aggregate,
 )
+from ctreco.models import ARModel
 from ctreco.reconcile import ReconciliationMap, _checked_cho_factor, bottom_up
 from ctreco.residuals import ResidualSet, _check_inputs, overlapping_series
 
@@ -393,6 +396,61 @@ def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None)
         out = b_hf.reshape(-1, st.bottom_dim) @ st.summation.T
     return out[0] if single else out
 
+
+
+def fit_ar_lstsq(series, max_order, criterion="aicc") -> ARModel:
+    """``fit_ar`` with one ``np.linalg.lstsq`` per candidate order on its
+    own design, taking the rank from ``lstsq`` and raising at the first
+    singular order."""
+    y = np.asarray(series, dtype=float)
+    if criterion not in ("aicc", "fixed"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if y.size <= max_order + 2:
+        raise ValueError(f"series of length {y.size} too short")
+    t0 = max_order
+    T_eff = y.size - t0
+    if criterion == "fixed":
+        orders = [max_order]
+    else:
+        orders = [p for p in range(max_order + 1) if p == 0 or T_eff - p - 3 > 0]
+    best = None
+    for p in orders:
+        X = np.empty((T_eff, p + 1))
+        X[:, 0] = 1.0
+        for lag in range(1, p + 1):
+            X[:, lag] = y[t0 - lag : y.size - lag]
+        target = y[t0:]
+        beta, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
+        if rank < p + 1:
+            raise ValueError(f"singular design matrix at order {p} (constant series?)")
+        sigma2 = float(np.sum((target - X @ beta) ** 2)) / T_eff
+        if T_eff - p - 3 <= 0:
+            aicc = np.inf
+        else:
+            aicc = T_eff * np.log(max(sigma2, 1e-300)) + (
+                2.0 * (p + 2) * T_eff / (T_eff - p - 3)
+            )
+        if best is None or aicc < best[0] - 1e-12:
+            best = (aicc, p, beta, sigma2)
+    _, p, beta, sigma2 = best
+    return ARModel(order=p, coefficients=beta[1:], intercept=float(beta[0]),
+                   innovation_variance=sigma2)
+
+
+def simulate_path_loop(model, history, h, shocks) -> np.ndarray:
+    """``simulate_path`` of one model, its paths run side by side as the
+    rows of an (L, h) shock block and its lags summed one at a time."""
+    y = np.asarray(history, dtype=float)
+    E = np.atleast_2d(np.asarray(shocks, dtype=float))
+    p = model.order
+    buf = np.empty((E.shape[0], p + h))
+    buf[:, :p] = y[y.size - p :]
+    for step in range(h):
+        val = model.intercept + E[:, step]
+        for lag in range(1, p + 1):
+            val = val + model.coefficients[lag - 1] * buf[:, p + step - lag]
+        buf[:, p + step] = val
+    return buf[:, p:]
 
 
 def fitted_multistep_loop(model, series, h) -> np.ndarray:

@@ -539,6 +539,25 @@ class TestPipelineCommand:
         names = ["pipeline_report.csv", "manifest.json"]
         assert capsys.readouterr().out == "".join(f"{out / n}\n" for n in names)
 
+    def test_a_constant_series_exits_2_naming_it(self, toy_files, capsys):
+        # C constant: every temporal order of series 2 has a singular
+        # design, and the one error names them all
+        rng = np.random.default_rng(3)
+        b = 30.0 + np.cumsum(rng.normal(size=80)) * 0.1
+        data = toy_files["tmp"] / "constant.csv"
+        rows = "".join(f"{x + 5.0:.17g},{x:.17g},5.0\n" for x in b)
+        data.write_text("A,B,C\n" + rows)
+        rc = run(
+            ["--output-dir", toy_files["tmp"] / "pipe_const", "pipeline", data,
+             "--hierarchy", toy_files["hierarchy"], "--methods", "base,ct-bu",
+             "--samplers", "ctjb", "--L", 20, "--first-window", 30,
+             "--max-order", 2]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "singular" in err and "(2, 2), (2, 1)" in err
+        assert "(0, " not in err and "(1, " not in err
+
     def test_rerun_byte_identical(self, toy_files):
         texts = []
         for name in ("p1", "p2"):

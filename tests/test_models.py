@@ -14,7 +14,8 @@ from ctreco.models import (
     forecast,
     simulate_path,
 )
-from reference import fitted_multistep_loop
+from ctreco.residuals import fit_level_models
+from reference import fit_ar_lstsq, fitted_multistep_loop, simulate_path_loop
 
 
 def simulate_ar2(rng, phi, sigma, T, burn=200):
@@ -25,7 +26,92 @@ def simulate_ar2(rng, phi, sigma, T, burn=200):
     return y[burn:]
 
 
+def stationary_ar(pacf):
+    """AR coefficients of the partial autocorrelations ``pacf`` (each in
+    (-1, 1), so the process is stationary), by Durbin-Levinson."""
+    phi = np.zeros(0)
+    for a in pacf:
+        phi = np.append(phi - a * phi[::-1], a)
+    return phi
+
+
+@hst.composite
+def ar_batches(draw):
+    """Equal-length stationary AR series with their own orders, levels and
+    scales, a max_order and a criterion; lengths reach the 8-10 series
+    whose larger orders have no AICc or too few rows."""
+    T = draw(hst.one_of(hst.integers(8, 10), hst.integers(11, 120)))
+    B = draw(hst.integers(1, 6))
+    max_order = draw(hst.integers(0, 5))
+    criterion = draw(hst.sampled_from(["aicc", "fixed"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    Y = np.empty((B, T))
+    for b in range(B):
+        phi = stationary_ar(rng.uniform(-0.9, 0.9, size=rng.integers(0, 6)))
+        e = rng.normal(size=T + 100)
+        y = np.zeros(T + 100)
+        for t in range(phi.size, T + 100):
+            y[t] = e[t] + phi @ y[t - phi.size : t][::-1]
+        Y[b] = rng.uniform(-10.0, 10.0) + rng.uniform(0.1, 10.0) * y[100:]
+    return Y, max_order, criterion
+
+
 class TestFitAr:
+    @given(batch=ar_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_lstsq_oracle_and_the_batch_fit(self, batch):
+        # one QR per batch gives the per-order lstsq fits: the same order,
+        # coefficients and variance to 1e-10 relative (the variance of an
+        # exact fit, T - max_order = p + 1 rows, to 1e-10 of the series'
+        # mean square), and a series has the same bits in a batch as alone
+        Y, max_order, criterion = batch
+        data = {(i, 1): y for i, y in enumerate(Y)}
+        try:
+            want = [fit_ar_lstsq(y, max_order, criterion) for y in Y]
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                fit_level_models(data, max_order, criterion)
+            return
+        batched = fit_level_models(data, max_order, criterion)
+        for i, y in enumerate(Y):
+            got, ref, alone = batched[(i, 1)], want[i], fit_ar(y, max_order, criterion)
+            assert got.order == ref.order
+            b_got = np.r_[got.intercept, got.coefficients]
+            b_ref = np.r_[ref.intercept, ref.coefficients]
+            assert np.max(np.abs(b_got - b_ref)) <= 1e-10 * np.max(np.abs(b_ref))
+            floor = 1e-10 * np.mean(y**2)
+            gap = abs(got.innovation_variance - ref.innovation_variance)
+            assert gap <= 1e-10 * max(ref.innovation_variance, floor)
+            assert alone.order == got.order
+            assert alone.intercept == got.intercept
+            assert alone.innovation_variance == got.innovation_variance
+            np.testing.assert_array_equal(alone.coefficients, got.coefficients)
+
+    @pytest.mark.parametrize("y,max_order,criterion,match", [
+        (np.full(50, 3.0), 2, "aicc", "singular"),  # constant
+        (np.full(50, 3.0), 2, "fixed", "singular"),
+        (np.arange(9.0) ** 2, 5, "fixed", "singular"),  # 4 rows, 6 coefficients
+        (np.arange(7.0) ** 2, 5, "aicc", "too short"),
+    ])
+    def test_degenerate_inputs_raise_alone_and_in_a_batch(
+            self, y, max_order, criterion, match):
+        noise = np.random.default_rng(8).normal(size=y.size)
+        for fit in (
+            lambda: fit_ar_lstsq(y, max_order, criterion),
+            lambda: fit_ar(y, max_order, criterion),
+            lambda: fit_level_models({(0, 1): noise, (1, 1): y}, max_order, criterion),
+        ):
+            with pytest.raises(ValueError, match=match):
+                fit()
+
+    def test_one_error_names_every_singular_series_and_order(self):
+        rng = np.random.default_rng(9)
+        data = {(i, k): rng.normal(size=24 // k) for i in range(3) for k in (2, 1)}
+        data[(1, 2)] = np.ones(12)
+        data[(2, 1)] = np.full(24, 7.0)
+        with pytest.raises(ValueError, match=r"singular.*\(1, 2\), \(2, 1\)$"):
+            fit_level_models(data, max_order=2)
+
     def test_recovers_ar2_coefficients(self):
         # tolerance from the sampling spread of the OLS estimator at T=1000
         rng = np.random.default_rng(42)

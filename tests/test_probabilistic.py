@@ -8,7 +8,8 @@ from hypothesis import strategies as hst
 
 from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
-from ctreco.models import ARModel, simulate_path
+from ctreco.evaluate import base_forecasts
+from ctreco.models import ARModel, forecast, simulate_path
 from ctreco.probabilistic import (
     ForecastSample,
     GaussianForecast,
@@ -19,7 +20,7 @@ from ctreco.probabilistic import (
 )
 from ctreco.reconcile import build_projection, reconcile_point
 from ctreco.residuals import ResidualSet
-from reference import unshrunk_blocks
+from reference import simulate_path_loop, unshrunk_blocks
 
 UNSHRUNK = ("sam", "hb", "h", "b")
 
@@ -272,6 +273,38 @@ class TestCtjb:
             np.testing.assert_allclose(
                 s.draws[ell], candidates[taus[ell]], atol=1e-12
             )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_recursion_has_the_per_series_bits(self, seed):
+        # each temporal order's models, of mixed AR orders 0-5, run as one
+        # batch: the point forecasts and the bootstrap paths must equal the
+        # per-series forecast / simulate_path results and the one-model
+        # reference loop bit for bit
+        cs = build_cross_sectional(np.array([[1.0] * 5, [1.0, 1.0, 0.0, 0.0, 0.0]]))
+        st = build_cross_temporal(cs, build_temporal(4))
+        rng = np.random.default_rng(seed)
+        models, histories = {}, {}
+        for i in range(st.n):
+            for k in st.te.factors:
+                p = int(rng.integers(0, 6))
+                models[(i, k)] = ARModel(p, rng.uniform(-0.5, 0.5, p),
+                                         float(rng.normal()), 1.0)
+                histories[(i, k)] = rng.normal(size=8)
+        residuals = ResidualSet(st, rng.normal(size=(6, st.dim)), "one_step")
+        L = 30
+        xhat = base_forecasts(st, models, histories)
+        draws = ctjb_sample(st, models, histories, residuals, L=L, seed=seed).draws
+        taus = np.random.default_rng(seed).integers(0, 6, size=L)
+        for (i, k), model in models.items():
+            h, sl = st.te.periods_at(k), st.block_slice(i, k)
+            shocks = residuals.block(i, k)[taus]
+            point = simulate_path_loop(model, histories[(i, k)], h, np.zeros(h))[0]
+            y = histories[(i, k)]
+            np.testing.assert_array_equal(xhat[sl], point)
+            np.testing.assert_array_equal(xhat[sl], forecast(model, y, h))
+            paths = simulate_path_loop(model, y, h, shocks)
+            np.testing.assert_array_equal(draws[:, sl], paths)
+            np.testing.assert_array_equal(draws[:, sl], simulate_path(model, y, h, shocks))
 
     def test_bit_reproducible(self):
         st = semi_annual()
