@@ -141,8 +141,8 @@ def simulate_path(
     e = np.asarray(shocks, dtype=float)
     if e.ndim not in (1, 2) or e.shape[-1] != h:
         raise ValueError(f"shocks must have shape ({h},) or (L, {h})")
-    paths = _simulate_paths([model], [history], np.atleast_2d(e)[None])[0]
-    return paths if e.ndim == 2 else paths[0]
+    paths = _simulate_paths([model], [history], e.reshape(1, -1, h))
+    return paths[0] if e.ndim == 2 else paths[0, 0]
 
 
 def _simulate_paths(models, histories, shocks: np.ndarray) -> np.ndarray:
@@ -151,24 +151,27 @@ def _simulate_paths(models, histories, shocks: np.ndarray) -> np.ndarray:
     recursion, in ``simulate_path``'s operations, so each path has the
     bits it has alone."""
     B, L, h = shocks.shape
-    orders = np.array([model.order for model in models], dtype=int)
+    groups: dict[int, list[int]] = {}
+    for r, model in enumerate(models):
+        groups.setdefault(model.order, []).append(r)
     out = np.empty((B, L, h))
-    for p in np.unique(orders):
-        rows = np.flatnonzero(orders == p)
-        buf = np.empty((rows.size, L, p + h))
+    for p, rows in groups.items():
+        buf = np.empty((len(rows), L, p + h))
         for j, r in enumerate(rows):
             y = np.asarray(histories[r], dtype=float)
             if y.size < p:
                 raise ValueError(f"history of length {y.size} < order {p}")
             buf[j, :, :p] = y[y.size - p :]
-        phi = np.array([models[r].coefficients for r in rows]).reshape(rows.size, p, 1)
+        sel = slice(None) if len(rows) == B else rows  # one order: no copies
+        E = shocks[sel]
+        phi = np.array([models[r].coefficients for r in rows]).reshape(len(rows), p, 1)
         intercept = np.array([models[r].intercept for r in rows])[:, None]
         for step in range(h):
-            val = intercept + shocks[rows, :, step]
+            val = intercept + E[:, :, step]
             for lag in range(1, p + 1):
                 val = val + phi[:, lag - 1] * buf[:, :, p + step - lag]
             buf[:, :, p + step] = val
-        out[rows] = buf[:, :, p:]
+        out[sel] = buf[:, :, p:]
     return out
 
 
