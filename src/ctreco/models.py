@@ -141,20 +141,20 @@ def simulate_path(
     e = np.asarray(shocks, dtype=float)
     if e.ndim not in (1, 2) or e.shape[-1] != h:
         raise ValueError(f"shocks must have shape ({h},) or (L, {h})")
-    paths = _simulate_paths([model], [history], e.reshape(1, -1, h))
+    E = e.reshape(1, -1, h)
+    paths = _simulate_paths([model], [history], E, np.empty(E.shape))
     return paths[0] if e.ndim == 2 else paths[0, 0]
 
 
-def _simulate_paths(models, histories, shocks: np.ndarray) -> np.ndarray:
+def _simulate_paths(models, histories, shocks, out: np.ndarray) -> np.ndarray:
     """``simulate_path`` of B models at once: the (B, L, h) shocks give
-    the (B, L, h) paths.  The models of one order run as one stacked
-    recursion, in ``simulate_path``'s operations, so each path has the
-    bits it has alone."""
+    the paths, written into ``out`` (B, L, h), any view, and returned.
+    The models of one order run as one stacked recursion, in
+    ``simulate_path``'s operations, so each path has its bits alone."""
     B, L, h = shocks.shape
     groups: dict[int, list[int]] = {}
     for r, model in enumerate(models):
         groups.setdefault(model.order, []).append(r)
-    out = np.empty((B, L, h))
     for p, rows in groups.items():
         buf = np.empty((len(rows), L, p + h))
         for j, r in enumerate(rows):

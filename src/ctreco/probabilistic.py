@@ -161,29 +161,29 @@ def ctjb_sample(
         raise ValueError("empty residual set")
     rng = np.random.default_rng(seed)
     taus = rng.integers(0, N, size=L)
-    draws = _stacked_paths(st, models, histories, residuals.E[taus])
+    draws = _stacked_paths(st, models, histories, residuals.E, taus)
     return ForecastSample(
         structure=st, draws=draws, coherent=False, provenance="ctjb"
     )
 
 
-def _stacked_paths(structure, models, histories, shocks: np.ndarray) -> np.ndarray:
+def _stacked_paths(structure, models, histories, shocks, rows=slice(None)):
     """Simulated paths of every (series, order) model, one most-aggregated
-    period past its history, driven by the (L, dim) ``shocks`` and laid
-    out as they are; zero shocks give the point forecasts.  Each temporal
-    order's models run in one batched recursion, each path with the bits
-    ``simulate_path`` gives it."""
+    period past its history, driven by the ``rows`` of the (N, dim)
+    ``shocks`` in the stacked layout and laid out as they are; zero shocks
+    give the point forecasts.  Each temporal order's models run in one
+    batched recursion, each path with the bits ``simulate_path`` gives it,
+    written straight into the result."""
     st = structure
-    out = np.empty(shocks.shape)
+    E = np.reshape(shocks, (-1, st.n, st.te.dim))  # (period, series, cell)
+    out = np.empty((np.arange(E.shape[0])[rows].size, st.n, st.te.dim))
     for k in st.te.factors:
+        cols = slice(st.te.offset_of(k), st.te.offset_of(k) + st.te.periods_at(k))
         keys = [(i, k) for i in range(st.n)]
-        cols = st.te.offset_of(k) + np.arange(st.te.periods_at(k))
-        idx = st.cell_indices(range(st.n), cols)  # (n, M_k)
-        paths = _simulate_paths([models[key] for key in keys],
-                                [histories[key] for key in keys],
-                                shocks[:, idx].transpose(1, 0, 2))
-        out[:, idx] = paths.transpose(1, 0, 2)
-    return out
+        _simulate_paths([models[key] for key in keys], [histories[key] for key in keys],
+                        E[rows, :, cols].transpose(1, 0, 2),
+                        out[:, :, cols].transpose(1, 0, 2))
+    return out.reshape(-1, st.dim)
 
 
 def reconcile_sample(
