@@ -6,9 +6,12 @@ forecasts, and shock-driven path simulation.  Callers with their own
 forecasting stack can skip this module and supply base forecasts and
 residuals directly.
 
-Equal-length series are fitted by one stacked QR, and models of one AR
-order run the recursion as one stack; ``fit_ar`` and ``simulate_path``
-are the one-series cases, so a series has the same bits in a batch.
+Equal-length series are fitted by one stacked QR.  One recursion,
+``_simulate_paths``, runs equal-length series from any origins with any
+shocks: forecasts, simulated paths, in-sample fitted values and the
+residuals are all its zero- or resampled-shock paths, and models of one
+AR order run in it as one stack.  ``fit_ar`` and ``simulate_path`` are
+the one-series cases, so a series has the same bits in a batch.
 """
 
 from __future__ import annotations
@@ -141,37 +144,38 @@ def simulate_path(
     e = np.asarray(shocks, dtype=float)
     if e.ndim not in (1, 2) or e.shape[-1] != h:
         raise ValueError(f"shocks must have shape ({h},) or (L, {h})")
-    E = e.reshape(1, -1, h)
-    paths = _simulate_paths([model], [history], E, np.empty(E.shape))
+    y, E = np.asarray(history, dtype=float).reshape(1, -1), e.reshape(1, -1, h)
+    paths = _simulate_paths([model], y, np.full(E.shape[1], y.size), E, np.empty(E.shape))
     return paths[0] if e.ndim == 2 else paths[0, 0]
 
 
-def _simulate_paths(models, histories, shocks, out: np.ndarray) -> np.ndarray:
-    """``simulate_path`` of B models at once: the (B, L, h) shocks give
-    the paths, written into ``out`` (B, L, h), any view, and returned.
-    The models of one order run as one stacked recursion, in
-    ``simulate_path``'s operations, so each path has its bits alone."""
+def _simulate_paths(models, Y, origins, shocks, out: np.ndarray) -> np.ndarray:
+    """The AR recursion of B models, one per row of the (B, T) series Y,
+    from one origin per path: path l of row b starts after Y[b, :o] with
+    o = ``origins[l]``, so its lags are Y[b, o - p : o], and takes its h
+    shocks from ``shocks[b, l]``.  The (B, L, h) paths are written into
+    ``out``, any view, and returned.  The models of one order run as one
+    stacked recursion, so each path has the bits it has alone."""
     B, L, h = shocks.shape
     groups: dict[int, list[int]] = {}
     for r, model in enumerate(models):
         groups.setdefault(model.order, []).append(r)
     for p, rows in groups.items():
-        buf = np.empty((len(rows), L, p + h))
-        for j, r in enumerate(rows):
-            y = np.asarray(histories[r], dtype=float)
-            if y.size < p:
-                raise ValueError(f"history of length {y.size} < order {p}")
-            buf[j, :, :p] = y[y.size - p :]
+        if L and origins.min() < p:
+            raise ValueError(f"history of length {origins.min()} < order {p}")
         sel = slice(None) if len(rows) == B else rows  # one order: no copies
+        # (row, lag or step, path): each step's values are contiguous
+        buf = np.empty((len(rows), p + h, L))
+        buf[:, :p] = Y[sel].take(np.arange(-p, 0)[:, None] + origins, axis=1)
         E = shocks[sel]
         phi = np.array([models[r].coefficients for r in rows]).reshape(len(rows), p, 1)
         intercept = np.array([models[r].intercept for r in rows])[:, None]
         for step in range(h):
             val = intercept + E[:, :, step]
             for lag in range(1, p + 1):
-                val = val + phi[:, lag - 1] * buf[:, :, p + step - lag]
-            buf[:, :, p + step] = val
-        out[sel] = buf[:, :, p:]
+                val = val + phi[:, lag - 1] * buf[:, p + step - lag]
+            buf[:, p + step] = val
+        out[sel] = buf[:, p:].transpose(0, 2, 1)
     return out
 
 
@@ -190,29 +194,7 @@ def fitted_multistep(model: ARModel, series: np.ndarray, h: int) -> np.ndarray:
         raise ValueError("horizon must be >= 1")
     if h > y.size:
         raise ValueError(f"horizon {h} exceeds series length {y.size}")
-    return _fitted_horizons(model, y, h)[h - 1]
-
-
-def _fitted_horizons(model: ARModel, y: np.ndarray, H: int) -> np.ndarray:
-    """(H, T) array whose row h - 1 holds ``fitted_multistep(model, y, h)``.
-
-    Row h - 1 depends only on the rows above it, so its bits do not depend
-    on H.  ``y`` is a one-dimensional series with 1 <= H <= its length.
-    """
-    p = model.order
-    T = y.size
-    # preds[s - 1, t] = prediction of y[t] from origin t - s, built by
-    # chaining the recursion: lags reaching back to the origin or earlier
-    # use observed values, nearer lags use already-computed predictions
-    # from the same origin.  Entries before a lag's first source value
-    # fall in the NaN prefix set below, so they are left unset.
-    preds = np.empty((H, T))
-    for step in range(1, H + 1):
-        pred = preds[step - 1]
-        pred[:] = model.intercept
-        for lag in range(1, min(p + 1, T)):  # a lag >= T reaches no entry
-            src = y if lag >= step else preds[step - lag - 1]
-            pred[lag:] += model.coefficients[lag - 1] * src[: T - lag]
-        # the origin t - step must have at least p observations available
-        pred[: min(step + p - 1, T)] = np.nan
-    return preds
+    origins = np.arange(model.order, y.size - h + 1)  # those with p observations
+    shape = (1, origins.size, h)
+    paths = _simulate_paths([model], y[None], origins, np.zeros(shape), np.empty(shape))
+    return np.concatenate([np.full(y.size - origins.size, np.nan), paths[0, :, -1]])

@@ -147,7 +147,8 @@ def ctjb_sample(
     replacement; the residual block of period tau -- the same tau for
     every series and every aggregation order -- supplies the shocks for a
     simulated forecast path of each (series, order) model, one
-    most-aggregated period ahead.
+    most-aggregated period ahead.  The histories of one order must be of
+    one length.
     """
     if L < 1:
         raise ValueError("need at least one draw")
@@ -172,15 +173,21 @@ def _stacked_paths(structure, models, histories, shocks, rows=slice(None)):
     period past its history, driven by the ``rows`` of the (N, dim)
     ``shocks`` in the stacked layout and laid out as they are; zero shocks
     give the point forecasts.  Each temporal order's models run in one
-    batched recursion, each path with the bits ``simulate_path`` gives it,
-    written straight into the result."""
+    batched recursion from the end of their stacked histories, of one
+    length, each path with the bits ``simulate_path`` gives it, written
+    straight into the result."""
     st = structure
     E = np.reshape(shocks, (-1, st.n, st.te.dim))  # (period, series, cell)
     out = np.empty((np.arange(E.shape[0])[rows].size, st.n, st.te.dim))
     for k in st.te.factors:
-        cols = slice(st.te.offset_of(k), st.te.offset_of(k) + st.te.periods_at(k))
+        cols = st.block_slice(0, k)  # order k's cells in each series' block
         keys = [(i, k) for i in range(st.n)]
-        _simulate_paths([models[key] for key in keys], [histories[key] for key in keys],
+        lengths = [np.size(histories[key]) for key in keys]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"histories of order {k} differ in length: {lengths}")
+        _simulate_paths([models[key] for key in keys],
+                        np.array([histories[key] for key in keys], dtype=float),
+                        np.full(out.shape[0], lengths[0]),
                         E[rows, :, cols].transpose(1, 0, 2),
                         out[:, :, cols].transpose(1, 0, 2))
     return out.reshape(-1, st.dim)

@@ -21,10 +21,11 @@ Three kinds are produced:
 All three come from one window kernel.  A window is a most-aggregated
 period's worth of values starting at some highest-frequency time; its
 row holds, for every (series, order) block, the gap between each value
-and its fitted value at that horizon, read from one all-horizon fitted
-array per block.  Multi-step residuals use the unshifted windows, one per
-period; overlapping ones every shift of them; one-step ones the unshifted
-windows with the one-step fitted value at every horizon.  Windows whose
+and its fitted value: the zero-shock AR path of ``models._simulate_paths``
+from the window's origin (multi-step) or from the value's own origin
+(one-step), run for every series of an order at once.  Multi-step
+residuals use the unshifted windows, one per period; overlapping ones
+every shift of them; one-step ones the unshifted windows.  Windows whose
 origin lacks enough history for some fitted model are dropped before any
 cell is read, so that E stays rectangular and time-aligned across blocks.
 
@@ -39,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ctreco.hierarchy import CrossTemporalStructure, temporally_aggregate
-from ctreco.models import ARModel, _fit_rows, _fitted_horizons
+from ctreco.hierarchy import CrossTemporalStructure
+from ctreco.models import ARModel, _fit_rows, _simulate_paths
 
 __all__ = [
     "ResidualSet",
@@ -114,12 +115,12 @@ class ResidualSet:
         computed once per residual set and is read-only.
         """
         st = self.structure
-        diag = np.empty(st.dim)
-        for i in range(st.n):
-            for k in st.te.factors:
-                block = self.block(i, k)
-                vals = block.reshape(-1) if self.kind == "one_step" else block[:, 0]
-                diag[st.block_slice(i, k)] = np.mean(vals**2)
+        diag = np.empty((st.n, st.te.dim))
+        for k in st.te.factors:
+            # one contiguous row per series: each mean sums as a 1-D one
+            rows = np.ascontiguousarray(self.h1_matrix(k).T)
+            diag[:, st.block_slice(0, k)] = np.mean(rows**2, axis=1)[:, None]
+        diag = diag.reshape(-1)
         diag.flags.writeable = False
         return diag
 
@@ -145,11 +146,14 @@ def aggregate_levels(
         raise ValueError(f"expected {st.n} series, got {n}")
     if T % st.te.m:
         raise ValueError(f"series length {T} not divisible by m={st.te.m}")
-    return {
-        (i, k): temporally_aggregate(hf[i], k)
-        for i in range(n)
-        for k in st.te.factors
-    }
+    sums = {k: _phase_sums(hf, k, 0) for k in st.te.factors}
+    return {(i, k): sums[k][i] for i in range(n) for k in st.te.factors}
+
+
+def _phase_sums(hf: np.ndarray, k: int, s: int) -> np.ndarray:
+    """``overlapping_series(hf[i], k, s)`` of every row i of ``hf``."""
+    n, T = hf.shape
+    return hf[:, s : s + (T - s) // k * k].reshape(n, -1, k).sum(axis=2)
 
 
 def fit_level_models(
@@ -179,20 +183,22 @@ def fit_level_models(
 
 
 def _check_inputs(structure, models, data):
+    """The levels' period count N, checked to hold a model and N m / k values
+    for every (series, order k), and the levels as (k, 0) -> (n, N m / k) array."""
     st = structure
     keys = {(i, k) for i in range(st.n) for k in st.te.factors}
     missing = keys - set(models) | keys - set(data)
     if missing:
         raise ValueError(f"missing models or data for levels: {sorted(missing)}")
-    lengths = {k: data[(0, k)].size for k in st.te.factors}
-    N = lengths[st.te.factors[0]]
+    N = data[(0, st.te.factors[0])].size
     for (i, k), series in data.items():
         if series.size != N * (st.te.m // k):
             raise ValueError(
                 f"series ({i}, {k}) has length {series.size}, expected "
                 f"{N * (st.te.m // k)}"
             )
-    return N
+    return N, {(k, 0): np.array([data[(i, k)] for i in range(st.n)], dtype=float)
+               for k in st.te.factors}
 
 
 def _assemble(structure, models, shifted, shifts, n_periods, kind):
@@ -200,40 +206,39 @@ def _assemble(structure, models, shifted, shifts, n_periods, kind):
     (period, shift) pair with the shift in ``shifts``, by window origin.
 
     The window of period tau and shift s starts at highest-frequency time
-    o = tau m + s.  In the order-k series of shift sk = o % k,
-    ``shifted[(i, k, sk)]`` (of equal length for every series i), its h-th
-    value is element t = o // k + h - 1.  A window is kept when it ends
-    inside the sample and every block's model has its ``order`` values
-    before the window (o >= order k).  Each cell holds x[t] - F[h - 1, t],
-    F being the block's all-horizon fitted values; a ``one_step`` cell
-    reads the h = 1 row at every horizon.
+    o = tau m + s.  In the (n, T) order-k series of phase sk = o % k,
+    ``shifted[(k, sk)]``, its h-th value is column t = o // k + h - 1.  A
+    window is kept when it ends inside the sample and every block's model
+    has its ``order`` values before the window (o >= order k).  Each cell
+    holds x[t] less the zero-shock AR path's value at t: the path of M_k
+    steps from the window's origin o // k, or (``one_step``) of one step
+    from t.  One ``_simulate_paths`` call per (order, phase) runs every
+    series and window of it.
     """
     st = structure
     m = st.te.m
     origins = (np.arange(n_periods)[:, None] * m + np.asarray(shifts)).ravel()
-    history = max(
-        models[(i, k)].order * k for i in range(st.n) for k in st.te.factors
-    )
+    history = max(models[(i, k)].order * k for i in range(st.n) for k in st.te.factors)
     origins = origins[(origins >= history) & (origins <= (n_periods - 1) * m)]
     if origins.size == 0:
         raise ValueError("not enough periods to form any residual row")
-    E = np.empty((origins.size, st.dim))
+    E = np.empty((origins.size, st.n, st.te.dim))  # (row, series, cell)
     for k in st.te.factors:
         Mk = st.te.periods_at(k)
-        horizons = np.zeros(Mk, int) if kind == "one_step" else np.arange(Mk)
+        ms = [models[(i, k)] for i in range(st.n)]
         for sk in {s % k for s in shifts}:
             # a basic slice when every window has this phase: it assigns
             # several times faster than an index array
             rows = (slice(None) if all(s % k == sk for s in shifts)
                     else np.flatnonzero(origins % k == sk))
-            T = shifted[(0, k, sk)].size
-            # flat index of cell (h, row) into the (H, T) residual array
-            cells = (horizons * T + np.arange(Mk))[:, None] + origins[rows] // k
-            for i in range(st.n):
-                x = shifted[(i, k, sk)]
-                F = _fitted_horizons(models[(i, k)], x, horizons[-1] + 1)
-                E[rows, st.block_slice(i, k)] = (x - F).take(cells).T
-    return ResidualSet(structure=st, E=E, kind=kind)
+            X = shifted[(k, sk)]
+            targets = origins[rows, None] // k + np.arange(Mk)  # (window, position)
+            starts, h = (targets.ravel(), 1) if kind == "one_step" else (targets[:, 0], Mk)
+            shape = (st.n, starts.size, h)
+            paths = _simulate_paths(ms, X, starts, np.zeros(shape), np.empty(shape))
+            resid = X.take(targets, axis=1) - paths.reshape(st.n, -1, Mk)
+            E[rows, :, st.block_slice(0, k)] = resid.transpose(1, 0, 2)
+    return ResidualSet(structure=st, E=E.reshape(origins.size, -1), kind=kind)
 
 
 def assemble_multistep(
@@ -243,9 +248,8 @@ def assemble_multistep(
 ) -> ResidualSet:
     """Multi-step residuals: every value of period tau is predicted from
     the end of period tau - 1, at its own horizon."""
-    N = _check_inputs(structure, models, data)
-    shifted = {(i, k, 0): x for (i, k), x in data.items()}
-    return _assemble(structure, models, shifted, (0,), N, "multi_step")
+    N, levels = _check_inputs(structure, models, data)
+    return _assemble(structure, models, levels, (0,), N, "multi_step")
 
 
 def assemble_onestep(
@@ -254,9 +258,8 @@ def assemble_onestep(
     data: dict[LevelKey, np.ndarray],
 ) -> ResidualSet:
     """Ordinary one-step residuals arranged by target time."""
-    N = _check_inputs(structure, models, data)
-    shifted = {(i, k, 0): x for (i, k), x in data.items()}
-    return _assemble(structure, models, shifted, (0,), N, "one_step")
+    N, levels = _check_inputs(structure, models, data)
+    return _assemble(structure, models, levels, (0,), N, "one_step")
 
 
 def overlapping_series(series: np.ndarray, k: int, s: int) -> np.ndarray:
@@ -292,11 +295,7 @@ def assemble_overlapping(
     n, T = hf.shape
     if n != st.n or T % m:
         raise ValueError("hf panel must be (n, T) with m dividing T")
-    shifted = {
-        (i, k, sk): overlapping_series(hf[i], k, sk)
-        for i in range(n)
-        for k in st.te.factors
-        for sk in range(k)
-    }
+    shifted = {(k, sk): _phase_sums(hf, k, sk) for k in st.te.factors
+               for sk in range(k)}
     return _assemble(st, models, shifted, range(m), T // m,
                      "overlapping_multi_step")

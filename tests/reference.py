@@ -4,7 +4,8 @@ Each one is a slower or differently built form of a package routine:
 the AR fit as one least-squares solve per candidate order, the AR
 recursion of one model at a time, the cross-temporal summation and
 constraint matrices built dense, a
-window stacked series by series and order by order, the
+window stacked series by series and order by order, the ``wlsv``
+diagonal block by block, the
 commutation matrix as a dense d x d matrix, the shrinkage intensity
 from d x d products, a residual set's one-step rows of one order stacked
 series by series, ``bdshr`` built
@@ -120,6 +121,19 @@ def h1_matrix_stacked(residuals, k) -> np.ndarray:
     else:
         cols = [residuals.block(i, k)[:, 0] for i in range(st.n)]
     return np.stack(cols, axis=1)
+
+
+def h1_mean_squares_loop(residuals) -> np.ndarray:
+    """``ResidualSet.h1_mean_squares`` as one 1-D mean per (series, order)
+    block."""
+    st = residuals.structure
+    diag = np.empty(st.dim)
+    for i in range(st.n):
+        for k in st.te.factors:
+            block = residuals.block(i, k)
+            vals = block.reshape(-1) if residuals.kind == "one_step" else block[:, 0]
+            diag[st.block_slice(i, k)] = np.mean(vals**2)
+    return diag
 
 
 def bdshr_commuted(structure, residuals, lam=None) -> np.ndarray:
@@ -487,7 +501,7 @@ def _row_offset(structure, models) -> int:
 def assemble_multistep_loop(structure, models, data) -> ResidualSet:
     """Multi-step residuals, one fitted series per (block, horizon)."""
     st = structure
-    N = _check_inputs(st, models, data)
+    N, _ = _check_inputs(st, models, data)
     off = _row_offset(st, models)
     if off >= N:
         raise ValueError("not enough periods to form any residual row")
@@ -506,7 +520,7 @@ def assemble_multistep_loop(structure, models, data) -> ResidualSet:
 def assemble_onestep_loop(structure, models, data) -> ResidualSet:
     """One-step residuals, one block at a time."""
     st = structure
-    N = _check_inputs(st, models, data)
+    N, _ = _check_inputs(st, models, data)
     off = _row_offset(st, models)
     if off >= N:
         raise ValueError("not enough periods to form any residual row")

@@ -8,7 +8,7 @@ from scipy import stats
 
 from ctreco.models import (
     ARModel,
-    _fitted_horizons,
+    _simulate_paths,
     fit_ar,
     fitted_multistep,
     forecast,
@@ -216,10 +216,8 @@ class TestFittedMultistep:
         rng = np.random.default_rng(seed)
         model = ARModel(p, rng.normal(scale=0.6, size=p), rng.normal(), 1.0)
         y = rng.normal(scale=10.0, size=T)
-        F = _fitted_horizons(model, y, H)
         for h in range(1, H + 1):
             fitted = fitted_multistep(model, y, h)
-            assert F[h - 1].tobytes() == fitted.tobytes()
             if p < T:  # the loop raises on some lags past the series end
                 loop = fitted_multistep_loop(model, y, h)
                 assert fitted.tobytes() == loop.tobytes()
@@ -227,7 +225,7 @@ class TestFittedMultistep:
             # ends at the fitted value
             for t in range(h + p - 1, T):
                 path = simulate_path(model, y[: t - h + 1], h, np.zeros(h))
-                assert abs(path[-1] - fitted[t]) <= 1e-12 * max(1.0, abs(path[-1]))
+                assert path[-1:].tobytes() == fitted[t : t + 1].tobytes()
             assert np.isnan(fitted[: min(h + p - 1, T)]).all()
 
     def test_one_step_residuals_white_multistep_not(self):
@@ -315,6 +313,40 @@ class TestSimulatePath:
         for shape in [(2,), (4, 2), (1, 2, 3)]:
             with pytest.raises(ValueError):
                 simulate_path(model, np.array([]), 3, np.zeros(shape))
+
+    @given(seed=hst.integers(0, 2**32 - 1), data=hst.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_paths_match_simulate_path(self, seed, data):
+        # B models of mixed orders 0-5 over a (B, T) panel, each path from
+        # its own origin with its own shocks: every path has the bits of
+        # simulate_path and the one-model loop from that origin's history
+        B, L, h = (data.draw(hst.integers(1, 6)) for _ in range(3))
+        orders = data.draw(hst.lists(hst.integers(0, 5), min_size=B, max_size=B))
+        T = max(orders) + data.draw(hst.integers(0, 8))
+        rng = np.random.default_rng(seed)
+        models = [ARModel(p, rng.uniform(-0.6, 0.6, p), float(rng.normal()), 1.0)
+                  for p in orders]
+        Y = rng.normal(scale=5.0, size=(B, T))
+        origins = rng.integers(max(orders), T + 1, size=L)
+        shocks = rng.normal(size=(B, L, h))
+        out = np.full((B, L, h), np.nan)
+        paths = _simulate_paths(models, Y, origins, shocks, out)
+        assert paths is out
+        for b, model in enumerate(models):
+            for ell, o in enumerate(origins):
+                alone = simulate_path(model, Y[b, :o], h, shocks[b, ell])
+                assert np.array_equal(paths[b, ell], alone)
+                loop = simulate_path_loop(model, Y[b, :o], h, shocks[b, ell])[0]
+                assert np.array_equal(paths[b, ell], loop)
+
+    def test_kernel_rejects_an_origin_short_of_the_order(self):
+        models = [ARModel(0, np.array([]), 0.0, 1.0), ARModel(2, np.ones(2) / 4, 0.0, 1.0)]
+        shocks = np.zeros((2, 3, 2))
+        with pytest.raises(ValueError, match="history of length 1 < order 2"):
+            _simulate_paths(models, np.ones((2, 5)), np.array([4, 1, 5]), shocks,
+                            np.empty(shocks.shape))
+        with pytest.raises(ValueError, match="history of length 1 < order 2"):
+            simulate_path(models[1], np.ones(1), 2, np.zeros(2))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -306,6 +306,16 @@ class TestCtjb:
             np.testing.assert_array_equal(draws[:, sl], paths)
             np.testing.assert_array_equal(draws[:, sl], simulate_path(model, y, h, shocks))
 
+    def test_histories_of_one_order_must_be_of_one_length(self):
+        st = semi_annual()
+        models, histories, residuals = self.toy_inputs(st)
+        histories[(1, 1)] = histories[(1, 1)][1:]
+        lengths = [histories[(i, 1)].size for i in range(st.n)]
+        assert len(set(lengths)) == 2
+        with pytest.raises(ValueError) as raised:
+            ctjb_sample(st, models, histories, residuals, L=4, seed=0)
+        assert str(raised.value) == f"histories of order 1 differ in length: {lengths}"
+
     def test_bit_reproducible(self):
         st = semi_annual()
         models, histories, residuals = self.toy_inputs(st, N=4)

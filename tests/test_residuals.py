@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
+from ctreco.hierarchy import (
+    build_cross_sectional,
+    build_cross_temporal,
+    build_temporal,
+    temporally_aggregate,
+)
 from ctreco.models import ARModel
 from ctreco.residuals import (
     ResidualSet,
+    _phase_sums,
     aggregate_levels,
     assemble_multistep,
     assemble_onestep,
@@ -21,6 +27,7 @@ from reference import (
     assemble_onestep_loop,
     assemble_overlapping_loop,
     h1_matrix_stacked,
+    h1_mean_squares_loop,
 )
 
 
@@ -272,6 +279,60 @@ class TestWindowKernel:
             assert over[::-m][::-1].tobytes() == multi.tobytes()
 
 
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_level_sums_match_the_per_series_functions(self, data, scoring_cases):
+        # the (n, T) sums of one order and phase in one reduction have the
+        # bits of the one-series functions
+        agg, m, _, seed, _, _ = data.draw(scoring_cases)
+        st = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
+        N = data.draw(hst.integers(1, 6))
+        hf = np.random.default_rng(seed).normal(scale=10.0, size=(st.n, N * m))
+        levels = aggregate_levels(st, hf)
+        assert list(levels) == [(i, k) for i in range(st.n) for k in st.te.factors]
+        for (i, k), x in levels.items():
+            assert x.tobytes() == temporally_aggregate(hf[i], k).tobytes()
+        for k in st.te.factors:
+            for s in range(k):
+                sums = _phase_sums(hf, k, s)
+                for i in range(st.n):
+                    assert sums[i].tobytes() == overlapping_series(hf[i], k, s).tobytes()
+
+    def test_one_recursion_per_order_and_phase(self, monkeypatch):
+        # the assemblers and the bootstrap run every series of a temporal
+        # order (and phase) in one call of the AR path kernel
+        import ctreco.probabilistic as probabilistic
+        import ctreco.residuals as residuals
+
+        calls = []
+
+        def recording(models, Y, origins, shocks, out, _real=residuals._simulate_paths):
+            calls.append((len(models), Y.shape))
+            return _real(models, Y, origins, shocks, out)
+
+        monkeypatch.setattr(residuals, "_simulate_paths", recording)
+        monkeypatch.setattr(probabilistic, "_simulate_paths", recording)
+        cs = build_cross_sectional(np.array([[1.0, 1.0, 1.0]]))
+        st = build_cross_temporal(cs, build_temporal(4))
+        hf = simulate_panel(np.random.default_rng(10), st, N=12,
+                            phi=((0.5, 0.2), (0.3, 0.1), (0.6, -0.2)))
+        data = aggregate_levels(st, hf)
+        models = fit_level_models(data, max_order=2, criterion="fixed")
+        per_order = [(st.n, (st.n, 12 * 4 // k)) for k in st.te.factors]
+        sets = {}
+        for assemble in (assemble_onestep, assemble_multistep):
+            calls.clear()
+            sets[assemble] = assemble(st, models, data)
+            assert calls == per_order
+        calls.clear()
+        assemble_overlapping(st, models, hf)
+        assert calls == [(st.n, (st.n, (12 * 4 - s) // k))
+                         for k in st.te.factors for s in range(k)]
+        calls.clear()
+        probabilistic.ctjb_sample(st, models, data, sets[assemble_onestep], L=5, seed=0)
+        assert calls == per_order
+
+
 class TestResidualSetValidation:
     def test_bad_kind(self):
         st = semi_annual_structure()
@@ -300,3 +361,19 @@ class TestResidualSetValidation:
                 h1 = rs.h1_matrix(k)
                 assert h1.flags.c_contiguous
                 assert h1.tobytes() == h1_matrix_stacked(rs, k).tobytes()
+
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_h1_mean_squares_match_the_block_loop(self, data, scoring_cases):
+        # one mean per order over contiguous series rows sums in the order
+        # of each block's 1-D mean
+        agg, m, _, seed, _, _ = data.draw(scoring_cases)
+        st = build_cross_temporal(build_cross_sectional(agg), build_temporal(m))
+        rng = np.random.default_rng(seed)
+        E = rng.normal(size=(data.draw(hst.integers(1, 40)), st.dim))
+        E *= rng.uniform(0.1, 10.0, st.dim)
+        for kind in ("one_step", "multi_step"):
+            rs = ResidualSet(st, E, kind)
+            diag = rs.h1_mean_squares
+            assert not diag.flags.writeable
+            assert diag.tobytes() == h1_mean_squares_loop(rs).tobytes()
