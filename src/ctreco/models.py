@@ -194,7 +194,7 @@ def fitted_multistep(model: ARModel, series: np.ndarray, h: int) -> np.ndarray:
         raise ValueError("horizon must be >= 1")
     if h > y.size:
         raise ValueError(f"horizon {h} exceeds series length {y.size}")
-    origins = np.arange(model.order, y.size - h + 1)  # those with p observations
+    origins = np.arange(model.order, y.size - h + 1)  # every origin with p values
     shape = (1, origins.size, h)
     paths = _simulate_paths([model], y[None], origins, np.zeros(shape), np.empty(shape))
     return np.concatenate([np.full(y.size - origins.size, np.nan), paths[0, :, -1]])
