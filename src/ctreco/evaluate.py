@@ -9,7 +9,9 @@ The Monte Carlo study (``simulation.run_study``) and the expanding-window
 experiment (``pipeline.run_pipeline``) both evaluate forecast origins
 here: fit, sample, reconcile with every method and score every
 method x sampler cell.  The study and the pipeline only choose the data
-and the seeds and average the scores.
+and the seeds and average the scores.  Every map works row by row, so a
+ctjb cell reconciles only the distinct paths of its drawn periods and
+then gathers its L draws from them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from ctreco.covariance import CovarianceSpec, build_omega
 from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import CrossTemporalStructure
-from ctreco.probabilistic import (GaussianForecast, _stacked_paths, ctjb_sample,
+from ctreco.probabilistic import (GaussianForecast, _stacked_paths, ctjb_paths,
                                   sample_gaussian)
 from ctreco.reconcile import build_projection, composite_map, set_negative_to_zero
 from ctreco.residuals import (
@@ -131,7 +133,10 @@ def evaluate_origin(
     ``train`` is the (n, T) highest-frequency panel before the origin (T a
     multiple of m), ``z`` the stacked held-out period, ``seeds`` one seed
     per sampler; the names must have passed ``check_grid``.  With
-    ``nonneg`` the draws of every method but ``base`` are clamped.
+    ``nonneg`` the draws of every method but ``base`` are clamped.  A
+    ctjb cell maps and clamps the distinct paths (``ctjb_paths``), then
+    gathers the draws in the layout the L draws had, C order for ``base``
+    and F order for a reconciled block, so the scores sum as before.
     Returns CRPS per (method, sampler, series, order), energy score per
     (method, sampler, order) and, given the true error covariance
     ``omega_true``, each cell's Frobenius gap from it (else None).
@@ -158,17 +163,18 @@ def evaluate_origin(
     es = np.empty(shape + (len(st.te.factors),))
     frobenius = None if omega_true is None else np.empty(shape)
     for s_idx, smp in enumerate(samplers):
-        if smp == "ctjb":
-            sample = ctjb_sample(st, models, data, one_step, L, seed=seeds[s_idx])
+        if smp == "ctjb":  # the distinct paths, and the row of each draw
+            rows, index = ctjb_paths(st, models, data, one_step, L, seed=seeds[s_idx])
         else:
             sigma = build_omega(CovarianceSpec(GAUSS_KINDS[smp], lam=0.0), st, multi)
-            sample = sample_gaussian(
-                GaussianForecast(xhat, sigma), st, L, seed=seeds[s_idx]
-            )
+            gauss = GaussianForecast(xhat, sigma)
+            rows, index = sample_gaussian(gauss, st, L, seed=seeds[s_idx]).draws, None
         for m_idx, mth in enumerate(methods):
-            draws = maps[mth](sample.draws)  # sampled draws are finite
+            draws = maps[mth](rows)  # sampled rows are finite
             if nonneg and mth != "base":
                 draws = set_negative_to_zero(st, draws)
+            if index is not None:  # the draws, laid out as the docstring says
+                draws = draws[index] if mth == "base" else draws.T.take(index, 1).T
             raw = score_draws(st, draws, z)
             crps[m_idx, s_idx] = raw.crps
             es[m_idx, s_idx] = raw.es

@@ -12,7 +12,8 @@ distribution.  Two base samplers are provided:
 * Cross-temporal joint block bootstrap (ctjb): one most-aggregated period
   index is drawn per replicate and the residual blocks of that period for
   every series and every aggregation order, jointly, drive simulated
-  forecast paths.
+  forecast paths.  Each drawn period's paths are simulated once
+  (``ctjb_paths``), and a replicate is the row of its period.
 
 A Gaussian forecast is also reconciled in closed form
 (``gaussian_reconcile``): N(S G x, S (G Sigma G') S'), held factored with
@@ -40,6 +41,7 @@ __all__ = [
     "GaussianForecast",
     "gaussian_reconcile",
     "sample_gaussian",
+    "ctjb_paths",
     "ctjb_sample",
     "reconcile_sample",
 ]
@@ -133,6 +135,30 @@ def sample_gaussian(
     )
 
 
+def ctjb_paths(structure: CrossTemporalStructure, models: dict, histories: dict,
+               residuals: ResidualSet, L: int, seed: int | None = None):
+    """(paths, index): the ctjb sample is ``paths[index]``, the paths of
+    each distinct drawn period simulated once, in period order: at most
+    min(N, L) rows for N residual periods.  Raises ValueError when a path
+    is not finite."""
+    if L < 1:
+        raise ValueError("need at least one draw")
+    if residuals.kind != "one_step":
+        raise ValueError(
+            f"ctjb resamples one-step residual blocks, got {residuals.kind!r}"
+        )
+    N = residuals.n_periods
+    if N < 1:
+        raise ValueError("empty residual set")
+    taus = np.random.default_rng(seed).integers(0, N, size=L)
+    drawn = np.bincount(taus, minlength=N) > 0
+    paths = _stacked_paths(structure, models, histories, residuals.E,
+                           np.flatnonzero(drawn))
+    if not np.all(np.isfinite(paths)):
+        raise ValueError("draws contain non-finite values")
+    return paths, np.cumsum(drawn)[taus] - 1
+
+
 def ctjb_sample(
     structure: CrossTemporalStructure,
     models: dict[tuple[int, int], ARModel],
@@ -147,24 +173,12 @@ def ctjb_sample(
     replacement; the residual block of period tau -- the same tau for
     every series and every aggregation order -- supplies the shocks for a
     simulated forecast path of each (series, order) model, one
-    most-aggregated period ahead.  The histories of one order must be of
-    one length.
+    most-aggregated period ahead, once per drawn period (``ctjb_paths``).
+    The histories of one order must be of one length.
     """
-    if L < 1:
-        raise ValueError("need at least one draw")
-    if residuals.kind != "one_step":
-        raise ValueError(
-            f"ctjb resamples one-step residual blocks, got {residuals.kind!r}"
-        )
-    st = structure
-    N = residuals.n_periods
-    if N < 1:
-        raise ValueError("empty residual set")
-    rng = np.random.default_rng(seed)
-    taus = rng.integers(0, N, size=L)
-    draws = _stacked_paths(st, models, histories, residuals.E, taus)
+    paths, index = ctjb_paths(structure, models, histories, residuals, L, seed)
     return ForecastSample(
-        structure=st, draws=draws, coherent=False, provenance="ctjb"
+        structure=structure, draws=paths[index], coherent=False, provenance="ctjb"
     )
 
 

@@ -16,8 +16,10 @@ Omega, the form the structured kinds had before their exact limit), in
 structural form and in 50-digit arithmetic, the structured kinds' limit
 map in structural form, the
 eigenvalue accept rules that the Cholesky-first checks must agree with,
-and the partly-bottom-up composite as one function that rebuilds its
-inner map on every call, from weights built by kind with the dense C.
+the partly-bottom-up composite as one function that rebuilds its
+inner map on every call, from weights built by kind with the dense C,
+and the ctjb cells of an origin scored draw by draw: one set of paths
+simulated per draw, and every map applied to all L draws.
 ``spectral_matrices`` draws the symmetric matrices the accept rules are
 compared on, and ``gdp`` is the GDP-shaped hierarchy the package is
 compared at where a small one hides rounding.
@@ -31,7 +33,8 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from ctreco.covariance import shrinkage_intensity
+from ctreco.covariance import CovarianceSpec, shrinkage_intensity
+from ctreco.evaluate import REGISTRY, reconciler
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import (
     build_cross_sectional,
@@ -40,8 +43,20 @@ from ctreco.hierarchy import (
     temporally_aggregate,
 )
 from ctreco.models import ARModel
-from ctreco.reconcile import ReconciliationMap, _checked_cho_factor, bottom_up
-from ctreco.residuals import ResidualSet, _check_inputs, overlapping_series
+from ctreco.probabilistic import _stacked_paths
+from ctreco.reconcile import (ReconciliationMap, _checked_cho_factor, bottom_up,
+                              set_negative_to_zero)
+from ctreco.residuals import (
+    ResidualSet,
+    _check_inputs,
+    aggregate_levels,
+    assemble_multistep,
+    assemble_onestep,
+    assemble_overlapping,
+    fit_level_models,
+    overlapping_series,
+)
+from ctreco.scoring import score_draws
 
 
 @lru_cache(maxsize=1)
@@ -586,3 +601,39 @@ def assemble_overlapping_loop(structure, models, hf) -> ResidualSet:
     return ResidualSet(
         structure=st, E=np.asarray(rows), kind="overlapping_multi_step"
     )
+
+
+def ctjb_draws(structure, models, histories, residuals, L, seed) -> np.ndarray:
+    """The (L, dim) ctjb draws with one set of paths simulated per draw:
+    ``_stacked_paths`` at each of the L drawn periods tau."""
+    taus = np.random.default_rng(seed).integers(0, residuals.n_periods, size=L)
+    return _stacked_paths(structure, models, histories, residuals.E, taus)
+
+
+def ctjb_cells_draw_by_draw(structure, train, z, methods, L, seed, *, max_order,
+                            criterion, residuals, nonneg):
+    """CRPS (method, series, order) and energy score (method, order) of
+    ``evaluate_origin``'s ctjb cells, scored draw by draw: the L draws of
+    ``ctjb_draws``, each method's map applied to all of them, the clamp
+    under ``nonneg`` (every method but ``base``), then ``score_draws``."""
+    st = structure
+    data = aggregate_levels(st, train)
+    models = fit_level_models(data, max_order=max_order, criterion=criterion)
+    one_step = assemble_onestep(st, models, data)
+    if residuals == "overlapping_multi_step":
+        multi = assemble_overlapping(st, models, train)
+    else:
+        multi = assemble_multistep(st, models, data)
+    sources = {"one_step": one_step, "multi": multi, None: None}
+    draws = ctjb_draws(st, models, data, one_step, L, seed)
+    crps, es = [], []
+    for mth in methods:
+        family, kind, source = REGISTRY[mth]
+        spec = CovarianceSpec(kind) if kind else None
+        reconciled = reconciler(st, family, spec, sources[source])(draws)
+        if nonneg and mth != "base":
+            reconciled = set_negative_to_zero(st, reconciled)
+        raw = score_draws(st, reconciled, z)
+        crps.append(raw.crps)
+        es.append(raw.es)
+    return np.array(crps), np.array(es)

@@ -13,6 +13,7 @@ from ctreco.models import ARModel, forecast, simulate_path
 from ctreco.probabilistic import (
     ForecastSample,
     GaussianForecast,
+    ctjb_paths,
     ctjb_sample,
     gaussian_reconcile,
     reconcile_sample,
@@ -20,7 +21,7 @@ from ctreco.probabilistic import (
 )
 from ctreco.reconcile import build_projection, reconcile_point
 from ctreco.residuals import ResidualSet
-from reference import simulate_path_loop, unshrunk_blocks
+from reference import ctjb_draws, simulate_path_loop, unshrunk_blocks
 
 UNSHRUNK = ("sam", "hb", "h", "b")
 
@@ -305,6 +306,40 @@ class TestCtjb:
             paths = simulate_path_loop(model, y, h, shocks)
             np.testing.assert_array_equal(draws[:, sl], paths)
             np.testing.assert_array_equal(draws[:, sl], simulate_path(model, y, h, shocks))
+
+    @pytest.mark.parametrize("L", [1, 4, 30])  # L = 1, L < N = 6, L > N
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_each_drawn_period_is_simulated_once(self, L, seed):
+        # one path per distinct tau, in period order; gathered by index
+        # they are the L per-draw paths, bit for bit
+        cs = build_cross_sectional(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+        st = build_cross_temporal(cs, build_temporal(4))
+        rng = np.random.default_rng(seed)
+        models, histories = {}, {}
+        for i in range(st.n):
+            for k in st.te.factors:
+                p = int(rng.integers(0, 4))
+                models[(i, k)] = ARModel(p, rng.uniform(-0.5, 0.5, p),
+                                         float(rng.normal()), 1.0)
+                histories[(i, k)] = rng.normal(size=8)
+        residuals = ResidualSet(st, rng.normal(size=(6, st.dim)), "one_step")
+        taus = np.random.default_rng(seed).integers(0, 6, size=L)
+        paths, index = ctjb_paths(st, models, histories, residuals, L, seed)
+        assert paths.shape == (np.unique(taus).size, st.dim)
+        np.testing.assert_array_equal(np.unique(taus)[index], taus)
+        draws = ctjb_sample(st, models, histories, residuals, L, seed).draws
+        assert draws.flags.c_contiguous
+        assert draws.tobytes() == paths[index].tobytes()
+        assert draws.tobytes() == ctjb_draws(st, models, histories, residuals, L, seed).tobytes()
+
+    @pytest.mark.parametrize("call", [ctjb_paths, ctjb_sample])
+    def test_an_overflowing_path_raises(self, call):
+        st = semi_annual()
+        models, histories, residuals = self.toy_inputs(st)
+        models[(1, 1)] = ARModel(1, np.array([1e200]), 0.0, 1.0)  # two steps: inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="draws contain non-finite values"):
+                call(st, models, histories, residuals, 8, 0)
 
     def test_histories_of_one_order_must_be_of_one_length(self):
         st = semi_annual()
