@@ -10,8 +10,7 @@ experiment (``pipeline.run_pipeline``) both evaluate forecast origins
 here: fit, sample, reconcile with every method and score every
 method x sampler cell.  The study and the pipeline only choose the data
 and the seeds and average the scores.  Every map works row by row, so a
-ctjb cell reconciles only the distinct paths of its drawn periods and
-then gathers its L draws from them.
+ctjb cell reconciles each drawn period's paths once, then gathers.
 """
 
 from __future__ import annotations
@@ -133,10 +132,9 @@ def evaluate_origin(
     ``train`` is the (n, T) highest-frequency panel before the origin (T a
     multiple of m), ``z`` the stacked held-out period, ``seeds`` one seed
     per sampler; the names must have passed ``check_grid``.  With
-    ``nonneg`` the draws of every method but ``base`` are clamped.  A
-    ctjb cell maps and clamps the distinct paths (``ctjb_paths``), then
-    gathers the draws in the layout the L draws had, C order for ``base``
-    and F order for a reconciled block, so the scores sum as before.
+    ``nonneg`` the draws of every method but ``base`` are clamped.  A ctjb
+    cell maps its distinct paths (``ctjb_paths``), then gathers the draws in
+    the layout scores were summed in: C order for ``base``, F for the rest.
     Returns CRPS per (method, sampler, series, order), energy score per
     (method, sampler, order) and, given the true error covariance
     ``omega_true``, each cell's Frobenius gap from it (else None).
@@ -165,6 +163,8 @@ def evaluate_origin(
     for s_idx, smp in enumerate(samplers):
         if smp == "ctjb":  # the distinct paths, and the row of each draw
             rows, index = ctjb_paths(st, models, data, one_step, L, seed=seeds[s_idx])
+            # every cell gathers into these: new L-row blocks would page-fault
+            c_out, f_out = np.empty((L, st.dim)), np.empty((st.dim, L))
         else:
             sigma = build_omega(CovarianceSpec(GAUSS_KINDS[smp], lam=0.0), st, multi)
             gauss = GaussianForecast(xhat, sigma)
@@ -173,8 +173,10 @@ def evaluate_origin(
             draws = maps[mth](rows)  # sampled rows are finite
             if nonneg and mth != "base":
                 draws = set_negative_to_zero(st, draws)
-            if index is not None:  # the draws, laid out as the docstring says
-                draws = draws[index] if mth == "base" else draws.T.take(index, 1).T
+            if index is not None:  # "clip" (indices in range): out is unbuffered
+                draws = (np.take(draws, index, 0, out=c_out, mode="clip")
+                         if mth == "base" else
+                         np.take(draws.T, index, 1, out=f_out, mode="clip").T)
             raw = score_draws(st, draws, z)
             crps[m_idx, s_idx] = raw.crps
             es[m_idx, s_idx] = raw.es

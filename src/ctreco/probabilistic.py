@@ -12,8 +12,7 @@ distribution.  Two base samplers are provided:
 * Cross-temporal joint block bootstrap (ctjb): one most-aggregated period
   index is drawn per replicate and the residual blocks of that period for
   every series and every aggregation order, jointly, drive simulated
-  forecast paths.  Each drawn period's paths are simulated once
-  (``ctjb_paths``), and a replicate is the row of its period.
+  forecast paths, simulated once per drawn period (``ctjb_paths``).
 
 A Gaussian forecast is also reconciled in closed form
 (``gaussian_reconcile``): N(S G x, S (G Sigma G') S'), held factored with
@@ -137,10 +136,9 @@ def sample_gaussian(
 
 def ctjb_paths(structure: CrossTemporalStructure, models: dict, histories: dict,
                residuals: ResidualSet, L: int, seed: int | None = None):
-    """(paths, index): the ctjb sample is ``paths[index]``, the paths of
-    each distinct drawn period simulated once, in period order: at most
-    min(N, L) rows for N residual periods.  Raises ValueError when a path
-    is not finite."""
+    """(paths, index): the ctjb sample is ``paths[index]``, each drawn
+    period's paths simulated once, in period order: at most min(N, L) rows
+    for N residual periods.  Raises ValueError when a path is not finite."""
     if L < 1:
         raise ValueError("need at least one draw")
     if residuals.kind != "one_step":
