@@ -163,8 +163,9 @@ def evaluate_origin(
     for s_idx, smp in enumerate(samplers):
         if smp == "ctjb":  # the distinct paths, and the row of each draw
             rows, index = ctjb_paths(st, models, data, one_step, L, seed=seeds[s_idx])
-            # every cell gathers into these: new L-row blocks would page-fault
-            c_out, f_out = np.empty((L, st.dim)), np.empty((st.dim, L))
+            # the cells gather into one buffer: new L-row blocks would page-fault
+            c_out = np.empty((L, st.dim))
+            f_out = c_out.reshape(st.dim, L)  # the same memory, for F order
         else:
             sigma = build_omega(CovarianceSpec(GAUSS_KINDS[smp], lam=0.0), st, multi)
             gauss = GaussianForecast(xhat, sigma)

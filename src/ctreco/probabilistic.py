@@ -136,9 +136,8 @@ def sample_gaussian(
 
 def ctjb_paths(structure: CrossTemporalStructure, models: dict, histories: dict,
                residuals: ResidualSet, L: int, seed: int | None = None):
-    """(paths, index): the ctjb sample is ``paths[index]``, each drawn
-    period's paths simulated once, in period order: at most min(N, L) rows
-    for N residual periods.  Raises ValueError when a path is not finite."""
+    """(paths, index): ``paths[index]`` is the ctjb sample, each drawn period's
+    paths simulated once, in period order; ValueError if a path is not finite."""
     if L < 1:
         raise ValueError("need at least one draw")
     if residuals.kind != "one_step":

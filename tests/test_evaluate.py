@@ -146,8 +146,8 @@ def assert_ctjb_cells_match_draw_by_draw(st, train, z, L, seed, nonneg, methods=
     U rather than L columns, within 1e-12; each gathered block keeps the
     layout of the L draws it stands for (base C, reconciled F).  From one
     distinct path (U = 1) numpy's matmul takes a matrix-vector product,
-    so there every map but base's is held to 1e-12.  False when both
-    routes raise the same error instead."""
+    so there every map but base's is held to 1e-12.  Where the draw-by-draw
+    route raises, ``evaluate_origin`` must raise the same error."""
     kw = dict(max_order=2, criterion="aicc", residuals="multi_step", nonneg=nonneg)
     layouts, distinct = [], []
     real, real_paths = evaluate.score_draws, evaluate.ctjb_paths
@@ -167,7 +167,7 @@ def assert_ctjb_cells_match_draw_by_draw(st, train, z, L, seed, nonneg, methods=
         with pytest.raises(type(err)) as raised:
             evaluate_origin(st, train, z, methods, ("ctjb",), L, [seed], **kw)
         assert str(raised.value) == str(err)
-        return False
+        return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluate, "score_draws", recording)
         patch.setattr(evaluate, "ctjb_paths", recording_paths)
@@ -180,7 +180,6 @@ def assert_ctjb_cells_match_draw_by_draw(st, train, z, L, seed, nonneg, methods=
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=mth)
             else:
                 assert g.tobytes() == w.tobytes(), mth
-    return True
 
 
 @given(data=hst.data())
