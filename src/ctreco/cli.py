@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    sim, pipe = ({f.name: f.default for f in fields(cls)}
+                 for cls in (SimulationConfig, PipelineConfig))
     parser = argparse.ArgumentParser(
         prog="ctreco",
         description="Cross-temporal forecast reconciliation toolkit",
@@ -359,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo study")
-    p.add_argument("--replicates", type=int, default=50)
-    p.add_argument("--years", type=int, default=500)
-    p.add_argument("--L", type=int, default=500)
-    p.add_argument("--max-order", type=int, default=5)
+    p.add_argument("--replicates", type=int, default=sim["replicates"])
+    p.add_argument("--years", type=int, default=sim["years"])
+    p.add_argument("--L", type=int, default=sim["L"])
+    p.add_argument("--max-order", type=int, default=sim["max_order"])
     p.add_argument("--grid", help="JSON file with 'methods' and 'samplers'")
     p.add_argument("--redraw-sigmas", action="store_true",
                    help="redraw innovation scales per replicate")
@@ -372,19 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="expanding-window experiment on data")
     p.add_argument("data")
     p.add_argument("--hierarchy", required=True)
-    p.add_argument("--methods", default="base,ct-shrcs-bute,oct-wlsv",
+    p.add_argument("--methods", default=",".join(pipe["methods"]),
                    help="comma-separated method list")
-    p.add_argument("--samplers", default="ctjb,gauss-g")
-    p.add_argument("--L", type=int, default=200)
-    p.add_argument("--first-window", type=int, default=10,
+    p.add_argument("--samplers", default=",".join(pipe["samplers"]))
+    p.add_argument("--L", type=int, default=pipe["L"])
+    p.add_argument("--first-window", type=int, default=pipe["first_window"],
                    help="first training window, in most-aggregated periods")
-    p.add_argument("--origin-step", type=int, default=1,
+    p.add_argument("--origin-step", type=int, default=pipe["origin_step"],
                    help="origin spacing, in highest-frequency steps")
-    p.add_argument("--max-order", type=int, default=5)
+    p.add_argument("--max-order", type=int, default=pipe["max_order"])
     p.add_argument("--fixed-order", type=int, default=None)
     p.add_argument("--residuals", choices=("multi-step", "overlapping"),
-                   default="multi-step")
-    p.add_argument("--benchmark", default="base@ctjb")
+                   default={v: k for k, v in _RESIDUAL_KINDS.items()}[pipe["residuals"]])
+    p.add_argument("--benchmark", default=pipe["benchmark"])
     p.add_argument("--nonneg", action="store_true")
     p.set_defaults(func=_cmd_pipeline)
 

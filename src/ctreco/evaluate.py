@@ -1,4 +1,4 @@
-"""The method registry and the per-origin evaluation kernel.
+"""The method registry, the per-origin evaluation kernel and the origin loop.
 
 ``REGISTRY`` maps every reconciliation method to a family, the covariance
 kind it weights with and the residuals that covariance is built on;
@@ -7,13 +7,18 @@ CLI's ``reconcile`` alike.
 
 The Monte Carlo study (``simulation.run_study``) and the expanding-window
 experiment (``pipeline.run_pipeline``) both evaluate forecast origins
-here: fit, sample, reconcile with every method and score every
-method x sampler cell.  The study and the pipeline only choose the data
+here: ``evaluate_origin`` scores every method x sampler cell of one
+origin, and ``evaluate_origins``, the one origin loop, runs it serially or
+over a process pool; every origin brings its own seeds, so the scores do
+not depend on the pool.  The study and the pipeline only choose the data
 and the seeds and average the scores.  Every map works row by row, so a
 ctjb cell reconciles each drawn period's paths once, then gathers.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +47,7 @@ __all__ = [
     "reconciler",
     "base_forecasts",
     "evaluate_origin",
+    "evaluate_origins",
     "relative_reports",
 ]
 
@@ -185,6 +191,28 @@ def evaluate_origin(
                 emp_cov = np.cov(draws.T, bias=True)
                 frobenius[m_idx, s_idx] = frobenius_gap(emp_cov, omega_true)
     return crps, es, frobenius
+
+
+def _evaluate_at(structure, methods, samplers, L, kw, origin):
+    """``evaluate_origin`` at one ``(train, z, seeds)``, as a pool maps it."""
+    train, z, seeds = origin
+    return evaluate_origin(structure, train, z, methods, samplers, L, seeds, **kw)
+
+
+def evaluate_origins(structure, origins, methods, samplers, L, *, jobs=1, **kw):
+    """``evaluate_origin`` with the keywords ``kw`` at each of the (one or
+    more) ``(train, z, sampler_seeds)`` that ``origins`` yields, taken one
+    at a time or, with ``jobs`` > 1, by a pool of that many processes, each
+    job carrying its own origin's data.  Returns the CRPS, energy scores and
+    Frobenius gaps (None without ``omega_true``), stacked origin first."""
+    score = partial(_evaluate_at, structure, methods, samplers, L, kw)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            crps, es, frobenius = zip(*pool.map(score, origins))
+    else:
+        crps, es, frobenius = zip(*map(score, origins))
+    return (np.stack(crps), np.stack(es),
+            None if frobenius[0] is None else np.stack(frobenius))
 
 
 def relative_reports(

@@ -1,16 +1,15 @@
 """Expanding-window forecasting experiment on user data.
 
-For every forecast origin, ``evaluate.evaluate_origin`` -- the kernel
-the Monte Carlo study uses too -- fits models per (series, order) on the
-training window, draws base forecast samples, reconciles them per method
-and scores them against the held-out next period.  Origins advance by a
-fixed number of highest-frequency steps; the aggregation windows of
-every temporal order are anchored to end at the origin, so each origin
-always forecasts exactly one whole most-aggregated period ahead.
+At every forecast origin, ``evaluate.evaluate_origins`` -- the origin
+loop the Monte Carlo study uses too -- fits models per (series, order)
+on the training window, draws base forecast samples, reconciles them per
+method and scores them against the held-out next period.  Origins
+advance by a fixed number of highest-frequency steps; the aggregation
+windows of every temporal order are anchored to end at the origin, so
+each origin always forecasts exactly one whole most-aggregated period
+ahead.  Each origin draws from its own seed substream.
 
 Scores are averaged over origins before entering the relative indices.
-Origins are independent given per-origin seed substreams, so parallel
-execution merges deterministically.
 """
 
 from __future__ import annotations
@@ -18,14 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ctreco import __version__
-from ctreco.evaluate import check_grid, evaluate_origin, relative_reports
+from ctreco.evaluate import check_grid, evaluate_origins, relative_reports
 from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import stack_window
 from ctreco.io import Dataset
@@ -60,6 +58,8 @@ class PipelineConfig:
             )
         if self.L < 2 or self.first_window < 2 or self.origin_step < 1:
             raise ValidationError("L, first_window and origin_step too small")
+        if self.jobs < 1:
+            raise ValidationError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,46 +139,21 @@ def origin_indices(n_obs: int, m: int, first_window: int, step: int) -> list[int
     return list(range(first, n_obs - m + 1, step))
 
 
-def _score_origin(args):
-    """One origin of ``run_pipeline``, in the form a process pool maps."""
-    (dataset_values, structure, cfg, t0, origin_idx) = args
-    m = structure.te.m
-    # per-origin substream, independent of scheduling order
-    origin_seq = np.random.SeedSequence(cfg.seed, spawn_key=(origin_idx,))
-    crps, es, _ = evaluate_origin(
-        structure,
-        dataset_values[:, t0 % m : t0],
-        stack_window(structure, dataset_values[:, t0 : t0 + m]),
-        cfg.methods,
-        cfg.samplers,
-        cfg.L,
-        origin_seq.spawn(len(cfg.samplers)),
-        max_order=cfg.max_order,
-        criterion=cfg.criterion,
-        residuals=cfg.residuals,
-        nonneg=cfg.nonneg,
-    )
-    return crps, es
-
-
 def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
     """Run the expanding-window experiment and aggregate over origins."""
-    structure = dataset.structure
-    origins = origin_indices(
-        dataset.n_obs, structure.te.m, cfg.first_window, cfg.origin_step
+    structure, values = dataset.structure, dataset.values
+    m = structure.te.m
+    origins = origin_indices(dataset.n_obs, m, cfg.first_window, cfg.origin_step)
+    windows = (
+        (values[:, t0 % m : t0], stack_window(structure, values[:, t0 : t0 + m]),
+         np.random.SeedSequence(cfg.seed, spawn_key=(j,)).spawn(len(cfg.samplers)))
+        for j, t0 in enumerate(origins)
     )
-    jobs = [
-        (dataset.values, structure, cfg, t0, j) for j, t0 in enumerate(origins)
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_score_origin, jobs))
-    else:
-        results = [_score_origin(job) for job in jobs]
-
-    origin_crps = np.stack([crps_o for crps_o, _ in results])
-    crps_avg = origin_crps.mean(axis=0)
-    es_avg = np.stack([es_o for _, es_o in results]).mean(axis=0)
+    origin_crps, origin_es, _ = evaluate_origins(
+        structure, windows, cfg.methods, cfg.samplers, cfg.L, jobs=cfg.jobs,
+        max_order=cfg.max_order, criterion=cfg.criterion,
+        residuals=cfg.residuals, nonneg=cfg.nonneg)
+    crps_avg, es_avg = origin_crps.mean(axis=0), origin_es.mean(axis=0)
     return PipelineResult(
         methods=cfg.methods,
         samplers=cfg.samplers,
@@ -186,10 +161,8 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         origins=tuple(origins),
         raw_crps=crps_avg,
         raw_es=es_avg,
-        reports=relative_reports(
-            cfg.methods, cfg.samplers, structure.te.factors, crps_avg, es_avg,
-            cfg.benchmark,
-        ),
+        reports=relative_reports(cfg.methods, cfg.samplers, structure.te.factors,
+                                 crps_avg, es_avg, cfg.benchmark),
         origin_crps=origin_crps,
     )
 

@@ -8,9 +8,10 @@ vector has a closed form, against which the sample covariances of base
 and reconciled draws can be compared (Frobenius gap), alongside
 CRPS/energy-score accuracy relative to the bootstrap base forecasts.
 
-Each replicate is one origin of ``evaluate.evaluate_origin``, the kernel
-the expanding-window pipeline uses too; this module adds the process,
-its closed-form covariance, the per-replicate seeds and the averaging.
+Each replicate is one origin of ``evaluate.evaluate_origins``, the
+origin loop the expanding-window pipeline uses too; this module adds the
+process, its closed-form covariance, the per-replicate seeds and the
+averaging; a replicate is simulated when the loop asks for it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ctreco.evaluate import (
     METHODS,
     SAMPLERS,
     check_grid,
-    evaluate_origin,
+    evaluate_origins,
     relative_reports,
 )
 from ctreco.hierarchy import (
@@ -166,7 +167,7 @@ def run_study(
 ) -> StudyResult:
     """Full sampling-by-reconciliation grid, averaged over replicates.
 
-    Per replicate: simulate, then ``evaluate.evaluate_origin`` fits one
+    Per replicate: simulate, then ``evaluate.evaluate_origins`` fits one
     AR model per (series, order) by AICc, draws L base samples per
     sampler, reconciles per method, scores against the held-out period,
     and measures the Frobenius gap between each cell's draw covariance
@@ -179,38 +180,23 @@ def run_study(
     """
     check_grid(methods, samplers)
     st = study_structure()
-    omega_true = true_covariance(config)
-    n, p = st.n, len(st.te.factors)
-    n_m, n_s = len(methods), len(samplers)
 
-    crps_sum = np.zeros((n_m, n_s, n, p))
-    es_sum = np.zeros((n_m, n_s, p))
-    frob_sum = np.zeros((n_m, n_s))
+    def replicates():
+        for ss in np.random.SeedSequence(config.seed).spawn(config.replicates):
+            sim_seed, sigma_seed, *sampler_seeds = ss.spawn(2 + len(samplers))
+            cfg = config
+            if config.redraw_sigmas:
+                srng = np.random.default_rng(sigma_seed)
+                cfg = replace(config, sigma_b=float(srng.uniform(0.5, 2.0)),
+                              sigma_c=float(srng.uniform(0.5, 2.0)))
+            hf = simulate_dgp(cfg, seed=sim_seed, extra_periods=1)
+            yield hf[:, :-2], stack_window(st, hf[:, -2:]), sampler_seeds
 
-    root = np.random.SeedSequence(config.seed)
-    for ss in root.spawn(config.replicates):
-        sim_seed, sigma_seed, *sampler_seeds = ss.spawn(2 + n_s)
-        cfg = config
-        if config.redraw_sigmas:
-            srng = np.random.default_rng(sigma_seed)
-            cfg = replace(
-                config,
-                sigma_b=float(srng.uniform(0.5, 2.0)),
-                sigma_c=float(srng.uniform(0.5, 2.0)),
-            )
-        hf = simulate_dgp(cfg, seed=sim_seed, extra_periods=1)
-        crps, es, frob = evaluate_origin(
-            st, hf[:, :-2], stack_window(st, hf[:, -2:]), methods, samplers,
-            config.L, sampler_seeds, max_order=config.max_order,
-            criterion="aicc", residuals="multi_step", nonneg=nonneg,
-            omega_true=omega_true,
-        )
-        crps_sum += crps
-        es_sum += es
-        frob_sum += frob
-
-    crps_avg = crps_sum / config.replicates
-    es_avg = es_sum / config.replicates
+    crps, es, frobenius = evaluate_origins(
+        st, replicates(), methods, samplers, config.L, max_order=config.max_order,
+        criterion="aicc", residuals="multi_step", nonneg=nonneg,
+        omega_true=true_covariance(config))
+    crps_avg, es_avg = crps.mean(axis=0), es.mean(axis=0)
     reports = relative_reports(methods, samplers, st.te.factors, crps_avg, es_avg)
 
     def table(index):
@@ -226,7 +212,7 @@ def run_study(
         methods=tuple(methods),
         samplers=tuple(samplers),
         orders=st.te.factors,
-        frobenius=frob_sum / config.replicates,
+        frobenius=frobenius.mean(axis=0),
         avg_rel_crps=crps_tables,
         rel_es=es_tables,
         raw_crps=crps_avg,

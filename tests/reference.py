@@ -18,14 +18,19 @@ map in structural form, the
 eigenvalue accept rules that the Cholesky-first checks must agree with,
 the partly-bottom-up composite as one function that rebuilds its
 inner map on every call, from weights built by kind with the dense C,
-and the ctjb cells of an origin scored draw by draw: one set of paths
-simulated per draw, and every map applied to all L draws.
+the ctjb cells of an origin scored draw by draw: one set of paths
+simulated per draw, and every map applied to all L draws, and the two
+origin loops the drivers ran before ``evaluate.evaluate_origins``: the
+pipeline's jobs of the whole panel and an origin index, and the study's
+running sums over replicates.
 ``spectral_matrices`` draws the symmetric matrices the accept rules are
 compared on, and ``gdp`` is the GDP-shaped hierarchy the package is
 compared at where a small one hides rounding.
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -34,15 +39,17 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from ctreco.covariance import CovarianceSpec, shrinkage_intensity
-from ctreco.evaluate import REGISTRY, reconciler
+from ctreco.evaluate import REGISTRY, evaluate_origin, reconciler
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import (
     build_cross_sectional,
     build_cross_temporal,
     build_temporal,
+    stack_window,
     temporally_aggregate,
 )
 from ctreco.models import ARModel
+from ctreco.pipeline import origin_indices
 from ctreco.probabilistic import _stacked_paths
 from ctreco.reconcile import (ReconciliationMap, _checked_cho_factor, bottom_up,
                               set_negative_to_zero)
@@ -57,6 +64,7 @@ from ctreco.residuals import (
     overlapping_series,
 )
 from ctreco.scoring import score_draws
+from ctreco.simulation import simulate_dgp, study_structure, true_covariance
 
 
 @lru_cache(maxsize=1)
@@ -637,3 +645,81 @@ def ctjb_cells_draw_by_draw(structure, train, z, methods, L, seed, *, max_order,
         crps.append(raw.crps)
         es.append(raw.es)
     return np.array(crps), np.array(es)
+
+
+def _score_origin(args):
+    """One origin of ``pipeline_by_score_origin``, in the form a process
+    pool maps: the whole panel, the config, the origin and its index."""
+    (dataset_values, structure, cfg, t0, origin_idx) = args
+    m = structure.te.m
+    # per-origin substream, independent of scheduling order
+    origin_seq = np.random.SeedSequence(cfg.seed, spawn_key=(origin_idx,))
+    crps, es, _ = evaluate_origin(
+        structure,
+        dataset_values[:, t0 % m : t0],
+        stack_window(structure, dataset_values[:, t0 : t0 + m]),
+        cfg.methods,
+        cfg.samplers,
+        cfg.L,
+        origin_seq.spawn(len(cfg.samplers)),
+        max_order=cfg.max_order,
+        criterion=cfg.criterion,
+        residuals=cfg.residuals,
+        nonneg=cfg.nonneg,
+    )
+    return crps, es
+
+
+def pipeline_by_score_origin(dataset, cfg):
+    """``run_pipeline``'s per-origin CRPS and its averaged CRPS and energy
+    score: one job per origin holding the whole panel, mapped in order or
+    by a pool of ``cfg.jobs`` workers."""
+    origins = origin_indices(dataset.n_obs, dataset.structure.te.m,
+                             cfg.first_window, cfg.origin_step)
+    jobs = [(dataset.values, dataset.structure, cfg, t0, j)
+            for j, t0 in enumerate(origins)]
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            results = list(pool.map(_score_origin, jobs))
+    else:
+        results = [_score_origin(job) for job in jobs]
+    origin_crps = np.stack([crps_o for crps_o, _ in results])
+    es_avg = np.stack([es_o for _, es_o in results]).mean(axis=0)
+    return origin_crps, origin_crps.mean(axis=0), es_avg
+
+
+def study_by_running_sums(config, methods, samplers, nonneg):
+    """``run_study``'s averaged CRPS, energy score and Frobenius gap as
+    running sums over the replicates, each divided by their count."""
+    st = study_structure()
+    omega_true = true_covariance(config)
+    n, p = st.n, len(st.te.factors)
+    n_m, n_s = len(methods), len(samplers)
+
+    crps_sum = np.zeros((n_m, n_s, n, p))
+    es_sum = np.zeros((n_m, n_s, p))
+    frob_sum = np.zeros((n_m, n_s))
+
+    root = np.random.SeedSequence(config.seed)
+    for ss in root.spawn(config.replicates):
+        sim_seed, sigma_seed, *sampler_seeds = ss.spawn(2 + n_s)
+        cfg = config
+        if config.redraw_sigmas:
+            srng = np.random.default_rng(sigma_seed)
+            cfg = replace(
+                config,
+                sigma_b=float(srng.uniform(0.5, 2.0)),
+                sigma_c=float(srng.uniform(0.5, 2.0)),
+            )
+        hf = simulate_dgp(cfg, seed=sim_seed, extra_periods=1)
+        crps, es, frob = evaluate_origin(
+            st, hf[:, :-2], stack_window(st, hf[:, -2:]), methods, samplers,
+            config.L, sampler_seeds, max_order=config.max_order,
+            criterion="aicc", residuals="multi_step", nonneg=nonneg,
+            omega_true=omega_true,
+        )
+        crps_sum += crps
+        es_sum += es
+        frob_sum += frob
+    return (crps_sum / config.replicates, es_sum / config.replicates,
+            frob_sum / config.replicates)

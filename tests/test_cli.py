@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ctreco.cli as cli
 from ctreco.cli import main
 from ctreco.io import load_hierarchy, read_stacked_csv, write_stacked_csv
+from ctreco.pipeline import PipelineConfig
+from ctreco.simulation import DEFAULT_METHODS, DEFAULT_SAMPLERS, SimulationConfig
 
 
 def run(args):
@@ -491,6 +494,40 @@ class TestSimulate:
         assert "repeated sampler 'ctjb'" in capsys.readouterr().err
 
 
+class TestRunDefaults:
+    """A minimal ``simulate`` or ``pipeline`` command line runs with the
+    config dataclasses' own defaults."""
+
+    class Ran(Exception):
+        pass
+
+    def capture(self, monkeypatch, name):
+        ran = []
+
+        def recording(*args, **kwargs):
+            ran.append((args, kwargs))
+            raise self.Ran
+
+        monkeypatch.setattr(cli, name, recording)
+        return ran
+
+    def test_simulate(self, monkeypatch):
+        ran = self.capture(monkeypatch, "run_study")
+        with pytest.raises(self.Ran):
+            run(["simulate"])
+        [((config,), kwargs)] = ran
+        assert config == SimulationConfig()
+        assert kwargs == dict(methods=DEFAULT_METHODS, samplers=DEFAULT_SAMPLERS,
+                              nonneg=False)
+
+    def test_pipeline(self, toy_files, monkeypatch):
+        ran = self.capture(monkeypatch, "run_pipeline")
+        with pytest.raises(self.Ran):
+            run(["pipeline", toy_files["data"], "--hierarchy", toy_files["hierarchy"]])
+        [((_, cfg), _)] = ran
+        assert cfg == PipelineConfig()
+
+
 class TestPipelineCommand:
     def test_report_and_manifest(self, toy_files):
         out = toy_files["tmp"] / "pipe"
@@ -594,6 +631,17 @@ class TestPipelineCommand:
         )
         assert rc == 2
         assert f"'m' must be a whole number, got {m!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_exits_2(self, toy_files, capsys, jobs):
+        out = toy_files["tmp"] / "pipe_jobs"
+        rc = run(
+            ["--jobs", jobs, "--output-dir", out, "pipeline", toy_files["data"],
+             "--hierarchy", toy_files["hierarchy"]]
+        )
+        assert rc == 2
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_method_exits_2(self, toy_files, capsys):
         rc = run(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ctreco.covariance import (
+    FULL_KINDS,
     STRUCTURED_KINDS,
     CovarianceMatrix,
     CovarianceSpec,
@@ -578,3 +579,56 @@ class TestParameterCount:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             parameter_count("wlsv", semi_annual())
+
+
+class TestEveryKindOnRandomStructures:
+    """Every kind ``build_omega`` builds, on the shared random cases: from
+    normal or integer-valued (tied) residual rows, some columns constant
+    when the case asks for it."""
+
+    @staticmethod
+    def residuals(case):
+        agg, m, _, seed, ties, constant = case
+        st = make_structure(agg, m)
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(3, 2 * st.dim)), st.dim)
+        E = rng.integers(-2, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
+        if constant:
+            cells = rng.choice(st.dim, size=max(1, st.dim // 4), replace=False)
+            E[:, cells] = E[0, cells]
+        return st, ResidualSet(st, E, "multi_step")
+
+    def built(self, st, rs):
+        """(kind, covariance) of every kind but a ``struc`` that weights an
+        all-zero aggregation row, which must raise."""
+        for kind in FULL_KINDS + STRUCTURED_KINDS:
+            if kind == "struc" and np.any(st.cs.agg.sum(axis=1) <= 0):
+                with pytest.raises(ValidationError, match="'struc'"):
+                    build_omega(CovarianceSpec(kind), st, rs)
+                continue
+            yield kind, build_omega(CovarianceSpec(kind), st, rs)
+
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_kind_is_positive_semi_definite(self, data, scoring_cases):
+        st, rs = self.residuals(data.draw(scoring_cases))
+        for kind, om in self.built(st, rs):
+            V = om.values
+            assert V.shape == (st.dim, st.dim) and np.all(np.isfinite(V)), kind
+            np.testing.assert_array_equal(V, V.T, err_msg=kind)
+            w = np.linalg.eigvalsh(V)
+            assert w[0] >= -1e-12 * max(w[-1], 0.0), kind
+
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_estimated_sizes_agree_with_the_parameter_count(self, data, scoring_cases):
+        st, rs = self.residuals(data.draw(scoring_cases))
+        shape = (st.n, st.cs.n_bottom, st.te.m, st.te.k_star)
+        for kind, om in self.built(st, rs):
+            if kind not in ("shr", "sam") + STRUCTURED_KINDS:
+                continue
+            q = om.core.dim if kind in STRUCTURED_KINDS else om.dim
+            for counted in (st, shape):
+                assert parameter_count(kind, counted) == q * (q - 1) // 2, kind
+                assert parameter_count(kind, counted, include_variances=True) == (
+                    q * (q + 1) // 2), kind

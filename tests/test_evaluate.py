@@ -2,7 +2,8 @@
 common case never needs an eigendecomposition, that no projection or
 composite is formed as a d x d matrix, and that the ctjb cells, which
 reconcile each drawn period's paths once and then gather the draws,
-score as the draws reconciled one by one."""
+score as the draws reconciled one by one.  The origin loop: that it
+takes one origin at a time and stacks the same scores in a pool."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as hst
 import ctreco.evaluate as evaluate
 import ctreco.probabilistic as probabilistic
 from ctreco.covariance import STRUCTURED_KINDS
-from ctreco.evaluate import METHODS, REGISTRY, SAMPLERS, evaluate_origin
+from ctreco.evaluate import (METHODS, REGISTRY, SAMPLERS, evaluate_origin,
+                             evaluate_origins)
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import (
     build_cross_sectional,
@@ -22,6 +24,8 @@ from ctreco.hierarchy import (
     stack_window,
 )
 from ctreco.residuals import ResidualSet
+from ctreco.simulation import (SimulationConfig, simulate_dgp, study_structure,
+                               true_covariance)
 from reference import ctjb_cells_draw_by_draw, gdp
 
 # the methods built as projections, and the partly bottom-up composites
@@ -247,3 +251,52 @@ def test_an_overflowing_ctjb_path_raises(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="draws contain non-finite values"):
             run(st, train, z, ("base", "ct-bu"), ("ctjb",))
+
+
+def test_the_serial_loop_takes_one_origin_at_a_time(monkeypatch):
+    events = []
+
+    def origins():
+        for j in range(3):
+            events.append(("drawn", j))
+            yield j, None, [j]
+
+    def scoring(structure, train, z, methods, samplers, L, seeds, **kw):
+        events.append(("scored", train))
+        return np.full((1, 1, 2, 2), train), np.full((1, 1, 2), train), None
+
+    monkeypatch.setattr(evaluate, "evaluate_origin", scoring)
+    crps, es, frobenius = evaluate_origins(None, origins(), ("base",), ("ctjb",), 2)
+    assert events == [(what, j) for j in range(3) for what in ("drawn", "scored")]
+    assert crps[:, 0, 0, 0, 0].tolist() == es[:, 0, 0, 0].tolist() == [0, 1, 2]
+    assert frobenius is None
+
+
+def study_origins(config, count, n_samplers):
+    """``count`` study panels, each the training part, the stacked
+    held-out period and one seed per sampler."""
+    st = study_structure()
+    for j in range(count):
+        hf = simulate_dgp(config, seed=j, extra_periods=1)
+        seeds = [10 * j + s for s in range(n_samplers)]
+        yield hf[:, :-2], stack_window(st, hf[:, -2:]), seeds
+
+
+def test_origins_stack_the_same_in_a_pool():
+    # the study's origins, Frobenius gaps included, through two workers
+    config = SimulationConfig(years=40)
+    methods = ("base", "ct-bu", "oct-wlsv", "octh-hbshr")
+    kw = dict(max_order=2, criterion="aicc", residuals="multi_step", nonneg=False,
+              omega_true=true_covariance(config))
+    serial, pooled = (
+        evaluate_origins(study_structure(), study_origins(config, 4, len(SAMPLERS)),
+                         methods, SAMPLERS, 20, jobs=jobs, **kw)
+        for jobs in (1, 2))
+    for one, two in zip(serial, pooled):
+        assert one.shape[:3] == (4, len(methods), len(SAMPLERS))
+        assert one.tobytes() == two.tobytes()
+    for j, (train, z, seeds) in enumerate(study_origins(config, 4, len(SAMPLERS))):
+        alone = evaluate_origin(study_structure(), train, z, methods, SAMPLERS, 20,
+                                seeds, **kw)
+        for stacked, scores in zip(serial, alone):
+            assert stacked[j].tobytes() == scores.tobytes()

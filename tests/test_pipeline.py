@@ -1,8 +1,11 @@
 """Tests for the expanding-window pipeline."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import ctreco.evaluate as evaluate
 from ctreco.evaluate import METHODS, SAMPLERS
 from ctreco.exceptions import ValidationError
 from ctreco.io import ingest
@@ -13,6 +16,7 @@ from ctreco.pipeline import (
     origin_indices,
     run_pipeline,
 )
+from reference import pipeline_by_score_origin
 
 
 class TestOriginIndices:
@@ -63,6 +67,11 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError, match="benchmark"):
             PipelineConfig(benchmark="oct-bdshr@ctjb")
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ValidationError, match=f"jobs must be at least 1, got {jobs}"):
+            PipelineConfig(jobs=jobs)
+
 
 class TestRunPipeline:
     def make(self, toy_files, **kw):
@@ -109,6 +118,48 @@ class TestRunPipeline:
         np.testing.assert_array_equal(
             run_pipeline(ds, cfg1).raw_crps, run_pipeline(ds, cfg2).raw_crps
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_the_whole_panel_jobs(self, toy_files, jobs):
+        # the loop before evaluate_origins: one job per origin holding the
+        # whole panel, scores averaged by the same mean over origins
+        ds, cfg = self.make(toy_files, samplers=("ctjb", "gauss-g"), jobs=jobs)
+        res = run_pipeline(ds, cfg)
+        origin_crps, crps, es = pipeline_by_score_origin(ds, cfg)
+        assert res.origin_crps.tobytes() == origin_crps.tobytes()
+        assert res.raw_crps.tobytes() == crps.tobytes()
+        assert res.raw_es.tobytes() == es.tobytes()
+
+    def test_each_pool_job_carries_its_window(self, toy_files, monkeypatch):
+        # a pool in this process that pickles every job as a real one would
+        jobs = []
+
+        class PicklingPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, origins):
+                for origin in origins:
+                    jobs.append(pickle.dumps(origin))
+                    yield pickle.loads(pickle.dumps(fn))(pickle.loads(jobs[-1]))
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", PicklingPool)
+        ds, cfg = self.make(toy_files, jobs=2)
+        res = run_pipeline(ds, cfg)
+        assert res.origin_crps.tobytes() == run_pipeline(ds, self.make(
+            toy_files)[1]).origin_crps.tobytes()
+        sizes = []
+        for job, t0 in zip(jobs, res.origins):
+            train, z, seeds = pickle.loads(job)
+            np.testing.assert_array_equal(train, ds.values[:, t0 % 2 : t0])
+            sizes.append(len(job) - train.nbytes)
+        assert len(jobs) == len(res.origins) and len(set(sizes)) == 1
 
     def test_rank_comparison_levels_and_labels(self, toy_files):
         ds, cfg = self.make(toy_files, samplers=("ctjb", "gauss-g"))

@@ -821,3 +821,39 @@ class TestSetNegativeToZero:
         out = set_negative_to_zero(st, X)
         assert out.shape == X.shape
         assert np.all(out >= 0.0)
+
+
+class TestCoherentOnRandomStructures:
+    """The composites of either mode with every inner kind, and the clamp,
+    on the shared random cases: every output row is coherent."""
+
+    @staticmethod
+    def assert_coherent(st, X, what):
+        gap = np.abs(st.constraints_csr @ X.T).max(initial=0.0)
+        assert gap <= 1e-12 * (1.0 + np.abs(X).max()), what
+
+    @given(data=hst.data())
+    @settings(max_examples=40, deadline=None)
+    def test_composites_and_the_clamp_give_coherent_rows(self, data, scoring_cases):
+        agg, m, L, seed, ties, constant = data.draw(scoring_cases)
+        st = make_structure(agg, m)
+        rng = np.random.default_rng(seed)
+        res = ResidualSet(st, rng.normal(size=(2 * st.dim, st.dim)), "multi_step")
+        x = rng.integers(-5, 6, size=(L, st.dim)) if ties else rng.normal(size=(L, st.dim))
+        x = 10.0 * x
+        if constant:
+            x[:, rng.integers(st.dim)] = 3.0
+        idle = np.any(st.cs.agg.sum(axis=1) <= 0)  # struc weights by S 1
+        kinds = [kind for kind in FULL_KINDS + STRUCTURED_KINDS
+                 if not (kind == "struc" and idle)]
+        for mode in TestPartlyBottomUp.MODES:
+            for kind in [None] + kinds:
+                spec = None if kind is None else CovarianceSpec(kind)
+                out = composite_map(st, mode, spec, res)(x)
+                self.assert_coherent(st, out, (mode, kind))
+                self.assert_coherent(st, set_negative_to_zero(st, out), (mode, kind))
+        clamped = set_negative_to_zero(st, x)
+        self.assert_coherent(st, clamped, "clamp")
+        assert np.all(clamped[:, st.bottom_hf_indices()] >= 0.0)
+        if np.all(st.cs.agg >= 0.0):
+            assert np.all(clamped >= 0.0)

@@ -12,6 +12,7 @@ from ctreco.simulation import (
     study_structure,
     true_covariance,
 )
+from reference import study_by_running_sums
 
 
 class TestConfig:
@@ -189,3 +190,17 @@ class TestRunStudy:
         b = run_study(cfg, methods=("base", "ct-bu"), samplers=("ctjb",))
         np.testing.assert_array_equal(a.frobenius, b.frobenius)
         np.testing.assert_array_equal(a.raw_crps, b.raw_crps)
+
+    @pytest.mark.parametrize("redraw_sigmas", [False, True])
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_matches_the_running_sums(self, redraw_sigmas, nonneg):
+        # the loop before evaluate_origins summed each replicate's scores
+        # as it went; the mean over the stacked replicates adds the same rows
+        cfg = SimulationConfig(replicates=3, years=40, L=20, seed=12, max_order=2,
+                               redraw_sigmas=redraw_sigmas)
+        methods, samplers = ("base", "ct-bu", "oct-wlsv"), ("ctjb", "gauss-hb")
+        res = run_study(cfg, methods=methods, samplers=samplers, nonneg=nonneg)
+        crps, es, frobenius = study_by_running_sums(cfg, methods, samplers, nonneg)
+        assert res.raw_crps.tobytes() == crps.tobytes()
+        assert res.raw_es.tobytes() == es.tobytes()
+        assert res.frobenius.tobytes() == frobenius.tobytes()
