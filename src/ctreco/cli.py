@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -294,8 +293,6 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    sim, pipe = ({f.name: f.default for f in fields(cls)}
-                 for cls in (SimulationConfig, PipelineConfig))
     parser = argparse.ArgumentParser(
         prog="ctreco",
         description="Cross-temporal forecast reconciliation toolkit",
@@ -362,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo study")
-    p.add_argument("--replicates", type=int, default=sim["replicates"])
-    p.add_argument("--years", type=int, default=sim["years"])
-    p.add_argument("--L", type=int, default=sim["L"])
-    p.add_argument("--max-order", type=int, default=sim["max_order"])
+    p.add_argument("--replicates", type=int, default=SimulationConfig.replicates)
+    p.add_argument("--years", type=int, default=SimulationConfig.years)
+    p.add_argument("--L", type=int, default=SimulationConfig.L)
+    p.add_argument("--max-order", type=int, default=SimulationConfig.max_order)
     p.add_argument("--grid", help="JSON file with 'methods' and 'samplers'")
     p.add_argument("--redraw-sigmas", action="store_true",
                    help="redraw innovation scales per replicate")
@@ -375,19 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="expanding-window experiment on data")
     p.add_argument("data")
     p.add_argument("--hierarchy", required=True)
-    p.add_argument("--methods", default=",".join(pipe["methods"]),
+    p.add_argument("--methods", default=",".join(PipelineConfig.methods),
                    help="comma-separated method list")
-    p.add_argument("--samplers", default=",".join(pipe["samplers"]))
-    p.add_argument("--L", type=int, default=pipe["L"])
-    p.add_argument("--first-window", type=int, default=pipe["first_window"],
+    p.add_argument("--samplers", default=",".join(PipelineConfig.samplers))
+    p.add_argument("--L", type=int, default=PipelineConfig.L)
+    p.add_argument("--first-window", type=int, default=PipelineConfig.first_window,
                    help="first training window, in most-aggregated periods")
-    p.add_argument("--origin-step", type=int, default=pipe["origin_step"],
+    p.add_argument("--origin-step", type=int, default=PipelineConfig.origin_step,
                    help="origin spacing, in highest-frequency steps")
-    p.add_argument("--max-order", type=int, default=pipe["max_order"])
+    p.add_argument("--max-order", type=int, default=PipelineConfig.max_order)
     p.add_argument("--fixed-order", type=int, default=None)
     p.add_argument("--residuals", choices=("multi-step", "overlapping"),
-                   default={v: k for k, v in _RESIDUAL_KINDS.items()}[pipe["residuals"]])
-    p.add_argument("--benchmark", default=pipe["benchmark"])
+                   default=next(k for k, v in _RESIDUAL_KINDS.items()
+                                if v == PipelineConfig.residuals))
+    p.add_argument("--benchmark", default=PipelineConfig.benchmark)
     p.add_argument("--nonneg", action="store_true")
     p.set_defaults(func=_cmd_pipeline)
 

@@ -161,8 +161,10 @@ def run_pipeline(dataset: Dataset, cfg: PipelineConfig) -> PipelineResult:
         origins=tuple(origins),
         raw_crps=crps_avg,
         raw_es=es_avg,
-        reports=relative_reports(cfg.methods, cfg.samplers, structure.te.factors,
-                                 crps_avg, es_avg, cfg.benchmark),
+        reports=relative_reports(
+            cfg.methods, cfg.samplers, structure.te.factors, crps_avg, es_avg,
+            cfg.benchmark,
+        ),
         origin_crps=origin_crps,
     )
 
