@@ -15,12 +15,12 @@ either part optional; ``ols``, ``struc`` and ``wlsv`` are delta alone.
 Every residual-built estimate (``sam``, ``shr``, each ``bdshr`` order
 block, the structured cores) is lambda diag(X'X/N) + (1 - lambda) X'X/N
 of a block X of N residual rows and r columns, built by one estimator in
-the cheapest exact form: at lambda = 0 (``sam`` always) a root A alone,
+one form at any N: at lambda = 0 (``sam`` always) a root A alone,
 A A' = X'X/N with min(N, r) columns (X'/sqrt(N) itself from N <= r
-rows, R' from one QR of X from more); dense from N >= r rows; else
-delta = lambda mean X^2 plus sqrt(1 - lambda) A.  No d x d matrix is
-formed or decomposed for a root or a diagonal unless its dense
-``values`` are read.
+rows, R' from one QR of X from more); else delta = lambda mean X^2 plus
+sqrt(1 - lambda) A.  Dense ``values`` are given only by a caller or
+assembled by ``bdshr``; no d x d matrix is formed or decomposed for a
+root or a diagonal unless its ``values`` are read.
 
 Shrinkage intensities follow the Ledoit-Wolf estimator in the
 Schafer-Strimmer correlation form, computed on the sub-block actually
@@ -302,19 +302,15 @@ def _residual_root(X: np.ndarray) -> np.ndarray:
 def _estimate(X: np.ndarray, spec: CovarianceSpec) -> CovarianceMatrix:
     """lam diag(X'X/N) + (1 - lam) X'X/N from the N residual rows of the
     (N, r) block X, lam = ``spec.lam`` or, when None, the estimated
-    intensity (``sam`` is never shrunk), in the cheapest exact form: the
-    root A = ``_residual_root(X)`` alone at lam = 0, dense from N >= r
-    rows, else diag(lam mean X^2) + sqrt(1 - lam) A.  Its
-    ``lambda_used`` is lam, None for ``sam``."""
+    intensity (``sam`` is never shrunk), at any N as the root
+    A = ``_residual_root(X)`` alone at lam = 0, else as
+    diag(lam mean X^2) + sqrt(1 - lam) A.  Its ``lambda_used`` is lam,
+    None for ``sam``."""
     lam = (0.0 if spec.kind == "sam" else
            shrinkage_intensity(X) if spec.lam is None else spec.lam)
     if lam == 0.0:
         return CovarianceMatrix(None, spec, None if spec.kind == "sam" else lam,
                                 low_rank=_residual_root(X))
-    if X.shape[0] >= X.shape[1]:  # a root would be no narrower than the matrix
-        cov = sample_covariance(X)
-        return CovarianceMatrix(lam * np.diag(np.diag(cov)) + (1.0 - lam) * cov,
-                                spec, lam)
     return CovarianceMatrix(None, spec, lam, diag=lam * np.mean(X**2, axis=0),
                             low_rank=np.sqrt(1.0 - lam) * _residual_root(X))
 

@@ -159,15 +159,16 @@ def h1_mean_squares_loop(residuals) -> np.ndarray:
     return diag
 
 
-def bdshr_commuted(structure, residuals, lam=None) -> np.ndarray:
-    """The ``bdshr`` covariance built temporal-major, one shrunk n x n
-    block per temporal position, and permuted to the canonical layout by
-    the commutation matrix: Omega = P W_bd P'."""
+def bdshr_commuted(structure, residuals, block) -> np.ndarray:
+    """The ``bdshr`` covariance built temporal-major, one n x n block
+    ``block(X)`` of the order's h = 1 residual columns X per temporal
+    position, and permuted to the canonical layout by the commutation
+    matrix: Omega = P W_bd P'."""
     st = structure
     W_bd = np.zeros((st.dim, st.dim))
     off = 0
     for k in st.te.factors:
-        Wk = shrunk_dense(h1_matrix_stacked(residuals, k), lam)
+        Wk = block(h1_matrix_stacked(residuals, k))
         for _ in range(st.te.periods_at(k)):
             W_bd[off : off + st.n, off : off + st.n] = Wk
             off += st.n

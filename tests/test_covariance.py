@@ -15,6 +15,7 @@ from ctreco.covariance import (
     sample_covariance,
     series_diagonals,
     shrinkage_intensity,
+    _estimate,
     _residual_root,
 )
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
@@ -217,7 +218,8 @@ class TestBdshr:
     @settings(max_examples=40, deadline=None)
     def test_matches_the_commuted_temporal_major_build(self, n_a, n_b, m, kind, seed):
         # built in place, Omega equals P W_bd P' byte for byte, W_bd the
-        # temporal-major block diagonal and P the commutation matrix
+        # temporal-major block diagonal of the package's own order blocks
+        # and P the commutation matrix
         rng = np.random.default_rng(seed)
         st = make_structure(rng.integers(0, 2, size=(n_a, n_b)), m)
         rs = ResidualSet(st, rng.normal(size=(30, st.dim)), kind)
@@ -225,7 +227,8 @@ class TestBdshr:
             assert rs.h1_matrix(k).tobytes() == h1_matrix_stacked(rs, k).tobytes()
         for lam in (None, 0.3):
             spec = CovarianceSpec("bdshr", lam=lam)
-            want = CovarianceMatrix(bdshr_commuted(st, rs, lam), spec).values
+            want = CovarianceMatrix(bdshr_commuted(
+                st, rs, lambda X: _estimate(X, spec).values), spec).values
             assert build_omega(spec, st, rs).values.tobytes() == want.tobytes()
 
     def test_cross_position_cells_are_zero(self):
@@ -291,8 +294,8 @@ class TestStructuredKinds:
 
 class TestRootForm:
     """sam held as a root A and the structured kinds as a factor F and a
-    core, itself a root when unshrunk and, when shrunk, dense values or
-    a diagonal plus a root; A A' is the covariance F core F' either way."""
+    core, itself a root when unshrunk and, when shrunk, a diagonal plus a
+    root; A A' is the covariance F core F' either way."""
 
     UNSHRUNK = ("sam", "hb", "h", "b")
 
@@ -357,9 +360,9 @@ class TestRootForm:
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, None])
     def test_structured_kinds_hold_their_factor_and_core(self, lam):
-        # shrunk from 3 rows, under the 4 or 6 cells of every core, the core
-        # is delta + A with no r x r matrix until read; from 20 rows it is
-        # the dense estimate, byte for byte
+        # shrunk from 3 rows, under the 4 or 6 cells of every core, or from
+        # 20, over them, the core is delta + A of min(N, r) columns with no
+        # r x r matrix until read
         st = semi_annual()
         for N in (3, 20):
             rs = random_residuals(st, N, seed=24)
@@ -375,24 +378,20 @@ class TestRootForm:
                 else:
                     used = shrinkage_intensity(X) if lam is None else lam
                     assert om.lambda_used == used
-                    if N < X.shape[1]:
-                        assert core.diag.shape == (X.shape[1],)
-                        assert core.low_rank.shape == (X.shape[1], N)
-                        assert vars(core)["_values"] is None
-                        want = dense_covariance(kind, st, rs, used)
-                        assert _rel(om.values, want) <= 1e-13
-                    else:
-                        assert core.diag is None and core.low_rank is None
-                        np.testing.assert_array_equal(core.values, shrunk_dense(X, used))
+                    r = X.shape[1]
+                    assert core.diag.shape == (r,)
+                    assert core.low_rank.shape == (r, min(N, r))
+                    assert vars(core)["_values"] is None
+                    want = dense_covariance(kind, st, rs, used)
+                    assert _rel(om.values, want) <= 1e-13
                 assert _rel(om.values, F @ core.values @ F.T) <= 1e-14
                 assert vars(om)["_values"] is not None
 
 
 class TestDiagonalPlusRootForm:
-    """ols, struc and wlsv held as their diagonal alone, and shr from
-    N < d rows as the diagonal lam var plus the root sqrt(1 - lam) R' of
-    N columns (from N >= d rows as its dense values, at lam = 0 as sam's
-    root alone); values are formed only when read."""
+    """ols, struc and wlsv held as their diagonal alone, and shr as the
+    diagonal lam var plus the root sqrt(1 - lam) A of min(N, d) columns
+    (at lam = 0 as sam's root alone); values are formed only when read."""
 
     @pytest.mark.parametrize("N", [5, 9, 60])
     @pytest.mark.parametrize("lam", [None, 0.0, 0.3, 1.0])
@@ -402,19 +401,46 @@ class TestDiagonalPlusRootForm:
         om = build_omega(CovarianceSpec("shr", lam=lam), st, rs)
         used = shrinkage_intensity(rs.E) if lam is None else lam
         assert om.lambda_used == used
+        assert om.low_rank.shape == (st.dim, min(N, st.dim))
+        assert vars(om)["_values"] is None
         if used == 0.0:
-            assert om.diag is None and om.low_rank.shape == (st.dim, min(N, st.dim))
-            assert vars(om)["_values"] is None
-        elif N < st.dim:
-            assert om.low_rank.shape == (st.dim, N)
-            assert vars(om)["_values"] is None
-            assert not om.diag.flags.writeable
+            assert om.diag is None
         else:
-            assert om.diag is None and om.low_rank is None
+            assert not om.diag.flags.writeable
         V = om.values
         assert _rel(V, dense_covariance("shr", st, rs, used)) <= 1e-13
         np.testing.assert_array_equal(V, V.T)
         assert not V.flags.writeable
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.3])
+    def test_every_estimate_is_a_diagonal_plus_a_root_at_any_row_count(self, lam):
+        # r is 15 for sam and shr, 8, 10 and 12 for the hb, h and b cores
+        # and 5 for a bdshr order block: the rows run below, at and above
+        # each of them
+        st = make_structure([[1.0, 1.0, 1.0, 1.0]], 2)
+
+        def check_form(est, r, N):
+            assert est.low_rank.shape == (r, min(N, r))
+            assert vars(est)["_values"] is None
+            if est.lambda_used in (None, 0.0):
+                assert est.diag is None
+            else:
+                assert est.diag.shape == (r,)
+
+        for N in (3, 5, 8, 10, 12, 15, 20):
+            rs = random_residuals(st, N, seed=28)
+            for kind in ("sam", "shr") + STRUCTURED_KINDS:
+                om = build_omega(CovarianceSpec(kind, lam=lam), st, rs)
+                X, _ = unshrunk_blocks(kind, st, rs)
+                check_form(om if om.core is None else om.core, X.shape[1], N)
+                want = dense_covariance(kind, st, rs, om.lambda_used or 0.0)
+                assert _rel(om.values, want) <= 1e-13
+            for k in st.te.factors:
+                X = rs.h1_matrix(k)
+                block = _estimate(X, CovarianceSpec("bdshr", lam=lam))
+                check_form(block, X.shape[1], N)
+                want = shrunk_dense(X, block.lambda_used)
+                assert _rel(block.values, want) <= 1e-13
 
     def test_diagonal_kinds_hold_their_diagonal(self):
         st = semi_annual()
