@@ -18,7 +18,8 @@ map in structural form, the
 eigenvalue accept rules that the Cholesky-first checks must agree with,
 the partly-bottom-up composite as one function that rebuilds its
 inner map on every call, from weights built by kind with the dense C,
-the ctjb cells of an origin scored draw by draw: one set of paths
+the ``te_then_cs_bu`` composite from 50-digit per-series maps, the ctjb
+cells of an origin scored draw by draw: one set of paths
 simulated per draw, and every map applied to all L draws, and the two
 origin loops the drivers ran before ``evaluate.evaluate_origins``: the
 pipeline's jobs of the whole panel and an origin index, and the study's
@@ -38,7 +39,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from ctreco.covariance import CovarianceSpec, shrinkage_intensity
+from ctreco.covariance import CovarianceSpec, build_omega, shrinkage_intensity
 from ctreco.evaluate import REGISTRY, evaluate_origin, reconciler
 from ctreco.exceptions import NumericalError
 from ctreco.hierarchy import (
@@ -321,6 +322,8 @@ def build_projection_exact(structure, omega, digits=50) -> np.ndarray:
     them.  At Omega = delta I + A A' with a small delta, the double
     precision ``build_projection_dense`` loses about 1/delta times its
     unit roundoff, so such maps are checked against this one."""
+    if not structure.constraints.shape[0]:  # m = 1 on te_only: nothing to solve
+        return np.eye(structure.dim)[structure.bottom_hf_indices()]
     with mpmath.workdps(digits):
         C = mpmath.matrix(structure.constraints.tolist())
         if omega.diag is None:
@@ -434,6 +437,26 @@ def partly_bottom_up_per_call(structure, mode, base, inner_spec, residuals=None)
         out = b_hf.reshape(-1, st.bottom_dim) @ st.summation.T
     return out[0] if single else out
 
+
+def te_then_cs_bu_exact(structure, base, inner_spec, residuals) -> np.ndarray:
+    """The ``te_then_cs_bu`` composite of an (L, dim) block from each
+    bottom series' temporal map in 50-digit arithmetic
+    (``build_projection_exact`` on ``te_only``, weighted from that
+    series' residual columns), its bottom cells then aggregated by S."""
+    st, sub, dim_te = structure, structure.te_only, structure.te.dim
+    exact = {}  # one exact map per distinct covariance diagonal
+    maps = []
+    for i in range(st.cs.n_upper, st.n):
+        res = ResidualSet(sub, residuals.E[:, i * dim_te:(i + 1) * dim_te],
+                          residuals.kind)
+        omega = build_omega(inner_spec, sub, res)
+        key = omega.diag.tobytes()
+        if key not in exact:
+            exact[key] = build_projection_exact(sub, omega)
+        maps.append(exact[key])
+    X = np.asarray(base, dtype=float).reshape(-1, st.n, dim_te)[:, st.cs.n_upper:]
+    b_hf = np.einsum("itk,lik->lit", np.array(maps), X)
+    return b_hf.reshape(len(X), st.bottom_dim) @ st.summation.T
 
 
 def fit_ar_lstsq(series, max_order, criterion="aicc") -> ARModel:
