@@ -5,7 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
+
+# a falsifying example also prints the @reproduce_failure blob that
+# replays it; every other setting stays hypothesis' default
+settings.register_profile("ctreco", print_blob=True)
+settings.load_profile("ctreco")
 
 
 @pytest.fixture
