@@ -658,3 +658,35 @@ class TestEveryKindOnRandomStructures:
                 assert parameter_count(kind, counted) == q * (q - 1) // 2, kind
                 assert parameter_count(kind, counted, include_variances=True) == (
                     q * (q + 1) // 2), kind
+
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message,
+    or what the branch returns."""
+
+    def test_rejects_a_non_finite_factor(self):
+        core = CovarianceMatrix(np.eye(1), CovarianceSpec("hb"))
+        with pytest.raises(ValueError, match="covariance factor has non-finite entries"):
+            CovarianceMatrix(None, CovarianceSpec("hb"), factor=[[1.0], [np.nan]],
+                             core=core)
+
+    def test_rejects_non_square_values(self):
+        with pytest.raises(ValueError, match="covariance must be square"):
+            CovarianceMatrix(np.ones((2, 3)), CovarianceSpec("sam"))
+
+    def test_rejects_a_root_that_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="covariance root must be a matrix"):
+            CovarianceMatrix(None, CovarianceSpec("sam"), low_rank=[1.0, 2.0])
+
+    def test_sample_covariance_needs_a_row(self):
+        with pytest.raises(ValueError, match="not enough rows for a sample covariance"):
+            sample_covariance(np.zeros((0, 3)))
+
+    def test_shrinkage_intensity_reads_a_residual_set(self):
+        rs = random_residuals(semi_annual(), 20, seed=29)
+        assert shrinkage_intensity(rs) == shrinkage_intensity(rs.E)
+
+    def test_repr_names_the_spec_lambda_and_dimension(self):
+        om = CovarianceMatrix(None, CovarianceSpec("shr"), 0.25, diag=[1.0, 2.0])
+        assert repr(om) == ("CovarianceMatrix(spec=CovarianceSpec(kind='shr', "
+                            "lam=None), lambda_used=0.25, dim=2)")

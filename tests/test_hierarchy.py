@@ -1,5 +1,6 @@
 """Tests for the hierarchy matrices and the canonical stacked layout."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -393,3 +394,32 @@ def test_tourism_shape_builds_sparse():
     assert ct.constraints_csr.shape == (221 * 12 + 525 * 16, 14_700)
     assert peak < 200e6
     assert "summation" not in vars(ct) and "constraints" not in vars(ct)
+
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message."""
+
+    def test_offset_of_rejects_a_non_factor(self):
+        with pytest.raises(ValueError, match="3 is not a factor of m=4"):
+            build_temporal(4).offset_of(3)
+
+    @pytest.mark.parametrize("series", [-1, 3])
+    def test_index_of_rejects_a_series_out_of_range(self, series):
+        with pytest.raises(ValueError, match=f"series index {series} out of range"):
+            fig1_structure().index_of(series, 1, 0)
+
+    def test_unstack_rejects_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("expected shape (21,), got (3, 7)")):
+            fig1_structure().unstack(np.zeros((3, 7)))
+
+    def test_stack_window_rejects_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("expected shape (3, 4), got (4, 3)")):
+            stack_window(fig1_structure(), np.zeros((4, 3)))
+
+    def test_temporally_aggregate_rejects_a_series_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            temporally_aggregate(np.zeros((2, 4)), 2)
+
+    def test_temporally_aggregate_rejects_an_order_below_one(self):
+        with pytest.raises(ValueError, match="aggregation order must be >= 1, got 0"):
+            temporally_aggregate(np.zeros(4), 0)

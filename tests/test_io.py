@@ -10,6 +10,7 @@ from ctreco.covariance import CovarianceMatrix, CovarianceSpec, build_omega
 from ctreco.exceptions import ValidationError
 from ctreco.hierarchy import build_cross_sectional, build_cross_temporal, build_temporal
 from ctreco.io import (
+    Dataset,
     covariance_from_json,
     covariance_to_json,
     ingest,
@@ -364,3 +365,37 @@ class TestIngest:
         d.write_text("leaf\n1\n2\n3\n")
         ds = ingest(d, h)
         np.testing.assert_allclose(ds.values[0], [1, 2, 3])
+
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message."""
+
+    def test_write_stacked_csv_rejects_the_wrong_width(self, tmp_path):
+        st = make_structure()
+        with pytest.raises(ValidationError, match="rows have 8 columns, expected 9"):
+            write_stacked_csv(tmp_path / "x.csv", st, ["A", "B", "C"], np.zeros((2, 8)))
+
+    def test_a_label_with_a_bad_prefix_is_named(self, tmp_path):
+        # every part parses, but the first is not series:<name>
+        st, names = make_structure(), ["A", "B", "C"]
+        path = tmp_path / "x.csv"
+        write_stacked_csv(path, st, names, np.zeros((1, st.dim)))
+        path.write_text(path.read_text().replace("series:A|k:2", "serie:A|k:2", 1))
+        with pytest.raises(ValidationError, match=re.escape(
+                "bad column label 'serie:A|k:2|h:1' "
+                "(expected series:<name>|k:<int>|h:<int>)")):
+            read_stacked_csv(path, st, names)
+
+    def test_covariance_from_json_rejects_the_wrong_triangle_length(self):
+        text = json.dumps({"kind": "sam", "lambda": None, "dim": 2,
+                           "lower_triangle": [1.0, 0.0]})
+        with pytest.raises(ValidationError, match="lower triangle has the wrong length"):
+            covariance_from_json(text)
+
+    def test_dataset_needs_one_row_per_series(self):
+        with pytest.raises(ValidationError, match="one row per series required"):
+            Dataset(make_structure(), ["A", "B"], np.zeros((2, 4)))
+
+    def test_dataset_length_must_divide_by_m(self):
+        with pytest.raises(ValidationError, match="series length 5 not divisible by m=2"):
+            Dataset(make_structure(), ["A", "B", "C"], np.zeros((3, 5)))

@@ -353,3 +353,30 @@ class TestSimulatePath:
             ARModel(2, np.array([0.5]), 0.0, 1.0)
         with pytest.raises(ValueError):
             ARModel(1, np.array([0.5]), 0.0, -1.0)
+
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message."""
+
+    def test_ar_model_rejects_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ARModel(order=1, coefficients=np.array([np.inf]), intercept=0.0,
+                    innovation_variance=1.0)
+
+    def test_fit_ar_rejects_a_negative_max_order(self):
+        with pytest.raises(ValueError, match="max_order must be >= 0"):
+            fit_ar(np.arange(10.0), -1)
+
+    def test_fit_ar_rejects_a_series_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            fit_ar(np.ones((2, 10)), 1)
+
+    def test_fitted_multistep_rejects_a_series_that_is_not_1d(self):
+        model = ARModel(0, np.zeros(0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            fitted_multistep(model, np.ones((2, 10)), 1)
+
+    def test_fitted_multistep_rejects_a_horizon_below_one(self):
+        model = ARModel(0, np.zeros(0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            fitted_multistep(model, np.ones(10), 0)

@@ -11,6 +11,7 @@ from ctreco.exceptions import ValidationError
 from ctreco.io import ingest
 from ctreco.pipeline import (
     PipelineConfig,
+    PipelineResult,
     RunManifest,
     build_manifest,
     origin_indices,
@@ -71,6 +72,29 @@ class TestPipelineConfig:
     def test_rejects_fewer_than_one_job(self, jobs):
         with pytest.raises(ValidationError, match=f"jobs must be at least 1, got {jobs}"):
             PipelineConfig(jobs=jobs)
+
+    def test_rejects_one_step_residuals(self):
+        with pytest.raises(ValidationError, match="residuals must be multi_step or "
+                                                  "overlapping_multi_step, got 'one_step'"):
+            PipelineConfig(residuals="one_step")
+
+    @pytest.mark.parametrize("field,value", [("L", 1), ("first_window", 1),
+                                             ("origin_step", 0)])
+    def test_rejects_too_small_sizes(self, field, value):
+        with pytest.raises(ValidationError,
+                           match="L, first_window and origin_step too small"):
+            PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("methods,n_origins", [(("base",), 3),
+                                                   (("base", "oct-ols"), 1)])
+    def test_rank_comparison_needs_two_cells_and_two_origins(self, methods, n_origins):
+        result = PipelineResult(
+            methods=methods, samplers=("ctjb",), orders=(2, 1),
+            origins=tuple(range(n_origins)), raw_crps=None, raw_es=None, reports={},
+            origin_crps=np.ones((n_origins, len(methods), 1, 3, 2)))
+        with pytest.raises(ValidationError, match="rank comparison needs at least "
+                                                  "2 grid cells and 2 origins"):
+            result.rank_comparison()
 
 
 class TestRunPipeline:

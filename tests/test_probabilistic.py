@@ -1,5 +1,7 @@
 """Tests for Gaussian reconciliation and the joint block bootstrap."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -461,3 +463,35 @@ class TestReconcileSample:
         rng = np.random.default_rng(24)
         with pytest.raises(ValueError, match="coherent"):
             ForecastSample(st, rng.normal(size=(5, st.dim)), coherent=True)
+
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message."""
+
+    def test_forecast_sample_rejects_a_bad_shape(self):
+        with pytest.raises(ValueError, match=re.escape("draws must be (L, 9), got (4, 8)")):
+            ForecastSample(semi_annual(), np.zeros((4, 8)))
+
+    def test_forecast_sample_rejects_non_finite_draws(self):
+        D = np.zeros((4, 9))
+        D[1, 2] = np.nan
+        with pytest.raises(ValueError, match="draws contain non-finite values"):
+            ForecastSample(semi_annual(), D)
+
+    def test_gaussian_forecast_mean_must_match_the_covariance(self):
+        cov = CovarianceMatrix(None, CovarianceSpec("ols"), diag=np.ones(9))
+        with pytest.raises(ValueError,
+                           match="mean length must match the covariance dimension"):
+            GaussianForecast(np.zeros(8), cov)
+
+    def test_ctjb_paths_needs_a_draw(self):
+        st = semi_annual()
+        res = ResidualSet(st, np.zeros((3, st.dim)), "one_step")
+        with pytest.raises(ValueError, match="need at least one draw"):
+            ctjb_paths(st, {}, {}, res, 0)
+
+    def test_ctjb_paths_needs_a_residual_row(self):
+        st = semi_annual()
+        res = ResidualSet(st, np.zeros((0, st.dim)), "one_step")
+        with pytest.raises(ValueError, match="empty residual set"):
+            ctjb_paths(st, {}, {}, res, 5)

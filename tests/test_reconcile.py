@@ -885,3 +885,18 @@ class TestCoherentOnRandomStructures:
         if np.all(st.cs.agg >= 0.0):
             assert np.all(clamped >= 0.0)
 
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message."""
+
+    def test_reconcile_point_rejects_non_finite_input(self):
+        st = semi_annual()
+        rec = build_projection(st, build_omega(CovarianceSpec("ols"), st))
+        x = np.ones(st.dim)
+        x[4] = np.nan
+        with pytest.raises(ValueError, match="input contains non-finite values"):
+            reconcile_point(rec, x)
+
+    def test_set_negative_to_zero_rejects_the_wrong_width(self):
+        with pytest.raises(ValueError, match="expected trailing dimension 9"):
+            set_negative_to_zero(semi_annual(), np.zeros((2, 8)))

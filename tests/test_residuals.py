@@ -1,5 +1,7 @@
 """Tests for residual matrix assembly and overlapping windows."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,3 +379,43 @@ class TestResidualSetValidation:
             diag = rs.h1_mean_squares
             assert not diag.flags.writeable
             assert diag.tobytes() == h1_mean_squares_loop(rs).tobytes()
+
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message."""
+
+    def test_residual_set_rejects_non_finite_entries(self):
+        E = np.zeros((4, 9))
+        E[2, 3] = np.inf
+        with pytest.raises(ValueError, match="residual matrix contains non-finite entries"):
+            ResidualSet(semi_annual_structure(), E, "multi_step")
+
+    def test_aggregate_levels_rejects_the_wrong_series_count(self):
+        with pytest.raises(ValueError, match="expected 3 series, got 2"):
+            aggregate_levels(semi_annual_structure(), np.zeros((2, 8)))
+
+    def test_aggregate_levels_length_must_divide_by_m(self):
+        with pytest.raises(ValueError, match="series length 7 not divisible by m=2"):
+            aggregate_levels(semi_annual_structure(), np.zeros((3, 7)))
+
+    def test_a_level_of_the_wrong_length_is_named(self):
+        st = semi_annual_structure()
+        data = aggregate_levels(st, np.ones((3, 8)))
+        models = {key: ARModel(0, np.zeros(0), 0.0, 1.0) for key in data}
+        data[(1, 1)] = data[(1, 1)][:-1]
+        with pytest.raises(ValueError,
+                           match=re.escape("series (1, 1) has length 7, expected 8")):
+            assemble_multistep(st, models, data)
+
+    def test_overlapping_series_rejects_a_series_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            overlapping_series(np.zeros((2, 4)), 2, 0)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 7)])
+    def test_assemble_overlapping_rejects_a_bad_panel(self, shape):
+        st = semi_annual_structure()
+        models = {(i, k): ARModel(0, np.zeros(0), 0.0, 1.0)
+                  for i in range(st.n) for k in st.te.factors}
+        with pytest.raises(ValueError,
+                           match=re.escape("hf panel must be (n, T) with m dividing T")):
+            assemble_overlapping(st, models, np.zeros(shape))

@@ -376,3 +376,28 @@ class TestMcbNemenyi:
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError):
             mcb_nemenyi(np.ones((1, 3)))
+
+
+class TestInputChecks:
+    """Input checks no other test reaches: the exception and its message,
+    or what the branch returns."""
+
+    def test_energy_score_takes_1d_draws_as_one_column(self):
+        x = np.random.default_rng(5).normal(size=40)
+        assert energy_score(x, 0.3) == energy_score(x[:, None], [0.3])
+        # in one dimension the all-pairs energy score is the CRPS
+        assert energy_score(x, 0.3, "all") == pytest.approx(crps(x, 0.3), rel=1e-12)
+
+    def test_energy_score_rejects_an_unknown_estimator(self):
+        with pytest.raises(ValueError, match="unknown pair estimator 'pairs'"):
+            energy_score(np.zeros((3, 2)), np.zeros(2), "pairs")
+
+    def test_score_raw_shapes_must_match_the_orders(self):
+        with pytest.raises(ValueError, match="score array shapes do not match the orders"):
+            ScoreRaw("m", (2, 1), np.ones((3, 2)), np.ones(3))
+
+    def test_relative_indices_need_the_same_orders(self):
+        a = ScoreRaw("a", (2, 1), np.ones((3, 2)), np.ones(2))
+        b = ScoreRaw("b", (4, 2, 1), np.ones((3, 3)), np.ones(3))
+        with pytest.raises(ValueError, match="methods were scored on different order sets"):
+            relative_indices(a, b)

@@ -31,6 +31,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(sigma_b=0.0)
 
+    @pytest.mark.parametrize("field", ["years", "replicates", "L"])
+    def test_rejects_non_positive_sizes(self, field):
+        with pytest.raises(ValueError, match="years, replicates and L must be positive"):
+            SimulationConfig(**{field: 0})
+
 
 def true_core(cfg):
     """The 4 x 4 high-frequency bottom block of the true covariance: the
