@@ -11,7 +11,7 @@ d x d matrix M is formed only when a caller reads ``ReconciliationMap.M``.
 
 ``build_projection`` dispatches on the form a covariance is held in.  A
 diagonal delta > 0, alone or plus a low-rank part (``ols``, ``struc``,
-``wlsv``, ``shr`` from few rows), takes the structural form: W scales
+``wlsv``, ``shr`` at lambda > 0), takes the structural form: W scales
 the rows of the CSR S (a low-rank part adds a Woodbury term) and only
 S'WS, (n_b m) x (n_b m), is factored; a constant delta gives G = S^+.
 It does so when S'WS (and the Woodbury capacitance) factors with a
